@@ -5,6 +5,8 @@ from .evaluate import (
     BacktestReport,
     ErrorReport,
     error_metrics,
+    fit_models,
+    forecast_model,
     normality_test,
     run_backtest,
     standardize_residuals,
@@ -29,8 +31,8 @@ from .tsforecast import TsFit, TsSpec, fit_ar, fit_rwd, forecast_ar, forecast_rw
 __version__ = "0.1.0"
 
 __all__ = [
-    "BacktestReport", "ErrorReport", "error_metrics", "normality_test",
-    "run_backtest", "standardize_residuals", "t_test_zero_mean",
+    "BacktestReport", "ErrorReport", "error_metrics", "fit_models",
+    "forecast_model", "normality_test", "run_backtest", "standardize_residuals", "t_test_zero_mean",
     "FdmModel", "ForecastSurface", "bootstrap_intervals", "fit_fdm",
     "forecast_fdm",
     "MortalitySurface", "RateRecord", "build_surface", "parse_hmd_rates",

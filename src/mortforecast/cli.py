@@ -3,32 +3,31 @@
 Artifacts (CSV, JSON, SVG) land under --output with stable names, and a
 given config + data + seed always produces byte-identical files. Exit
 status 0 means success, 1 a computation failure, 2 a usage or I/O
-problem.
+problem; usage problems are caught before --output is created.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .evaluate import (
     MODELS,
-    BacktestReport,
     ErrorReport,
     error_metrics,
+    fit_models,
+    forecast_model,
     normality_test,
     run_backtest,
     standardize_residuals,
     t_test_zero_mean,
 )
-from .fdm import ForecastSurface, bootstrap_intervals, fit_fdm, forecast_fdm
 from .ingest import (
     GENDERS,
     HmdParseError,
@@ -36,7 +35,6 @@ from .ingest import (
     build_surface,
     parse_hmd_rates,
 )
-from .leecarter import LcModel, fit_lc, fit_lcs, forecast_lc
 from .lifetable import e0_path, rates_to_lifetable
 from .smoothing import SmoothConfig
 from .svgchart import render_line_chart
@@ -48,6 +46,10 @@ DATA_ENV = "MORTFORECAST_DATA"
 SCHEMA_VERSION = 1
 _DATA_BASENAMES = ("Mx_1x1.txt", "ITA.Mx_1x1.txt")
 _NORMALITY_CAP = 5000
+# Shortest windows a backtest accepts: fit_lc needs three years, and the
+# error variances need two test years.
+_MIN_TRAIN_YEARS = 3
+_MIN_TEST_YEARS = 2
 
 
 class UsageError(Exception):
@@ -168,24 +170,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if bad or not formats:
         raise UsageError(f"--formats must be a subset of csv,json,svg, got {args.formats!r}")
 
-    if args.monotone_from.strip().lower() == "none":
-        monotone_from = None
-    else:
-        try:
-            monotone_from = int(args.monotone_from)
-        except ValueError:
-            raise UsageError(f"--monotone-from expects an age or 'none', "
-                             f"got {args.monotone_from!r}") from None
-    lam: "float | str"
-    if args.lam.strip().lower() == "auto":
-        lam = "auto"
-    else:
-        try:
-            lam = float(args.lam)
-        except ValueError:
-            raise UsageError(f"--lam expects a number or 'auto', got {args.lam!r}") from None
-        if lam < 0:
-            raise UsageError("--lam must be nonnegative")
+    try:
+        monotone_from = (None if args.monotone_from.strip().lower() == "none"
+                         else int(args.monotone_from))
+    except ValueError:
+        raise UsageError(f"--monotone-from expects an age or 'none', "
+                         f"got {args.monotone_from!r}") from None
+    try:
+        lam = "auto" if args.lam.strip().lower() == "auto" else float(args.lam)
+    except ValueError:
+        raise UsageError(f"--lam expects a number or 'auto', got {args.lam!r}") from None
+    if lam != "auto" and lam < 0:
+        raise UsageError("--lam must be nonnegative")
     smooth = SmoothConfig(num_basis=args.num_basis, lam=lam,
                           monotone_from=monotone_from)
 
@@ -201,8 +197,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             f"--test {test[0]}:{test[1]} overlaps or precedes --train "
             f"{train[0]}:{train[1]}"
         )
+    for flag, window, least in (("--train", train, _MIN_TRAIN_YEARS),
+                                ("--test", test, _MIN_TEST_YEARS)):
+        if window and window[1] - window[0] + 1 < least:
+            raise UsageError(f"{flag} {window[0]}:{window[1]} spans "
+                             f"{window[1] - window[0] + 1} year(s); a backtest "
+                             f"needs at least {least}")
     if args.bootstrap and args.bootstrap < 100:
         raise UsageError("--bootstrap needs at least 100 replicates (or 0)")
+    if getattr(args, "horizon", 1) < 1:
+        raise UsageError("--horizon must be at least 1")
 
     return RunConfig(
         command=args.command,
@@ -272,25 +276,31 @@ def load_surface(config: RunConfig) -> MortalitySurface:
         raise UsageError(f"{path}: {exc}") from None
 
 
+def _check_windows(config: RunConfig, surface: MortalitySurface) -> None:
+    lo, hi = int(surface.years[0]), int(surface.years[-1])
+    for flag, window in (("--train", config.train), ("--test", config.test)):
+        if window and (window[0] < lo or window[1] > hi):
+            raise UsageError(f"{flag} {window[0]}:{window[1]} outside data years "
+                             f"{lo}:{hi}")
+    year = config.table_year
+    if year is not None and not lo <= year <= hi:
+        raise UsageError(f"--year {year} outside data years {lo}:{hi}")
+
+
 # ---------------------------------------------------------------------------
 # artifact helpers
-
-
-def _ensure_output(config: RunConfig) -> str:
-    os.makedirs(config.output, exist_ok=True)
-    return config.output
 
 
 def _out(config: RunConfig, name: str) -> str:
     return os.path.join(config.output, name)
 
 
-def _write_json(config: RunConfig, obj: dict) -> None:
+def _write_json(config: RunConfig, summary: dict) -> None:
     if "json" not in config.formats:
         return
-    obj = dict(obj)
-    obj["schema_version"] = SCHEMA_VERSION
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    obj = {"command": config.command, "gender": config.gender,
+           "schema_version": SCHEMA_VERSION, **summary}
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with open(_out(config, "summary.json"), "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -302,6 +312,14 @@ def _write_csv(config: RunConfig, name: str, header: str, rows) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def _write_long_csv(config: RunConfig, name: str, ages, years, **columns) -> None:
+    """One ``age,year,<columns>`` row per cell of age-by-year arrays,
+    years outermost."""
+    _write_csv(config, name, ",".join(["age", "year", *columns]),
+               ((age, int(year), *(c[i, j] for c in columns.values()))
+                for j, year in enumerate(years) for i, age in enumerate(ages)))
 
 
 def _cell(v) -> str:
@@ -326,183 +344,160 @@ def _diagnostics(residuals: np.ndarray) -> dict:
         "t_test": {"statistic": t_stat, "p_value": t_p},
         "n_residuals": int(std.size),
     }
+    # the normality approximation is calibrated up to n=5000; test a
+    # deterministic evenly spaced subsample and say so
+    subsampled = std.size > _NORMALITY_CAP
     sample = std
-    subsampled = False
-    if std.size > _NORMALITY_CAP:
-        # the normality approximation is calibrated up to n=5000; test a
-        # deterministic evenly spaced subsample and say so
-        idx = np.linspace(0, std.size - 1, _NORMALITY_CAP).astype(int)
-        sample = std[idx]
-        subsampled = True
+    if subsampled:
+        sample = std[np.linspace(0, std.size - 1, _NORMALITY_CAP).astype(int)]
     if sample.size >= 3 and float(np.ptp(sample)) > 0:
         w, p = normality_test(sample)
         out["normality"] = {"statistic": w, "p_value": p, "subsampled": subsampled}
     return out
 
 
-def _fit_model(name: str, surface: MortalitySurface, config: RunConfig):
-    if name == "lc":
-        return fit_lc(surface)
-    if name == "lcs":
-        return fit_lcs(surface, config.smooth)
-    return fit_fdm(surface, config.smooth, config.K)
+# ---------------------------------------------------------------------------
+# per-model artifacts
+#
+# A model's parameters are written as (CSV name, index name, index,
+# columns, chart): one column per (CSV header, chart label, values), and a
+# chart (file name, y label, title) unless it is None.
 
 
-def _model_forecast(name: str, model, config: RunConfig, horizon: int) -> ForecastSurface:
-    if name == "fdm":
-        if config.bootstrap:
-            return bootstrap_intervals(model, config.ts_spec, horizon, config.level,
-                                       B=config.bootstrap, seed=config.seed)
-        return forecast_fdm(model, config.ts_spec, horizon, config.level)
-    return forecast_lc(model, config.ts_spec, horizon, config.level)
+def _lc_params(name: str, m) -> list:
+    return [(f"{name}_{part}.csv", index_name, index, [("value", part, values)],
+             (f"fig3_{name}_{part}.svg", ylabel, f"{name}: {title}"))
+            for part, index_name, index, values, ylabel, title in (
+                ("alpha", "age", m.ages, m.alpha, "log rate", "level by age"),
+                ("beta", "age", m.ages, m.beta, "sensitivity",
+                 "age response to the period index"),
+                ("kappa", "year", m.years, m.kappa, "index", "period index"))]
+
+
+def _fdm_params(name: str, m) -> list:
+    phi = [(f"phi{k + 1}", f"phi{k + 1}", m.phi[:, k]) for k in range(m.K)]
+    beta = [(f"beta{k + 1}", f"beta{k + 1}", m.beta_series[:, k]) for k in range(m.K)]
+    return [
+        (f"{name}_mu.csv", "age", m.ages, [("value", "mu", m.mu)],
+         (f"fig4_{name}_mu.svg", "log rate", f"{name}: mean curve")),
+        (f"{name}_phi.csv", "age", m.ages, phi,
+         (f"fig4_{name}_phi.svg", "basis value", f"{name}: age basis functions")),
+        (f"{name}_beta.csv", "year", m.years, beta,
+         (f"fig4_{name}_beta.svg", "coefficient", f"{name}: coefficient series")),
+        (f"{name}_variances.csv", "age", m.ages,
+         [("model_error", None, m.v), ("observational", None, m.sigma2)], None),
+    ]
+
+
+@dataclass(frozen=True)
+class _Outputs:
+    """How one model type reports itself.
+
+    ``fields`` are the model attributes in fit's summary; compare reports
+    the first only. fit diagnoses the ``residuals`` attribute. compare
+    diagnoses it too, or observed minus fitted log rates when
+    ``compare_observed``, and writes its averages to ``table``.
+    ``bootstraps`` marks the type whose intervals --bootstrap replaces.
+    """
+
+    params: Callable[[str, object], list]
+    fields: tuple
+    residuals: str
+    compare_observed: bool
+    table: str
+    bootstraps: bool
+
+
+_LC_OUTPUTS = _Outputs(_lc_params, ("explained_variance", "explained_variance_rss"),
+                       "residuals", compare_observed=False, table="table1.csv",
+                       bootstraps=False)
+_OUTPUTS = {
+    "lc": _LC_OUTPUTS,
+    "lcs": _LC_OUTPUTS,
+    "fdm": _Outputs(_fdm_params, ("explained_shares", "K"), "model_errors",
+                    compare_observed=True, table="table2.csv", bootstraps=True),
+}
+_ERROR_FIG = {"lc": "fig9", "lcs": "fig10", "fdm": "fig11"}
+
+
+def _field(model, name: str):
+    value = getattr(model, name)
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _write_params(config: RunConfig, name: str, model) -> None:
+    for csv, index_name, index, columns, chart in _OUTPUTS[name].params(name, model):
+        _write_csv(config, csv, ",".join([index_name, *(c[0] for c in columns)]),
+                   zip(index, *(c[2] for c in columns)))
+        if chart is not None:
+            svg, ylabel, title = chart
+            _write_svg(config, svg, [(label, index, values) for _, label, values in columns],
+                       index_name, ylabel, title=title)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_fit(config: RunConfig) -> int:
-    surface = load_surface(config)
-    _ensure_output(config)
+def cmd_fit(config: RunConfig, surface: MortalitySurface) -> dict:
     summary: dict = {
-        "command": "fit",
-        "gender": config.gender,
         "ages": list(config.ages),
         "years": [int(surface.years[0]), int(surface.years[-1])],
         "models": {},
     }
-    for name in config.models:
-        model = _fit_model(name, surface, config)
-        if isinstance(model, LcModel):
-            entry = {
-                "explained_variance": model.explained_variance,
-                "explained_variance_rss": model.explained_variance_rss,
-            }
-            entry.update(_diagnostics(model.residuals))
-            _write_csv(config, f"{name}_alpha.csv", "age,value",
-                       zip(model.ages, model.alpha))
-            _write_csv(config, f"{name}_beta.csv", "age,value",
-                       zip(model.ages, model.beta))
-            _write_csv(config, f"{name}_kappa.csv", "year,value",
-                       zip(model.years, model.kappa))
-            _write_svg(config, f"fig3_{name}_alpha.svg",
-                       [("alpha", model.ages, model.alpha)], "age", "log rate",
-                       title=f"{name}: level by age")
-            _write_svg(config, f"fig3_{name}_beta.svg",
-                       [("beta", model.ages, model.beta)], "age", "sensitivity",
-                       title=f"{name}: age response to the period index")
-            _write_svg(config, f"fig3_{name}_kappa.svg",
-                       [("kappa", model.years, model.kappa)], "year", "index",
-                       title=f"{name}: period index")
-        else:
-            entry = {
-                "explained_shares": [float(s) for s in model.explained_shares],
-                "K": model.K,
-            }
-            entry.update(_diagnostics(model.model_errors))
-            _write_csv(config, "fdm_mu.csv", "age,value",
-                       zip(model.ages, model.mu))
-            k_cols = ",".join(f"phi{k + 1}" for k in range(model.K))
-            _write_csv(config, "fdm_phi.csv", f"age,{k_cols}",
-                       (tuple([a, *model.phi[i]]) for i, a in enumerate(model.ages)))
-            b_cols = ",".join(f"beta{k + 1}" for k in range(model.K))
-            _write_csv(config, "fdm_beta.csv", f"year,{b_cols}",
-                       (tuple([y, *model.beta_series[j]])
-                        for j, y in enumerate(model.years)))
-            _write_csv(config, "fdm_variances.csv", "age,model_error,observational",
-                       zip(model.ages, model.v, model.sigma2))
-            _write_svg(config, "fig4_fdm_mu.svg",
-                       [("mu", model.ages, model.mu)], "age", "log rate",
-                       title="fdm: mean curve")
-            _write_svg(config, "fig4_fdm_phi.svg",
-                       [(f"phi{k + 1}", model.ages, model.phi[:, k])
-                        for k in range(model.K)],
-                       "age", "basis value", title="fdm: age basis functions")
-            _write_svg(config, "fig4_fdm_beta.svg",
-                       [(f"beta{k + 1}", model.years, model.beta_series[:, k])
-                        for k in range(model.K)],
-                       "year", "coefficient", title="fdm: coefficient series")
+    fitted = fit_models(surface, config.models, config.smooth, config.K)
+    for name, model in fitted.items():
+        outputs = _OUTPUTS[name]
+        entry = {field: _field(model, field) for field in outputs.fields}
+        entry.update(_diagnostics(getattr(model, outputs.residuals)))
+        _write_params(config, name, model)
         summary["models"][name] = entry
-    _write_json(config, summary)
-    return 0
+    return summary
 
 
-def cmd_forecast(config: RunConfig) -> int:
-    if config.horizon < 1:
-        raise UsageError("--horizon must be at least 1")
-    surface = load_surface(config)
-    _ensure_output(config)
+def cmd_forecast(config: RunConfig, surface: MortalitySurface) -> dict:
     summary: dict = {
-        "command": "forecast",
-        "gender": config.gender,
         "horizon": config.horizon,
         "level": config.level,
         "models": {},
     }
-    for name in config.models:
-        model = _fit_model(name, surface, config)
-        forecast = _model_forecast(name, model, config, config.horizon)
-        rows = []
-        for j, year in enumerate(forecast.years):
-            for i, age in enumerate(forecast.ages):
-                rows.append((age, int(year), forecast.point[i, j],
-                             forecast.variance[i, j], forecast.lower[i, j],
-                             forecast.upper[i, j]))
-        _write_csv(config, f"forecast_{name}.csv",
-                   "age,year,point,variance,lower,upper", rows)
-        first, last = 0, len(forecast.years) - 1
+    fitted = fit_models(surface, config.models, config.smooth, config.K)
+    for name, model in fitted.items():
+        forecast = forecast_model(model, config.ts_spec, config.horizon, config.level,
+                                  config.bootstrap, config.seed)
+        _write_long_csv(config, f"forecast_{name}.csv", forecast.ages, forecast.years,
+                        point=forecast.point, variance=forecast.variance,
+                        lower=forecast.lower, upper=forecast.upper)
         _write_svg(config, f"fig_forecast_{name}.svg",
                    [(f"year {int(surface.years[-1])} observed", surface.ages,
                      surface.log_rates[:, -1]),
-                    (f"year {int(forecast.years[first])}", forecast.ages,
-                     forecast.point[:, first]),
-                    (f"year {int(forecast.years[last])}", forecast.ages,
-                     forecast.point[:, last])],
+                    (f"year {int(forecast.years[0])}", forecast.ages,
+                     forecast.point[:, 0]),
+                    (f"year {int(forecast.years[-1])}", forecast.ages,
+                     forecast.point[:, -1])],
                    "age", "log death rate", title=f"{name}: projected rates")
-        entry: dict = {"years": [int(y) for y in forecast.years]}
+        entry: dict = {"years": forecast.years.tolist()}
         if int(forecast.ages[0]) == 0:
             path = e0_path(forecast)
-            entry["e0"] = {
-                "point": [float(v) for v in path.point],
-                "lower": [float(v) for v in path.lower],
-                "upper": [float(v) for v in path.upper],
-            }
+            parts = ("point", "lower", "upper")
+            entry["e0"] = {part: getattr(path, part).tolist() for part in parts}
             _write_csv(config, f"e0_{name}.csv", "year,point,lower,upper",
-                       zip([int(y) for y in path.years], path.point, path.lower,
-                           path.upper))
+                       zip(path.years, *(getattr(path, part) for part in parts)))
             _write_svg(config, f"fig_e0_{name}.svg",
-                       [("point", path.years, path.point),
-                        ("lower", path.years, path.lower),
-                        ("upper", path.years, path.upper)],
+                       [(part, path.years, getattr(path, part)) for part in parts],
                        "year", "life expectancy at birth",
                        title=f"{name}: projected e0")
-        if name == "fdm" and config.bootstrap:
+        if config.bootstrap and _OUTPUTS[name].bootstraps:
             entry["bootstrap"] = {"B": config.bootstrap, "seed": config.seed}
         summary["models"][name] = entry
-    _write_json(config, summary)
-    return 0
+    return summary
 
 
-_ERROR_FIG = {"lc": "fig9", "lcs": "fig10", "fdm": "fig11"}
-
-
-def cmd_backtest(config: RunConfig) -> int:
-    assert config.train and config.test
-    surface = load_surface(config)
-    lo, hi = int(surface.years[0]), int(surface.years[-1])
-    for flag, window in (("--train", config.train), ("--test", config.test)):
-        if window[0] < lo or window[1] > hi:
-            raise UsageError(f"{flag} {window[0]}:{window[1]} outside data years "
-                             f"{lo}:{hi}")
-    _ensure_output(config)
+def cmd_backtest(config: RunConfig, surface: MortalitySurface) -> dict:
     report = run_backtest(surface, config.models, config.train, config.test,
-                          config.ts_spec, config.level, config.smooth, config.K)
-    if config.bootstrap and "fdm" in config.models:
-        report = _with_bootstrap_fdm(report, surface, config)
-
+                          config.ts_spec, config.level, config.smooth, config.K,
+                          config.bootstrap, config.seed)
     summary: dict = {
-        "command": "backtest",
-        "gender": config.gender,
         "train": list(report.train_years),
         "test": list(report.test_years),
         "level": config.level,
@@ -511,180 +506,93 @@ def cmd_backtest(config: RunConfig) -> int:
                             "interval, not joint intervals",
     }
 
-    mean_series = []
-    sd_series = []
+    years, mid = report.years, len(report.years) // 2
     for name in config.models:
         entry = report.models[name]
         summary["models"][name] = {
             "e0_error_mean": entry.e0_error_mean,
             "e0_error_variance": entry.e0_error_variance,
         }
-        rows = []
-        for j, year in enumerate(entry.forecast.years):
-            for i, age in enumerate(entry.forecast.ages):
-                rows.append((age, int(year), entry.errors[i, j]))
-        _write_csv(config, f"errors_{name}.csv", "age,year,error", rows)
-        fig = _ERROR_FIG[name]
-        mid = len(report.years) // 2
-        _write_svg(config, f"{fig}_errors_{name}.svg",
-                   [(f"year {int(report.years[0])}", report.ages, entry.errors[:, 0]),
-                    (f"year {int(report.years[mid])}", report.ages, entry.errors[:, mid]),
-                    (f"year {int(report.years[-1])}", report.ages, entry.errors[:, -1])],
+        _write_long_csv(config, f"errors_{name}.csv", entry.forecast.ages,
+                        entry.forecast.years, error=entry.errors)
+        _write_svg(config, f"{_ERROR_FIG[name]}_errors_{name}.svg",
+                   [(f"year {int(years[j])}", report.ages, entry.errors[:, j])
+                    for j in (0, mid, -1)],
                    "age", "log-rate error", title=f"{name}: forecast errors")
-        mean_series.append((name, report.ages, entry.mean_error_by_age))
-        sd_series.append((name, report.ages, entry.sd_error_by_age))
 
-    _write_csv(config, "fig12_mean_error_by_age.csv",
-               "age," + ",".join(config.models),
-               (tuple([a, *(report.models[m].mean_error_by_age[i]
-                            for m in config.models)])
-                for i, a in enumerate(report.ages)))
-    _write_svg(config, "fig12.svg", mean_series, "age", "mean error",
-               title="mean forecast error by age")
-    _write_csv(config, "fig13_sd_error_by_age.csv",
-               "age," + ",".join(config.models),
-               (tuple([a, *(report.models[m].sd_error_by_age[i]
-                            for m in config.models)])
-                for i, a in enumerate(report.ages)))
-    _write_svg(config, "fig13.svg", sd_series, "age", "error sd",
-               title="standard deviation of forecast error by age")
+    for fig, stat, ylabel, title in (
+            ("fig12", "mean", "mean error", "mean forecast error by age"),
+            ("fig13", "sd", "error sd", "standard deviation of forecast error by age")):
+        columns = [getattr(report.models[m], f"{stat}_error_by_age") for m in config.models]
+        _write_csv(config, f"{fig}_{stat}_error_by_age.csv",
+                   "age," + ",".join(config.models), zip(report.ages, *columns))
+        _write_svg(config, f"{fig}.svg",
+                   [(m, report.ages, c) for m, c in zip(config.models, columns)],
+                   "age", ylabel, title=title)
 
-    first = report.models[config.models[0]]
-    fan_rows = []
-    fan_series = [("observed", report.years, first.e0_observed)]
+    observed = report.models[config.models[0]].e0_observed
+    fan_series = [("observed", years, observed)]
     for name in config.models:
         entry = report.models[name]
-        fan_series.append((f"{name} point", report.years, entry.e0_forecast))
-        fan_series.append((f"{name} lower", report.years, entry.e0_interval.lower))
-        fan_series.append((f"{name} upper", report.years, entry.e0_interval.upper))
-    for j, year in enumerate(report.years):
-        row = [int(year), first.e0_observed[j]]
-        for name in config.models:
-            entry = report.models[name]
-            row.extend([entry.e0_forecast[j], entry.e0_interval.lower[j],
-                        entry.e0_interval.upper[j]])
-        fan_rows.append(tuple(row))
+        for part, values in (("point", entry.e0_forecast),
+                             ("lower", entry.e0_interval.lower),
+                             ("upper", entry.e0_interval.upper)):
+            fan_series.append((f"{name} {part}", years, values))
     fan_cols = ",".join(f"{m}_point,{m}_lower,{m}_upper" for m in config.models)
-    _write_csv(config, "fig14_e0_fan.csv", f"year,observed,{fan_cols}", fan_rows)
+    _write_csv(config, "fig14_e0_fan.csv", f"year,observed,{fan_cols}",
+               zip(years, *(values for _, _, values in fan_series)))
     _write_svg(config, "fig14.svg", fan_series, "year",
                "life expectancy at birth", title="e0: observed vs projected")
-    _write_json(config, summary)
-    return 0
+    return summary
 
 
-def _with_bootstrap_fdm(report: BacktestReport, surface: MortalitySurface,
-                        config: RunConfig) -> BacktestReport:
-    """Swap the fdm entry's intervals for bootstrap ones; the point
-    forecast and error statistics are unchanged by construction."""
-    from .ingest import slice_window
-
-    train_surface = slice_window(surface, *report.train_years)
-    model = fit_fdm(train_surface, config.smooth, config.K)
-    horizon = report.test_years[1] - report.train_years[1]
-    boot = bootstrap_intervals(model, config.ts_spec, horizon, config.level,
-                               B=config.bootstrap, seed=config.seed)
-    lo = int(boot.years[0])
-    j0 = report.test_years[0] - lo
-    j1 = report.test_years[1] - lo + 1
-    sliced = ForecastSurface(ages=boot.ages, years=boot.years[j0:j1],
-                             point=boot.point[:, j0:j1],
-                             variance=boot.variance[:, j0:j1],
-                             lower=boot.lower[:, j0:j1],
-                             upper=boot.upper[:, j0:j1], level=boot.level)
-    old = report.models["fdm"]
-    models = dict(report.models)
-    models["fdm"] = dataclasses.replace(old, forecast=sliced,
-                                        e0_interval=e0_path(sliced))
-    return dataclasses.replace(report, models=models)
-
-
-def cmd_lifetable(config: RunConfig) -> int:
-    surface = load_surface(config)
-    _ensure_output(config)
-    try:
-        mx = surface.year_column(config.table_year)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    table = rates_to_lifetable(mx, ages=surface.ages)
-    rows = list(zip(table.ages, table.qx, table.lx, table.Lx))
-    if "csv" in config.formats:
-        with open(_out(config, "lifetable.csv"), "w", encoding="utf-8") as fh:
-            fh.write("age,qx,lx,Lx\n")
-            for age, qx, lx, Lx in rows:
-                fh.write(f"{int(age)},{float(qx)!r},{float(lx)!r},{float(Lx)!r}\n")
-            fh.write(f"e0,{float(table.e0)!r},,\n")
+def cmd_lifetable(config: RunConfig, surface: MortalitySurface) -> dict:
+    table = rates_to_lifetable(surface.year_column(config.table_year), ages=surface.ages)
+    _write_csv(config, "lifetable.csv", "age,qx,lx,Lx",
+               [*zip(table.ages, table.qx, table.lx, table.Lx), ("e0", table.e0, "", "")])
     _write_svg(config, "fig_survival.svg",
                [("lx", table.ages, table.lx)], "age", "survivors",
                title=f"survival curve, {config.gender} {config.table_year}")
-    _write_json(config, {
-        "command": "lifetable",
-        "gender": config.gender,
-        "year": config.table_year,
-        "e0": table.e0,
-    })
-    return 0
+    return {"year": config.table_year, "e0": table.e0}
 
 
-def cmd_compare(config: RunConfig) -> int:
-    surface = load_surface(config)
-    _ensure_output(config)
+def cmd_compare(config: RunConfig, surface: MortalitySurface) -> dict:
     summary: dict = {
-        "command": "compare",
-        "gender": config.gender,
         "years": [int(surface.years[0]), int(surface.years[-1])],
         "models": {},
         "metrics_note": "errors on the log-rate scale; the across-years row "
                         "averages per-year metrics under the same convention "
                         "as the across-ages row",
     }
+    metrics = ("me", "mse", "mpe", "mape")
     reports: dict[str, ErrorReport] = {}
-    for name in config.models:
-        model = _fit_model(name, surface, config)
-        if isinstance(model, LcModel):
-            fitted = model.fitted_log_rates()
-            residuals = model.residuals
-            extra = {"explained_variance": model.explained_variance}
-        else:
-            fitted = model.mu[:, None] + model.phi @ model.beta_series.T
-            residuals = surface.log_rates - fitted
-            extra = {"explained_shares": [float(s) for s in model.explained_shares]}
-        rep = error_metrics(surface, fitted)
-        reports[name] = rep
+    fitted = fit_models(surface, config.models, config.smooth, config.K)
+    for name, model in fitted.items():
+        outputs = _OUTPUTS[name]
+        fitted = model.fitted_log_rates()
+        rep = reports[name] = error_metrics(surface, fitted)
         entry = {
-            "avg_across_ages": dict(zip(("me", "mse", "mpe", "mape"),
-                                        rep.avg_across_ages)),
-            "avg_across_years": dict(zip(("me", "mse", "mpe", "mape"),
-                                         rep.avg_across_years)),
+            "avg_across_ages": dict(zip(metrics, rep.avg_across_ages)),
+            "avg_across_years": dict(zip(metrics, rep.avg_across_years)),
             "excluded_cells": rep.excluded_cells,
+            outputs.fields[0]: _field(model, outputs.fields[0]),
         }
-        entry.update(extra)
+        residuals = (surface.log_rates - fitted if outputs.compare_observed
+                     else getattr(model, outputs.residuals))
         entry.update(_diagnostics(residuals))
         summary["models"][name] = entry
-        _write_csv(config, f"metrics_{name}_by_age.csv", "age,me,mse,mpe,mape",
-                   zip(rep.by_age.index, rep.by_age.me, rep.by_age.mse,
-                       rep.by_age.mpe, rep.by_age.mape))
-        _write_csv(config, f"metrics_{name}_by_year.csv", "year,me,mse,mpe,mape",
-                   zip(rep.by_year.index, rep.by_year.me, rep.by_year.mse,
-                       rep.by_year.mpe, rep.by_year.mape))
+        for by, table in (("age", rep.by_age), ("year", rep.by_year)):
+            _write_csv(config, f"metrics_{name}_by_{by}.csv", f"{by},me,mse,mpe,mape",
+                       zip(table.index, table.me, table.mse, table.mpe, table.mape))
 
-    def _table_rows(names):
-        rows = []
-        for name in names:
-            if name not in reports:
-                continue
-            rep = reports[name]
-            rows.append((name, "across_ages", *rep.avg_across_ages))
-            rows.append((name, "across_years", *rep.avg_across_years))
-        return rows
-
-    lc_rows = _table_rows(["lc", "lcs"])
-    if lc_rows:
-        _write_csv(config, "table1.csv", "model,aggregation,me,mse,mpe,mape", lc_rows)
-    fdm_rows = _table_rows(["fdm"])
-    if fdm_rows:
-        _write_csv(config, "table2.csv", "model,aggregation,me,mse,mpe,mape", fdm_rows)
-    _write_json(config, summary)
-    return 0
+    for table in ("table1.csv", "table2.csv"):
+        rows = [(name, f"across_{by}", *avg)
+                for name in MODELS if name in reports and _OUTPUTS[name].table == table
+                for by, avg in (("ages", reports[name].avg_across_ages),
+                                ("years", reports[name].avg_across_years))]
+        if rows:
+            _write_csv(config, table, "model,aggregation,me,mse,mpe,mape", rows)
+    return summary
 
 
 _DISPATCH = {
@@ -701,11 +609,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        return _DISPATCH[config.command](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        surface = load_surface(config)
+        _check_windows(config, surface)
+        os.makedirs(config.output, exist_ok=True)
+        _write_json(config, _DISPATCH[config.command](config, surface))
+        return 0
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - boundary: report, don't crash

@@ -1,4 +1,5 @@
-"""Fit metrics, residual diagnostics, and the backtesting harness.
+"""The fit and forecast path every command shares, fit metrics, residual
+diagnostics, and the backtesting harness.
 
 All error measures live on the log-rate scale, where the models are
 linear and the reported magnitudes make sense. The error sign convention
@@ -10,17 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy import stats as _scistats
+from scipy import special
 
-from .fdm import ForecastSurface, fit_fdm, forecast_fdm
+from .fdm import FdmModel, ForecastSurface, bootstrap_intervals, fit_fdm, forecast_fdm
 from .ingest import MortalitySurface, slice_window
-from .leecarter import fit_lc, fit_lcs, forecast_lc
+from .leecarter import LcModel, fit_lc, fit_lcs, forecast_lc
 from .lifetable import E0Path, e0_from_rates, e0_path
 from .numerics import normal_cdf, normal_quantile
-from .smoothing import SmoothConfig
+from .smoothing import SmoothConfig, smooth_surface
 from .tsforecast import TsSpec
 
 __all__ = [
@@ -33,10 +34,14 @@ __all__ = [
     "standardize_residuals",
     "t_test_zero_mean",
     "normality_test",
+    "fit_models",
+    "forecast_model",
     "run_backtest",
 ]
 
 MODELS = ("lc", "lcs", "fdm")
+
+Model = Union[LcModel, FdmModel]
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,7 @@ def t_test_zero_mean(residuals) -> tuple[float, float]:
             return 0.0, 1.0
         return math.copysign(math.inf, mean), 0.0
     t = mean / (sd / math.sqrt(n))
-    p = 2.0 * float(_scistats.t.sf(abs(t), n - 1))
+    p = 2.0 * float(special.stdtr(n - 1, -abs(t)))
     return t, min(p, 1.0)
 
 
@@ -228,19 +233,45 @@ class BacktestReport:
     models: Mapping[str, ModelBacktest]
 
 
-def _slice_to_test(forecast: ForecastSurface, test_start: int, test_end: int) -> ForecastSurface:
-    lo = int(forecast.years[0])
-    j0 = test_start - lo
-    j1 = test_end - lo + 1
-    return ForecastSurface(
-        ages=forecast.ages,
-        years=forecast.years[j0:j1],
-        point=forecast.point[:, j0:j1],
-        variance=forecast.variance[:, j0:j1],
-        lower=forecast.lower[:, j0:j1],
-        upper=forecast.upper[:, j0:j1],
-        level=forecast.level,
-    )
+def fit_models(
+    surface: MortalitySurface,
+    models: Sequence[str] = MODELS,
+    smooth_config: SmoothConfig = SmoothConfig(),
+    K: int = 4,
+) -> dict[str, Model]:
+    """Fit each named model to one surface, in the order given.
+
+    lcs and fdm share one smoothing of the surface, so it runs once
+    whichever of them are asked for.
+    """
+    for name in models:
+        if name not in MODELS:
+            raise ValueError(f"unknown model {name!r}; choose from {MODELS}")
+    smoothed = None
+    if "lcs" in models or "fdm" in models:
+        smoothed = smooth_surface(surface.log_rates, surface.ages, surface.years,
+                                  smooth_config)
+    fits = {"lc": lambda: fit_lc(surface), "lcs": lambda: fit_lcs(smoothed),
+            "fdm": lambda: fit_fdm(smoothed, K)}
+    return {name: fits[name]() for name in models}
+
+
+def forecast_model(
+    model: Model,
+    ts_spec: TsSpec = TsSpec(),
+    horizon: int = 20,
+    level: float = 95.0,
+    bootstrap: int = 0,
+    seed: int = 0,
+) -> ForecastSurface:
+    """Forecast one fitted model with analytic intervals, or with
+    ``bootstrap`` simulated futures for fdm when that is nonzero (the
+    Lee-Carter variants have analytic intervals only)."""
+    if isinstance(model, LcModel):
+        return forecast_lc(model, ts_spec, horizon, level)
+    if bootstrap:
+        return bootstrap_intervals(model, ts_spec, horizon, level, B=bootstrap, seed=seed)
+    return forecast_fdm(model, ts_spec, horizon, level)
 
 
 def run_backtest(
@@ -252,6 +283,8 @@ def run_backtest(
     level: float = 95.0,
     smooth_config: SmoothConfig = SmoothConfig(),
     K: int = 4,
+    bootstrap: int = 0,
+    seed: int = 0,
 ) -> BacktestReport:
     """Fit on the train window only, forecast across the test window,
     and score against what actually happened.
@@ -259,7 +292,8 @@ def run_backtest(
     Fitting never sees test-window rates: each model receives the
     train-window slice and nothing else. Life-expectancy errors use
     point mortality forecasts; the interval path is carried separately
-    for fan charts.
+    for fan charts, from ``bootstrap`` simulated futures for fdm when
+    that is nonzero (see ``forecast_model``).
     """
     train_start, train_end = int(train[0]), int(train[1])
     test_start, test_end = int(test[0]), int(test[1])
@@ -270,10 +304,6 @@ def run_backtest(
             f"test window {test_start}:{test_end} must start after the "
             f"train window ends ({train_end})"
         )
-    for name in models:
-        if name not in MODELS:
-            raise ValueError(f"unknown model {name!r}; choose from {MODELS}")
-
     train_surface = slice_window(surface, train_start, train_end)
     test_surface = slice_window(surface, test_start, test_end)
     observed_log = test_surface.log_rates
@@ -284,16 +314,10 @@ def run_backtest(
     ])
 
     results: dict[str, ModelBacktest] = {}
-    for name in models:
-        if name == "lc":
-            forecast = forecast_lc(fit_lc(train_surface), ts_spec, horizon, level)
-        elif name == "lcs":
-            forecast = forecast_lc(fit_lcs(train_surface, smooth_config),
-                                   ts_spec, horizon, level)
-        else:
-            forecast = forecast_fdm(fit_fdm(train_surface, smooth_config, K),
-                                    ts_spec, horizon, level)
-        forecast = _slice_to_test(forecast, test_start, test_end)
+    fitted = fit_models(train_surface, models, smooth_config, K)
+    for name, model in fitted.items():
+        forecast = forecast_model(model, ts_spec, horizon, level, bootstrap, seed)
+        forecast = forecast.slice_years(test_start, test_end)
         errors = observed_log - forecast.point
         e0_forecast = np.array([
             e0_from_rates(np.exp(forecast.point[:, j]))

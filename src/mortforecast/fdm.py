@@ -1,7 +1,8 @@
 """Functional demographic model: smooth curves, decompose, forecast.
 
-The log-rate surface is smoothed year by year, centered on a mean curve
-mu(x), and decomposed by SVD into K orthonormal age patterns phi_k with
+The log-rate surface, smoothed year by year beforehand
+(``smoothing.smooth_surface``), is centered on a mean curve mu(x) and
+decomposed by SVD into K orthonormal age patterns phi_k with
 coefficient time series beta_{t,k}. Forecasting the coefficients and
 recombining gives point forecasts; the forecast variance adds four
 pieces: mean-curve uncertainty, coefficient forecast variance through
@@ -11,12 +12,11 @@ phi_k^2, leftover model error v(x), and observational noise sigma2(x).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .numerics import normal_quantile, svd_thin
-from .smoothing import SmoothConfig, smooth_surface
+from .smoothing import SmoothedSurface
 from .tsforecast import TsSpec, fit_ts, forecast_ts, simulate_path
 
 __all__ = [
@@ -63,6 +63,19 @@ class ForecastSurface:
     def horizons(self) -> np.ndarray:
         return np.arange(1, len(self.years) + 1)
 
+    def slice_years(self, first: int, last: int) -> "ForecastSurface":
+        """The forecast for calendar years first..last (inclusive) only."""
+        j0 = int(first) - int(self.years[0])
+        j1 = int(last) - int(self.years[0]) + 1
+        if not 0 <= j0 < j1 <= len(self.years):
+            raise ValueError(f"years {first}:{last} outside the forecast years "
+                             f"{self.years[0]}:{self.years[-1]}")
+        return ForecastSurface(ages=self.ages, years=self.years[j0:j1],
+                               point=self.point[:, j0:j1],
+                               variance=self.variance[:, j0:j1],
+                               lower=self.lower[:, j0:j1],
+                               upper=self.upper[:, j0:j1], level=self.level)
+
 
 def interval_bounds(point: np.ndarray, variance: np.ndarray,
                     level: float) -> tuple[np.ndarray, np.ndarray]:
@@ -97,16 +110,15 @@ class FdmModel:
         years averaged, the variance of a mean of n curve errors."""
         return self.v / len(self.years)
 
+    def fitted_log_rates(self) -> np.ndarray:
+        return self.mu[:, None] + self.phi @ self.beta_series.T
+
     def reconstruct(self) -> np.ndarray:
-        return self.mu[:, None] + self.phi @ self.beta_series.T + self.model_errors
+        return self.fitted_log_rates() + self.model_errors
 
 
-def fit_fdm(
-    surface,
-    smooth_config: SmoothConfig = SmoothConfig(),
-    K: int = 4,
-) -> FdmModel:
-    """Smooth the surface and extract the top K components by SVD.
+def fit_fdm(smoothed: SmoothedSurface, K: int = 4) -> FdmModel:
+    """Extract the top K components of a smoothed surface by SVD.
 
     Sign convention: each phi_k is flipped so it sums positive (falling
     back to a positive dominant element when the sum is near zero), so
@@ -114,7 +126,8 @@ def fit_fdm(
     mortality-decline shape.
     """
     K = int(K)
-    n_ages, n_years = surface.n_ages, surface.n_years
+    F = smoothed.log_rates
+    n_ages, n_years = F.shape
     if K < 1:
         raise ValueError("K must be at least 1")
     if K > min(n_ages, n_years) - 1:
@@ -122,9 +135,6 @@ def fit_fdm(
             f"K={K} too large for a {n_ages} x {n_years} surface; "
             f"maximum is {min(n_ages, n_years) - 1}"
         )
-    smoothed = smooth_surface(surface.log_rates, surface.ages, surface.years,
-                              smooth_config)
-    F = smoothed.log_rates
     mu = F.mean(axis=1)
     C = F - mu[:, None]
     svd = svd_thin(C)
@@ -167,8 +177,8 @@ def fit_fdm(
     v = (model_errors**2).mean(axis=1)
 
     return FdmModel(
-        ages=surface.ages,
-        years=surface.years,
+        ages=smoothed.ages,
+        years=smoothed.years,
         mu=mu,
         phi=phi,
         beta_series=beta,

@@ -122,9 +122,11 @@ def parse_hmd_rates(text: "str | TextIO | Iterable[str]") -> list[RateRecord]:
 
     Header lines before the first data row are skipped; once data starts,
     every nonblank line must be well formed or the error names its line
-    number. ``110+`` parses as age 110 and ``.`` marks a missing value.
+    number, as does a second row for the same (year, age). ``110+``
+    parses as age 110 and ``.`` marks a missing value.
     """
     records: list[RateRecord] = []
+    first_line: dict[tuple[int, int], int] = {}
     data_started = False
     for line_no, raw in enumerate(_iter_lines(text), start=1):
         tokens = raw.split()
@@ -152,6 +154,10 @@ def parse_hmd_rates(text: "str | TextIO | Iterable[str]") -> list[RateRecord]:
             age = int(age_token)
         except ValueError:
             raise HmdParseError(f"line {line_no}: cannot parse age {tokens[1]!r}") from None
+        seen = first_line.setdefault((year, age), line_no)
+        if seen != line_no:
+            raise HmdParseError(f"line {line_no}: second row for year {year}, age {age} "
+                                f"(first on line {seen})")
         records.append(
             RateRecord(
                 year=year,

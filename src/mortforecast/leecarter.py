@@ -15,7 +15,7 @@ import numpy as np
 from .fdm import ForecastSurface, interval_bounds
 from .ingest import MortalitySurface
 from .numerics import svd_thin
-from .smoothing import SmoothConfig, smooth_surface
+from .smoothing import SmoothedSurface
 from .tsforecast import TsSpec, fit_ts, forecast_ts
 
 __all__ = ["LcModel", "fit_lc", "fit_lcs", "forecast_lc"]
@@ -99,16 +99,14 @@ def fit_lc(surface: MortalitySurface) -> LcModel:
                    explained_variance=ev, explained_variance_rss=ev_rss)
 
 
-def fit_lcs(surface: MortalitySurface,
-            smooth_config: SmoothConfig = SmoothConfig()) -> LcModel:
-    """Smooth each year's curve, then fit Lee-Carter to the result."""
-    smoothed = smooth_surface(surface.log_rates, surface.ages, surface.years,
-                              smooth_config)
-    smooth_surface_rates = MortalitySurface(
-        ages=surface.ages, years=surface.years,
-        rates=np.exp(smoothed.log_rates), gender=surface.gender,
-    )
-    model = fit_lc(smooth_surface_rates)
+def fit_lcs(smoothed: SmoothedSurface) -> LcModel:
+    """Fit Lee-Carter to a surface smoothed year by year.
+
+    The smoothed log rates pass through rates and back (exp here, log in
+    ``fit_lc``); skipping that round trip moves the last digit of results.
+    """
+    model = fit_lc(MortalitySurface(ages=smoothed.ages, years=smoothed.years,
+                                    rates=np.exp(smoothed.log_rates)))
     return dataclasses.replace(model, variant="lcs")
 
 

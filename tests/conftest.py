@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mortforecast import MortalitySurface, build_surface, parse_hmd_rates
+from mortforecast import MortalitySurface, build_surface, parse_hmd_rates, smooth_surface
 
 _DATA_NAMES = ("ITA.Mx_1x1.txt", "Mx_1x1.txt")
 
@@ -60,6 +60,12 @@ def italy_surface(gender, year_min=1950, year_max=2006):
 def requires_italy():
     if italy_path() is None:
         pytest.skip(ITALY_SKIP)
+
+
+def smooth(surface, config):
+    """A surface's log rates smoothed year by year, the input of fit_lcs
+    and fit_fdm."""
+    return smooth_surface(surface.log_rates, surface.ages, surface.years, config)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from mortforecast.lifetable import e0_from_rates
 from mortforecast.smoothing import SmoothConfig, enforce_monotone, smooth_curve, smooth_surface
 from mortforecast.tsforecast import TsSpec, fit_rwd, forecast_ts
 
-from conftest import ITALY_SKIP, italy_path, italy_surface, make_surface, rank1_surface
+from conftest import ITALY_SKIP, italy_path, italy_surface, make_surface, rank1_surface, smooth
 from test_lifetable import _e0_by_integration
 from test_smoothing import _brute_force_isotonic
 
@@ -102,7 +102,7 @@ def test_criterion_02_fdm_explained_shares():
         targets = {"male": (0.918, 0.039, 0.016, 0.004),
                    "female": (0.960, 0.016, 0.004, 0.003)}
         for gender, want in targets.items():
-            model = fit_fdm(italy_surface(gender), SmoothConfig(), K=4)
+            model = fit_fdm(smooth(italy_surface(gender), SmoothConfig()), K=4)
             for got, ref in zip(model.explained_shares, want):
                 _close_pp(float(got), ref)
             assert np.all(np.diff(model.explained_shares) < 0)
@@ -114,7 +114,7 @@ def test_criterion_03_lcs_explained_variance():
     with criterion(3, label):
         for gender, want in (("male", 0.934), ("female", 0.975)):
             lc = fit_lc(italy_surface(gender))
-            lcs = fit_lcs(italy_surface(gender), SmoothConfig())
+            lcs = fit_lcs(smooth(italy_surface(gender), SmoothConfig()))
             _close_pp(lcs.explained_variance, want)
             assert lcs.explained_variance > lc.explained_variance
 
@@ -164,7 +164,7 @@ def test_criterion_05_error_tables():
             surface = italy_surface(gender)
             lc = fit_lc(surface)
             lc_report = error_metrics(surface, lc.fitted_log_rates())
-            fdm = fit_fdm(surface, SmoothConfig(), K=4)
+            fdm = fit_fdm(smooth(surface, SmoothConfig()), K=4)
             fdm_fitted = fdm.reconstruct() - fdm.model_errors
             fdm_report = error_metrics(surface, fdm_fitted)
             for got, ref in zip(lc_report.avg_across_ages, table1[gender]):
@@ -182,7 +182,7 @@ def test_criterion_06_residual_diagnostics():
         for gender in ("male", "female"):
             surface = italy_surface(gender, 1950, 1975)
             lc = fit_lc(surface)
-            fdm = fit_fdm(surface, SmoothConfig(), K=4)
+            fdm = fit_fdm(smooth(surface, SmoothConfig()), K=4)
             fdm_resid = surface.log_rates - (fdm.reconstruct() - fdm.model_errors)
             for resid in (lc.residuals, fdm_resid):
                 _, p = t_test_zero_mean(standardize_residuals(resid))
@@ -222,8 +222,8 @@ def test_criterion_08_constraint_invariants():
             assert abs(model.kappa.sum()) < 1e-12 * max(1.0, np.abs(model.kappa).sum())
         for seed in (5, 6):
             log_m = np.random.default_rng(seed).standard_normal((12, 16)) - 4.0
-            fdm = fit_fdm(make_surface(log_m),
-                          SmoothConfig(monotone_from=None), K=4)
+            fdm = fit_fdm(smooth(make_surface(log_m),
+                                 SmoothConfig(monotone_from=None)), K=4)
             gram = fdm.phi.T @ fdm.phi
             assert np.abs(gram - np.eye(4)).max() < 1e-10
 
@@ -236,7 +236,7 @@ def test_criterion_09_reconstruction_and_variance_sum():
         surface = make_surface(log_m)
         lc = fit_lc(surface)
         assert np.abs(lc.fitted_log_rates() + lc.residuals - log_m).max() < 1e-12
-        fdm = fit_fdm(surface, SmoothConfig(monotone_from=None), K=3)
+        fdm = fit_fdm(smooth(surface, SmoothConfig(monotone_from=None)), K=3)
         recon = fdm.mu[:, None] + fdm.phi @ fdm.beta_series.T + fdm.model_errors
         assert np.abs(recon - fdm.smoothed_log).max() < 1e-12
 
@@ -324,7 +324,7 @@ def test_criterion_13_determinism(hmd_file, tmp_path):
     with criterion(13, label):
         rng = np.random.default_rng(13)
         log_m = rng.standard_normal((8, 15)) * 0.2 - 4.0
-        model = fit_fdm(make_surface(log_m), SmoothConfig(monotone_from=None), K=2)
+        model = fit_fdm(smooth(make_surface(log_m), SmoothConfig(monotone_from=None)), K=2)
         a = bootstrap_intervals(model, TsSpec(), horizon=4, B=150, seed=21)
         b = bootstrap_intervals(model, TsSpec(), horizon=4, B=150, seed=21)
         assert np.array_equal(a.lower, b.lower) and np.array_equal(a.upper, b.upper)

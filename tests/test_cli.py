@@ -13,6 +13,8 @@ import pytest
 import mortforecast
 from mortforecast.cli import main
 
+from conftest import synthetic_hmd_text
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -184,6 +186,76 @@ def test_window_outside_data_exit_2(hmd_file, tmp_path, capsys):
                     "--years", "1940:2005", "--output", tmp_path / "o"])
     assert code == 2
     assert "1940" in capsys.readouterr().err
+
+
+def test_lifetable_year_outside_data_exit_2(hmd_file, tmp_path, capsys):
+    out = tmp_path / "lt"
+    code = run_cli(["lifetable", *base_args(hmd_file, out), "--year", "1940"])
+    assert code == 2
+    assert "--year 1940 outside data years 1950:2005" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def count_calls(monkeypatch, func):
+    """Count the calls made to ``func`` through any module of the package."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mortforecast":
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_forecast_smooths_the_surface_once(hmd_file, tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, mortforecast.smooth_surface)
+    code = run_cli(["forecast", *base_args(hmd_file, tmp_path / "fc"),
+                    "--models", "lcs,fdm", "--horizon", "3"])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_backtest_bootstrap_fits_fdm_once(hmd_file, tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, mortforecast.fit_fdm)
+    code = run_cli(["backtest", *base_args(hmd_file, tmp_path / "bt"),
+                    "--models", "fdm", "--train", "1950:1979", "--test", "1980:1995",
+                    "--bootstrap", "100"])
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("train,test,message", [
+    ("1950:1975", "1976:1976", "--test 1976:1976 spans 1 year(s)"),
+    ("1950:1951", "1952:1960", "--train 1950:1951 spans 2 year(s)"),
+])
+def test_short_backtest_window_exit_2(hmd_file, tmp_path, capsys, train, test, message):
+    out = tmp_path / "short"
+    code = run_cli(["backtest", *base_args(hmd_file, out), "--models", "lc",
+                    "--train", train, "--test", test])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_duplicate_data_row_exit_2(tmp_path, capsys):
+    lines = synthetic_hmd_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.split()[:2] == ["1990", "5"])
+    lines.append(lines[first].replace("0.", "0.9", 1))
+    data = tmp_path / "Mx_1x1.txt"
+    data.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "dup"
+    code = run_cli(["lifetable", "--data", data, "--ages", "0:40", "--year", "1990",
+                    "--output", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"line {len(lines)}: second row for year 1990, age 5" in err
+    assert f"first on line {first + 1}" in err
+    assert not out.exists()
 
 
 def console_script_launch():

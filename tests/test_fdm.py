@@ -14,7 +14,7 @@ from mortforecast.fdm import bootstrap_intervals, fit_fdm, forecast_fdm
 from mortforecast.smoothing import SmoothConfig
 from mortforecast.tsforecast import TsSpec, fit_ts, forecast_ts
 
-from conftest import make_surface
+from conftest import make_surface, smooth
 
 NO_MONOTONE = SmoothConfig(monotone_from=None)
 
@@ -45,7 +45,7 @@ def _assert_same_up_to_sign(got_phi, got_beta, want_phi, want_beta, atol):
 
 def test_two_component_recovery():
     surface, mu, (phi1, phi2), (b1, b2) = _two_component_surface()
-    model = fit_fdm(surface, NO_MONOTONE, K=2)
+    model = fit_fdm(smooth(surface, NO_MONOTONE), K=2)
     np.testing.assert_allclose(model.mu, mu, atol=1e-8)
     _assert_same_up_to_sign(model.phi[:, 0], model.beta_series[:, 0], phi1, b1, 1e-8)
     _assert_same_up_to_sign(model.phi[:, 1], model.beta_series[:, 1], phi2, b2, 1e-8)
@@ -59,14 +59,14 @@ def test_two_component_recovery():
 
 def test_first_component_sums_positive():
     surface, _, _, _ = _two_component_surface()
-    model = fit_fdm(surface, NO_MONOTONE, K=2)
+    model = fit_fdm(smooth(surface, NO_MONOTONE), K=2)
     assert model.phi[:, 0].sum() > 0.0
 
 
 def test_phi_orthonormal():
     rng = np.random.default_rng(42)
     log_m = rng.standard_normal((15, 20)) - 4.0
-    model = fit_fdm(make_surface(log_m), NO_MONOTONE, K=3)
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=3)
     gram = model.phi.T @ model.phi
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
 
@@ -74,14 +74,14 @@ def test_phi_orthonormal():
 def test_beta_columns_centered():
     rng = np.random.default_rng(8)
     log_m = rng.standard_normal((12, 18)) - 4.0
-    model = fit_fdm(make_surface(log_m), NO_MONOTONE, K=4)
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=4)
     assert np.abs(model.beta_series.mean(axis=0)).max() < 1e-10
 
 
 def test_reconstruction_identity():
     rng = np.random.default_rng(3)
     log_m = rng.standard_normal((10, 14)) - 4.0
-    model = fit_fdm(make_surface(log_m), NO_MONOTONE, K=2)
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=2)
     np.testing.assert_allclose(model.reconstruct(), model.smoothed_log, atol=1e-12)
     by_hand = model.mu[:, None] + model.phi @ model.beta_series.T + model.model_errors
     np.testing.assert_allclose(by_hand, model.smoothed_log, atol=1e-12)
@@ -90,7 +90,7 @@ def test_reconstruction_identity():
 def test_v_is_mean_squared_model_error():
     rng = np.random.default_rng(5)
     log_m = rng.standard_normal((9, 11)) - 4.0
-    model = fit_fdm(make_surface(log_m), NO_MONOTONE, K=1)
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=1)
     np.testing.assert_allclose(model.v, (model.model_errors**2).mean(axis=1),
                                atol=1e-14)
     np.testing.assert_allclose(model.sigma2_mu, model.v / 11, atol=1e-14)
@@ -100,8 +100,8 @@ def test_leading_share_stable_in_K():
     rng = np.random.default_rng(17)
     log_m = rng.standard_normal((10, 12)) - 4.0
     surface = make_surface(log_m)
-    one = fit_fdm(surface, NO_MONOTONE, K=1)
-    three = fit_fdm(surface, NO_MONOTONE, K=3)
+    one = fit_fdm(smooth(surface, NO_MONOTONE), K=1)
+    three = fit_fdm(smooth(surface, NO_MONOTONE), K=3)
     assert one.explained_shares[0] == pytest.approx(three.explained_shares[0],
                                                     abs=1e-12)
 
@@ -109,15 +109,15 @@ def test_leading_share_stable_in_K():
 def test_K_bounds():
     surface = make_surface(np.full((6, 8), -3.0))
     with pytest.raises(ValueError, match="K must be at least 1"):
-        fit_fdm(surface, NO_MONOTONE, K=0)
+        fit_fdm(smooth(surface, NO_MONOTONE), K=0)
     with pytest.raises(ValueError, match="too large"):
-        fit_fdm(surface, NO_MONOTONE, K=6)
+        fit_fdm(smooth(surface, NO_MONOTONE), K=6)
 
 
 def test_constant_years_degenerate():
     x = np.arange(8, dtype=float)
     log_m = np.tile((-4.0 - 0.05 * x)[:, None], (1, 9))
-    model = fit_fdm(make_surface(log_m), NO_MONOTONE, K=2)
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=2)
     np.testing.assert_array_equal(model.beta_series, 0.0)
     np.testing.assert_allclose(model.explained_shares, [1.0, 0.0], atol=1e-12)
     fc = forecast_fdm(model, TsSpec(), horizon=3)
@@ -132,7 +132,7 @@ def test_constant_years_degenerate():
 def test_forecast_variance_term_sum():
     rng = np.random.default_rng(23)
     log_m = rng.standard_normal((6, 8)) * 0.3 - 4.0
-    model = fit_fdm(make_surface(log_m), NO_MONOTONE, K=2)
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=2)
     spec = TsSpec()
     horizon = 4
     fc = forecast_fdm(model, spec, horizon=horizon)
@@ -156,7 +156,7 @@ def test_forecast_variance_term_sum():
 def test_forecast_variance_monotone_in_horizon():
     rng = np.random.default_rng(29)
     log_m = rng.standard_normal((7, 15)) * 0.2 - 4.0
-    model = fit_fdm(make_surface(log_m), NO_MONOTONE, K=2)
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=2)
     fc = forecast_fdm(model, TsSpec(), horizon=8)
     assert np.all(np.diff(fc.variance, axis=1) >= -1e-15)
 
@@ -164,7 +164,7 @@ def test_forecast_variance_monotone_in_horizon():
 def test_forecast_bounds_and_years():
     rng = np.random.default_rng(31)
     log_m = rng.standard_normal((6, 10)) * 0.2 - 4.0
-    model = fit_fdm(make_surface(log_m, first_year=1980), NO_MONOTONE, K=1)
+    model = fit_fdm(smooth(make_surface(log_m, first_year=1980), NO_MONOTONE), K=1)
     fc = forecast_fdm(model, TsSpec(), horizon=3, level=80.0)
     assert list(fc.years) == [1990, 1991, 1992]
     assert np.all(fc.lower < fc.point) and np.all(fc.point < fc.upper)
@@ -172,10 +172,28 @@ def test_forecast_bounds_and_years():
     assert np.all(wide.upper - wide.lower > fc.upper - fc.lower)
 
 
+def test_slice_years_keeps_the_chosen_years():
+    rng = np.random.default_rng(31)
+    log_m = rng.standard_normal((6, 10)) * 0.2 - 4.0
+    model = fit_fdm(smooth(make_surface(log_m, first_year=1980), NO_MONOTONE), K=1)
+    fc = forecast_fdm(model, TsSpec(), horizon=5, level=80.0)
+    part = fc.slice_years(1992, 1993)
+    assert list(part.years) == [1992, 1993]
+    for name in ("point", "variance", "lower", "upper"):
+        assert getattr(part, name).shape == (6, 2)
+        np.testing.assert_array_equal(getattr(part, name), getattr(fc, name)[:, 2:4])
+    np.testing.assert_array_equal(part.ages, fc.ages)
+    assert part.level == 80.0
+    np.testing.assert_array_equal(fc.slice_years(1990, 1994).point, fc.point)
+    for first, last in ((1989, 1991), (1993, 1995), (1993, 1992)):
+        with pytest.raises(ValueError, match="outside the forecast years"):
+            fc.slice_years(first, last)
+
+
 def test_forecast_invariant_under_component_sign_flip():
     rng = np.random.default_rng(37)
     log_m = rng.standard_normal((8, 12)) * 0.3 - 4.0
-    model = fit_fdm(make_surface(log_m), NO_MONOTONE, K=2)
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=2)
     phi = model.phi.copy()
     beta = model.beta_series.copy()
     phi[:, 1] *= -1.0
@@ -194,7 +212,7 @@ def test_forecast_invariant_under_component_sign_flip():
 def test_bootstrap_same_seed_is_identical():
     rng = np.random.default_rng(41)
     log_m = rng.standard_normal((6, 10)) * 0.3 - 4.0
-    model = fit_fdm(make_surface(log_m), NO_MONOTONE, K=1)
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=1)
     a = bootstrap_intervals(model, TsSpec(), horizon=4, B=120, seed=9)
     b = bootstrap_intervals(model, TsSpec(), horizon=4, B=120, seed=9)
     np.testing.assert_array_equal(a.lower, b.lower)
@@ -214,7 +232,7 @@ def test_bootstrap_noiseless_collapses():
     phi1 = np.full(n_ages, 1.0 / np.sqrt(n_ages))
     b1 = 2.0 * (t - t.mean())
     log_m = mu[:, None] + np.outer(phi1, b1)
-    model = fit_fdm(make_surface(log_m), NO_MONOTONE, K=1)
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=1)
     fc = bootstrap_intervals(model, TsSpec(), horizon=5, B=150, seed=1)
     assert (fc.upper - fc.lower).max() < 1e-8
 
@@ -226,7 +244,7 @@ def test_bootstrap_width_tracks_analytic():
     trend = np.linspace(3.0, -3.0, n_years)
     log_m = (-4.0 - 0.02 * x)[:, None] + 0.04 * trend[None, :]
     log_m = log_m + 0.05 * rng.standard_normal((n_ages, n_years))
-    model = fit_fdm(make_surface(log_m), NO_MONOTONE, K=2)
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=2)
     analytic = forecast_fdm(model, TsSpec(), horizon=5)
     boot = bootstrap_intervals(model, TsSpec(), horizon=5, B=2000, seed=3)
     ratio = (boot.upper - boot.lower).mean() / (analytic.upper - analytic.lower).mean()
@@ -236,6 +254,6 @@ def test_bootstrap_width_tracks_analytic():
 def test_bootstrap_rejects_tiny_B():
     rng = np.random.default_rng(59)
     log_m = rng.standard_normal((6, 9)) * 0.2 - 4.0
-    model = fit_fdm(make_surface(log_m), NO_MONOTONE, K=1)
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=1)
     with pytest.raises(ValueError, match="at least 100"):
         bootstrap_intervals(model, TsSpec(), horizon=3, B=50)

@@ -58,6 +58,12 @@ def test_parse_bad_rate_token():
         parse_hmd_rates(bad)
 
 
+def test_parse_rejects_duplicate_row():
+    doubled = SAMPLE + "  1950           1            0.9 0.9 0.9\n"
+    with pytest.raises(HmdParseError, match=r"line 10: .*year 1950, age 1 .*line 5"):
+        parse_hmd_rates(doubled)
+
+
 def test_parse_empty_input():
     with pytest.raises(HmdParseError, match="no data rows"):
         parse_hmd_rates("Header only\n\n")

@@ -15,7 +15,7 @@ from mortforecast.numerics import normal_quantile
 from mortforecast.smoothing import SmoothConfig
 from mortforecast.tsforecast import TsSpec
 
-from conftest import make_surface, rank1_surface
+from conftest import make_surface, rank1_surface, smooth
 
 
 def test_rank1_recovery():
@@ -142,7 +142,7 @@ def test_lcs_on_already_smooth_surface_matches_lc():
     log_m = alpha[:, None] + np.outer(beta, kappa)
     surface = make_surface(log_m)
     lc = fit_lc(surface)
-    lcs = fit_lcs(surface, SmoothConfig(monotone_from=None))
+    lcs = fit_lcs(smooth(surface, SmoothConfig(monotone_from=None)))
     assert lcs.variant == "lcs"
     np.testing.assert_allclose(lcs.alpha, lc.alpha, atol=1e-6)
     np.testing.assert_allclose(lcs.beta, lc.beta, atol=1e-6)
@@ -152,7 +152,7 @@ def test_lcs_on_already_smooth_surface_matches_lc():
 def test_lcs_raises_explained_variance_on_noisy_data():
     surface, _, _, _ = rank1_surface(n_ages=25, n_years=30, seed=6, noise=0.08)
     lc = fit_lc(surface)
-    lcs = fit_lcs(surface, SmoothConfig(monotone_from=None))
+    lcs = fit_lcs(smooth(surface, SmoothConfig(monotone_from=None)))
     assert lcs.explained_variance > lc.explained_variance
 
 
