@@ -287,6 +287,30 @@ def _check_windows(config: RunConfig, surface: MortalitySurface) -> None:
         raise UsageError(f"--year {year} outside data years {lo}:{hi}")
 
 
+def _check_fit_sizes(config: RunConfig, surface: MortalitySurface) -> None:
+    """Reject models and smoothing settings the fitted surface (for a
+    backtest, the train window) is too small for."""
+    if config.command == "lifetable":
+        return
+    n_ages = surface.n_ages
+    n_years = config.train[1] - config.train[0] + 1 if config.train else surface.n_years
+    ages = f"--ages {config.ages[0]}:{config.ages[1]}"
+    if "lcs" in config.models or "fdm" in config.models:
+        if n_ages < 4:
+            raise UsageError(f"smoothing needs at least 4 ages; {ages} has {n_ages}")
+        try:
+            config.smooth.resolved_num_basis(n_ages)
+        except ValueError as exc:
+            raise UsageError(f"--num-basis with {ages}: {exc}") from None
+    if ("lc" in config.models or "lcs" in config.models) and min(n_ages, n_years) < 3:
+        raise UsageError(f"lc and lcs need at least 3 ages and 3 years; the fitted "
+                         f"surface is {n_ages} x {n_years}")
+    largest_K = min(n_ages, n_years) - 1
+    if "fdm" in config.models and not 1 <= config.K <= largest_K:
+        raise UsageError(f"-K {config.K} does not fit a {n_ages} x {n_years} surface; "
+                         f"fdm needs 1 <= K <= {largest_K}")
+
+
 # ---------------------------------------------------------------------------
 # artifact helpers
 
@@ -611,6 +635,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = config_from_args(args)
         surface = load_surface(config)
         _check_windows(config, surface)
+        _check_fit_sizes(config, surface)
         os.makedirs(config.output, exist_ok=True)
         _write_json(config, _DISPATCH[config.command](config, surface))
         return 0

@@ -2,12 +2,11 @@
 
 Estimated by SVD of the centered log surface under the usual
 identification constraints (beta sums to one, kappa sums to zero).
-The LCS variant runs the identical fit on a smoothed surface.
+The LCS variant runs the identical fit on smoothed log rates.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +52,19 @@ def fit_lc(surface: MortalitySurface) -> LcModel:
     falls when mortality improves). kappa is recentered to sum zero with
     the shift absorbed into alpha.
     """
-    if surface.n_years < 3 or surface.n_ages < 3:
-        raise ValueError(
-            f"need at least 3 ages and 3 years, got "
-            f"{surface.n_ages} x {surface.n_years}"
-        )
-    Y = surface.log_rates
+    return _fit_log_rates(surface.ages, surface.years, surface.log_rates, "lc")
+
+
+def fit_lcs(smoothed: SmoothedSurface) -> LcModel:
+    """Fit Lee-Carter to a surface smoothed year by year."""
+    return _fit_log_rates(smoothed.ages, smoothed.years, smoothed.log_rates, "lcs")
+
+
+def _fit_log_rates(ages: np.ndarray, years: np.ndarray, Y: np.ndarray,
+                   variant: str) -> LcModel:
+    n_ages, n_years = Y.shape
+    if n_years < 3 or n_ages < 3:
+        raise ValueError(f"need at least 3 ages and 3 years, got {n_ages} x {n_years}")
     alpha = Y.mean(axis=1)
     Z = Y - alpha[:, None]
     total_ss = float(np.sum(Z**2))
@@ -68,11 +74,10 @@ def fit_lc(surface: MortalitySurface) -> LcModel:
     scale = max(1.0, float(np.linalg.norm(Y)))
     if s[0] <= 1e-12 * scale:
         # no temporal signal at all; a perfect fit by the level alone
-        beta = np.full(surface.n_ages, 1.0 / surface.n_ages)
-        kappa = np.zeros(surface.n_years)
-        return LcModel(ages=surface.ages, years=surface.years, alpha=alpha,
-                       beta=beta, kappa=kappa, residuals=Z,
-                       explained_variance=1.0, explained_variance_rss=1.0)
+        return LcModel(ages=ages, years=years, alpha=alpha,
+                       beta=np.full(n_ages, 1.0 / n_ages), kappa=np.zeros(n_years),
+                       residuals=Z, explained_variance=1.0, explained_variance_rss=1.0,
+                       variant=variant)
 
     u1 = svd.left_vectors[:, 0]
     v1 = svd.right_vectors[:, 0]
@@ -94,20 +99,9 @@ def fit_lc(surface: MortalitySurface) -> LcModel:
     residuals = Y - alpha[:, None] - np.outer(beta, kappa)
     ev = float(s[0] ** 2 / np.sum(s**2))
     ev_rss = 1.0 - float(np.sum(residuals**2)) / total_ss if total_ss > 0 else 1.0
-    return LcModel(ages=surface.ages, years=surface.years, alpha=alpha,
+    return LcModel(ages=ages, years=years, alpha=alpha,
                    beta=beta, kappa=kappa, residuals=residuals,
-                   explained_variance=ev, explained_variance_rss=ev_rss)
-
-
-def fit_lcs(smoothed: SmoothedSurface) -> LcModel:
-    """Fit Lee-Carter to a surface smoothed year by year.
-
-    The smoothed log rates pass through rates and back (exp here, log in
-    ``fit_lc``); skipping that round trip moves the last digit of results.
-    """
-    model = fit_lc(MortalitySurface(ages=smoothed.ages, years=smoothed.years,
-                                    rates=np.exp(smoothed.log_rates)))
-    return dataclasses.replace(model, variant="lcs")
+                   explained_variance=ev, explained_variance_rss=ev_rss, variant=variant)
 
 
 def forecast_lc(

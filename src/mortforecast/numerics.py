@@ -20,6 +20,7 @@ __all__ = [
     "bspline_design",
     "difference_matrix",
     "solve_penalized_ls",
+    "cholesky_factor",
     "normal_quantile",
     "normal_cdf",
 ]
@@ -155,7 +156,8 @@ def solve_penalized_ls(B, y, w=None, lam: float = 0.0, d: int = 2) -> np.ndarray
 
     Solved through a dense Cholesky factorization of the normal equations;
     ``D_d`` is the order-d difference operator, so for d=2 the penalty sums
-    squared second differences of adjacent coefficients.
+    squared second differences of adjacent coefficients. ``y`` may hold one
+    curve per column, solved together.
     """
     B = np.asarray(B, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -179,13 +181,18 @@ def solve_penalized_ls(B, y, w=None, lam: float = 0.0, d: int = 2) -> np.ndarray
     if lam > 0:
         D = difference_matrix(k, d)
         M = M + lam * (D.T @ D)
+    return cho_solve(cholesky_factor(M), BtW @ y)
+
+
+def cholesky_factor(M) -> tuple:
+    """Cholesky factor of a penalized normal matrix ``B'WB + lam * P``,
+    in the form ``scipy.linalg.cho_solve`` takes."""
     try:
-        factor = cho_factor(M, lower=True)
+        return cho_factor(M, lower=True)
     except LinAlgError as exc:
         raise ValueError(
             "singular penalized system; increase lambda or use fewer basis functions"
         ) from exc
-    return cho_solve(factor, BtW @ y)
 
 
 # Acklam's rational approximation to the inverse normal CDF, refined by one

@@ -2,26 +2,28 @@
 
 Each year's curve ln m_t(x) is smoothed independently with a cubic
 B-spline basis and a squared difference penalty on the coefficients,
-the penalty weight chosen by generalized cross-validation. Above a
-configurable age the smoothed curve is projected onto the increasing
+the penalty weight chosen by generalized cross-validation; the years of
+a surface share one design and are smoothed in one batched pass. Above
+a configurable age the smoothed curve is projected onto the increasing
 cone by pooling adjacent violators, reflecting that adult mortality
 rises with age while infant and accident-hump features below it do not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
+from scipy.linalg import cho_solve
 
-from .numerics import BsplineBasis, bspline_design, difference_matrix, solve_penalized_ls
+from .numerics import (BsplineBasis, bspline_design, cholesky_factor, difference_matrix,
+                       solve_penalized_ls)
 
 __all__ = [
     "SmoothConfig",
     "SmoothedCurve",
     "SmoothedSurface",
-    "choose_lambda",
     "smooth_curve",
     "smooth_surface",
     "enforce_monotone",
@@ -32,7 +34,7 @@ _DEFAULT_LAMBDA_GRID = np.logspace(-4.0, 6.0, 25)
 
 @dataclass(frozen=True)
 class SmoothConfig:
-    """Knobs for the per-curve smoother.
+    """Knobs for the smoother.
 
     ``num_basis=None`` resolves to roughly one basis function per 2.5
     observations, capped at 35; ``lam="auto"`` picks the penalty weight by
@@ -49,6 +51,8 @@ class SmoothConfig:
     weights: Optional[np.ndarray] = None
 
     def resolved_num_basis(self, n_points: int) -> int:
+        if self.difference_order not in (1, 2, 3):
+            raise ValueError("difference order must be 1, 2 or 3")
         if self.num_basis is not None:
             k = int(self.num_basis)
         else:
@@ -82,56 +86,6 @@ class SmoothedSurface:
     lambdas: np.ndarray  # chosen penalty per year
 
 
-def _design_and_penalty(xs: np.ndarray, config: SmoothConfig):
-    k = config.resolved_num_basis(len(xs))
-    basis = BsplineBasis.uniform(float(xs[0]), float(xs[-1]), k, degree=config.degree)
-    B = bspline_design(basis, xs)
-    D = difference_matrix(k, config.difference_order)
-    return basis, B, D
-
-
-def _gcv_score(B: np.ndarray, y: np.ndarray, w: np.ndarray, P: np.ndarray,
-               lam: float) -> tuple[float, np.ndarray]:
-    """n * RSS / (n - tr(H))^2 for the penalized hat matrix H."""
-    n = len(y)
-    BtW = B.T * w
-    A = BtW @ B + lam * P
-    theta = np.linalg.solve(A, BtW @ y)
-    fitted = B @ theta
-    rss = float(np.sum(w * (y - fitted) ** 2))
-    # tr(H) = tr(B A^{-1} B' W) = sum over entries of (A^{-1} B'W) * B'
-    trace = float(np.sum(np.linalg.solve(A, BtW) * B.T))
-    denom = n - trace
-    if denom <= 0:
-        return np.inf, theta
-    return n * rss / denom**2, theta
-
-
-def choose_lambda(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    config: SmoothConfig = SmoothConfig(),
-) -> tuple[float, float]:
-    """Return (lambda, gcv) minimizing GCV over the configured grid.
-
-    Ties and plateaus resolve to the first grid point attaining the
-    minimum, so the choice is deterministic.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    _, B, D = _design_and_penalty(xs, config)
-    P = D.T @ D
-    w = _resolve_weights(config.weights, len(ys))
-    best_lam, best_score = None, np.inf
-    for lam in np.asarray(config.lambda_grid, dtype=float):
-        score, _ = _gcv_score(B, ys, w, P, float(lam))
-        if score < best_score:
-            best_lam, best_score = float(lam), score
-    if best_lam is None:
-        raise ValueError("GCV failed at every grid point; basis too rich for the data")
-    return best_lam, best_score
-
-
 def _resolve_weights(weights, n: int) -> np.ndarray:
     if weights is None:
         return np.ones(n)
@@ -143,36 +97,87 @@ def _resolve_weights(weights, n: int) -> np.ndarray:
     return w
 
 
+def _smooth_columns(xs: np.ndarray, Y: np.ndarray, config: SmoothConfig):
+    """Smooth every column of ``Y``, each a curve observed at ``xs``.
+
+    Returns (basis, values, coefficients, lambdas, GCV scores), one
+    column or entry per curve; the scores are NaN at a fixed lambda.
+    """
+    n, m = Y.shape
+    if n < 4:
+        raise ValueError("need a 1-d curve with at least 4 points")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("curve contains non-finite values")
+    auto = config.lam == "auto"
+    if not auto and float(config.lam) < 0:
+        raise ValueError("lam must be nonnegative")
+    k = config.resolved_num_basis(n)
+    basis = BsplineBasis.uniform(float(xs[0]), float(xs[-1]), k, degree=config.degree)
+    B = bspline_design(basis, xs)
+    w = _resolve_weights(config.weights, n)
+    if auto:
+        lambdas, gcvs, theta = _gcv_search(B, Y, w, config)
+    else:
+        lam = float(config.lam)
+        theta = solve_penalized_ls(B, Y, w=w, lam=lam, d=config.difference_order)
+        lambdas, gcvs = np.full(m, lam), np.full(m, np.nan)
+    values = B @ theta
+    if config.monotone_from is not None:
+        for j in range(m):
+            values[:, j] = enforce_monotone(values[:, j], config.monotone_from, ages=xs)
+    return basis, values, theta, lambdas, gcvs
+
+
+def _gcv_search(B: np.ndarray, Y: np.ndarray, w: np.ndarray, config: SmoothConfig):
+    """Per column of ``Y``: the grid lambda minimizing GCV, its score, and
+    the coefficients fitted with it.
+
+    All columns share the design B, weights W and penalty P, so each grid
+    lambda costs one Cholesky factorization of A = B'WB + lambda P, one
+    solve for every column's coefficients, and one trace
+    tr(H) = tr(A^{-1} B'WB) common to all of them. The score is
+    n * RSS / (n - tr(H))^2, infinite when n <= tr(H); each column keeps
+    the first grid point attaining its minimum, so ties resolve
+    deterministically.
+    """
+    (n, k), m = B.shape, Y.shape[1]
+    D = difference_matrix(k, config.difference_order)
+    P = D.T @ D
+    BtW = B.T * w
+    G, R = BtW @ B, BtW @ Y
+    best, lambdas, theta = np.full(m, np.inf), np.full(m, np.nan), np.zeros((k, m))
+    for lam in np.asarray(config.lambda_grid, dtype=float):
+        factor = cholesky_factor(G + lam * P)
+        coef = cho_solve(factor, R)
+        denom = n - np.trace(cho_solve(factor, G))
+        if denom <= 0:
+            continue
+        score = n * (w @ (Y - B @ coef) ** 2) / denom**2
+        better = score < best
+        best[better] = score[better]
+        lambdas[better] = lam
+        theta[:, better] = coef[:, better]
+    if np.isnan(lambdas).any():
+        raise ValueError("GCV failed at every grid point; basis too rich for the data")
+    return lambdas, best, theta
+
+
 def smooth_curve(
     ys: np.ndarray,
     config: SmoothConfig = SmoothConfig(),
     ages: Optional[np.ndarray] = None,
 ) -> SmoothedCurve:
-    """Smooth one curve of log rates observed at ``ages`` (default 0..n-1)."""
+    """Smooth one curve of log rates observed at ``ages`` (default 0..n-1);
+    the one-column case of ``smooth_surface``."""
     ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 1 or len(ys) < 4:
+    if ys.ndim != 1:
         raise ValueError("need a 1-d curve with at least 4 points")
-    if not np.all(np.isfinite(ys)):
-        raise ValueError("curve contains non-finite values")
     xs = np.arange(len(ys), dtype=float) if ages is None else np.asarray(ages, dtype=float)
     if xs.shape != ys.shape:
         raise ValueError("ages and values must have the same length")
-
-    if config.lam == "auto":
-        lam, gcv = choose_lambda(xs, ys, config)
-    else:
-        lam = float(config.lam)
-        if lam < 0:
-            raise ValueError("lam must be nonnegative")
-        gcv = np.nan
-    basis, B, D = _design_and_penalty(xs, config)
-    w = _resolve_weights(config.weights, len(ys))
-    theta = solve_penalized_ls(B, ys, w=w, lam=lam, d=config.difference_order)
-    values = B @ theta
-    if config.monotone_from is not None:
-        values = enforce_monotone(values, config.monotone_from, ages=xs)
-    return SmoothedCurve(xs=xs, values=values, coefficients=theta,
-                         basis=basis, lam=lam, gcv=gcv)
+    basis, values, theta, lambdas, gcvs = _smooth_columns(xs, ys[:, None], config)
+    return SmoothedCurve(xs=xs, values=values[:, 0], coefficients=theta[:, 0],
+                         basis=basis, lam=float(lambdas[0]), gcv=float(gcvs[0]))
 
 
 def smooth_surface(
@@ -181,7 +186,7 @@ def smooth_surface(
     years: np.ndarray,
     config: SmoothConfig = SmoothConfig(),
 ) -> SmoothedSurface:
-    """Smooth each year's log-rate curve independently.
+    """Smooth each year's log-rate curve, all years in one batched pass.
 
     ``sigma2[i]`` is the sample variance across years of the smoothing
     residual at age i, the estimate of observational noise used in the
@@ -195,17 +200,9 @@ def smooth_surface(
             f"log_rates shape {log_rates.shape} does not match "
             f"{len(ages)} ages x {len(years)} years"
         )
-    smoothed = np.empty_like(log_rates)
-    lambdas = np.empty(len(years))
-    for j in range(len(years)):
-        curve = smooth_curve(log_rates[:, j], config, ages=ages)
-        smoothed[:, j] = curve.values
-        lambdas[j] = curve.lam
+    _, smoothed, _, lambdas, _ = _smooth_columns(ages, log_rates, config)
     resid = log_rates - smoothed
-    if len(years) >= 2:
-        sigma2 = resid.var(axis=1, ddof=1)
-    else:
-        sigma2 = np.zeros(len(ages))
+    sigma2 = resid.var(axis=1, ddof=1) if len(years) >= 2 else np.zeros(len(ages))
     return SmoothedSurface(ages=ages.astype(int), years=years,
                            log_rates=smoothed, sigma2=sigma2, lambdas=lambdas)
 

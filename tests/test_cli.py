@@ -242,6 +242,27 @@ def test_short_backtest_window_exit_2(hmd_file, tmp_path, capsys, train, test, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["fit", "--models", "fdm", "--years", "1950:1953"],
+     "-K 4 does not fit a 41 x 4 surface; fdm needs 1 <= K <= 3"),
+    (["backtest", "--models", "fdm", "--train", "1950:1952", "--test", "1953:1960"],
+     "-K 4 does not fit a 41 x 3 surface; fdm needs 1 <= K <= 2"),
+    (["fit", "--models", "lcs", "--ages", "20:40", "--num-basis", "40"],
+     "--num-basis with --ages 20:40: num_basis 40 exceeds the 21 observations"),
+    (["forecast", "--models", "lcs", "--ages", "38:40"],
+     "smoothing needs at least 4 ages; --ages 38:40 has 3"),
+    (["compare", "--models", "lc", "--years", "1950:1951"],
+     "lc and lcs need at least 3 ages and 3 years; the fitted surface is 41 x 2"),
+], ids=["fdm_fit_4_years", "fdm_train_3_years", "num_basis_over_ages", "smooth_3_ages",
+        "lc_2_years"])
+def test_fit_too_small_for_settings_exit_2(hmd_file, tmp_path, capsys, argv, message):
+    out = tmp_path / "small"
+    code = run_cli([argv[0], *base_args(hmd_file, out), *argv[1:]])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_duplicate_data_row_exit_2(tmp_path, capsys):
     lines = synthetic_hmd_text().splitlines(keepends=True)
     first = next(i for i, line in enumerate(lines) if line.split()[:2] == ["1990", "5"])

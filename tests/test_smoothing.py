@@ -1,4 +1,4 @@
-"""Per-curve smoother and the monotone tail projection.
+"""Penalized-spline smoother and the monotone tail projection.
 
 The projection is checked against a brute-force search over the lattice
 of block partitions, which is the honest way to validate an isotonic
@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mortforecast.numerics import (BsplineBasis, bspline_design, difference_matrix,
+                                   solve_penalized_ls)
 from mortforecast.smoothing import (
     SmoothConfig,
-    choose_lambda,
     enforce_monotone,
     smooth_curve,
     smooth_surface,
@@ -53,23 +54,22 @@ def test_huge_lambda_flattens_to_affine():
 
 def test_choose_lambda_prefers_rough_fit_for_smooth_data():
     xs = np.arange(40, dtype=float)
-    smooth_lam, _ = choose_lambda(xs, 0.01 * xs, SmoothConfig())
+    smooth_lam = smooth_curve(0.01 * xs, SmoothConfig(), ages=xs).lam
     assert smooth_lam > 0
 
 
 def test_choose_lambda_single_point_grid():
     xs = np.arange(20, dtype=float)
-    lam, _ = choose_lambda(xs, np.sin(xs / 3.0),
-                           SmoothConfig(lambda_grid=np.array([2.5])))
+    lam = smooth_curve(np.sin(xs / 3.0), SmoothConfig(lambda_grid=np.array([2.5])),
+                       ages=xs).lam
     assert lam == 2.5
 
 
 def test_choose_lambda_deterministic():
     xs = np.arange(25, dtype=float)
     ys = np.cos(xs / 4.0)
-    a = choose_lambda(xs, ys)
-    b = choose_lambda(xs, ys)
-    assert a == b
+    a, b = smooth_curve(ys, ages=xs), smooth_curve(ys, ages=xs)
+    assert (a.lam, a.gcv) == (b.lam, b.gcv)
 
 
 def test_smooth_curve_validation():
@@ -99,6 +99,89 @@ def test_smooth_surface_single_year_sigma_zero():
     out = smooth_surface(log_m, ages, np.array([2000]),
                          SmoothConfig(monotone_from=None))
     np.testing.assert_array_equal(out.sigma2, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# batched smoother against the per-curve reference
+
+
+def _reference_smooth_curve(ys, xs, config):
+    """The per-curve smoother the batched kernel replaced: GCV over the
+    grid by two dense LU solves per lambda, the first minimum kept, then
+    one Cholesky solve at the chosen lambda."""
+    k = config.resolved_num_basis(len(xs))
+    B = bspline_design(BsplineBasis.uniform(xs[0], xs[-1], k, degree=config.degree), xs)
+    D = difference_matrix(k, config.difference_order)
+    w = np.ones(len(ys)) if config.weights is None else config.weights
+    lam = config.lam
+    if lam == "auto":
+        n, BtW = len(ys), B.T * w
+        best_lam, best_score = None, np.inf
+        for grid_lam in config.lambda_grid:
+            A = BtW @ B + grid_lam * (D.T @ D)
+            rss = np.sum(w * (ys - B @ np.linalg.solve(A, BtW @ ys)) ** 2)
+            denom = n - np.sum(np.linalg.solve(A, BtW) * B.T)
+            score = n * rss / denom**2 if denom > 0 else np.inf
+            if score < best_score:
+                best_lam, best_score = float(grid_lam), score
+        lam = best_lam
+    values = B @ solve_penalized_ls(B, ys, w=w, lam=lam, d=config.difference_order)
+    if config.monotone_from is not None:
+        values = enforce_monotone(values, config.monotone_from, ages=xs)
+    return lam, values
+
+
+def _assert_matches_reference(log_m, ages, config):
+    years = np.arange(2000, 2000 + log_m.shape[1])
+    out = smooth_surface(log_m, ages, years, config)
+    for j in range(log_m.shape[1]):
+        lam, values = _reference_smooth_curve(log_m[:, j], ages.astype(float), config)
+        assert out.lambdas[j] == lam
+        np.testing.assert_allclose(out.log_rates[:, j], values, rtol=0, atol=1e-10)
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=15, max_value=70), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**31),
+       st.floats(min_value=0.01, max_value=0.5), st.booleans(),
+       st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.5)),
+       st.one_of(st.just("auto"), st.sampled_from([0.0, 0.003, 1.0, 1e3])),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=110)))
+def test_smooth_surface_matches_per_curve_reference(n_ages, n_years, first_age, seed, noise,
+                                                    weighted, basis_share, lam, monotone_from):
+    # THEORY: every year shares the design, weights and penalty, so the
+    # batched pass must choose the reference's lambda for each year and
+    # agree with its fit up to rounding. The sine keeps curvature in every
+    # window, and the basis has at least 6 functions: a minimum on the
+    # flat top of the grid, where an affine fit has absorbed everything,
+    # scores equal to rounding at several grid points, and there neither
+    # solver's choice is determined. At most half as many basis functions
+    # as ages: an unpenalized fit with one per age is so ill-conditioned
+    # that a different summation order alone moves it by about 1e-10.
+    rng = np.random.default_rng(seed)
+    ages = np.arange(first_age, first_age + n_ages)
+    trend = -7.0 + 0.07 * ages + 0.5 * np.sin(ages / 4.0)
+    log_m = (trend[:, None] - 0.01 * np.arange(n_years)
+             + noise * rng.standard_normal((n_ages, n_years)))
+    num_basis = None if basis_share is None else max(6, int(basis_share * n_ages))
+    weights = rng.uniform(0.2, 2.0, n_ages) if weighted else None
+    _assert_matches_reference(log_m, ages, SmoothConfig(
+        num_basis=num_basis, lam=lam, monotone_from=monotone_from, weights=weights))
+
+
+def test_smooth_surface_tied_gcv_keeps_first_grid_point():
+    # an all-zero year fits exactly at every lambda, so every grid point
+    # scores 0; the first one listed wins, here the largest
+    rng = np.random.default_rng(5)
+    ages = np.arange(30)
+    log_m = np.zeros((30, 3))
+    log_m[:, 1] = np.sin(ages / 3.0) + 0.05 * rng.standard_normal(30)
+    grid = np.array([1e3, 1.0, 1e-3])
+    out = _assert_matches_reference(log_m, ages, SmoothConfig(lambda_grid=grid,
+                                                              monotone_from=None))
+    assert out.lambdas[0] == out.lambdas[2] == 1e3
+    assert out.lambdas[1] != 1e3
 
 
 # ---------------------------------------------------------------------------
