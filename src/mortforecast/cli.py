@@ -288,8 +288,8 @@ def _check_windows(config: RunConfig, surface: MortalitySurface) -> None:
 
 
 def _check_fit_sizes(config: RunConfig, surface: MortalitySurface) -> None:
-    """Reject models and smoothing settings the fitted surface (for a
-    backtest, the train window) is too small for."""
+    """Reject models, smoothing settings and time-series models the
+    fitted surface (for a backtest, the train window) is too small for."""
     if config.command == "lifetable":
         return
     n_ages = surface.n_ages
@@ -309,6 +309,12 @@ def _check_fit_sizes(config: RunConfig, surface: MortalitySurface) -> None:
     if "fdm" in config.models and not 1 <= config.K <= largest_K:
         raise UsageError(f"-K {config.K} does not fit a {n_ages} x {n_years} surface; "
                          f"fdm needs 1 <= K <= {largest_K}")
+    ts = config.ts_spec
+    if config.command in ("forecast", "backtest") and n_years < ts.min_observations:
+        model = ("a random walk with drift" if ts.family == "rwd"
+                 else f"AR({ts.p}) on d={ts.d} differences")
+        raise UsageError(f"--ts: {model} needs at least {ts.min_observations} years; "
+                         f"the fitted surface has {n_years}")
 
 
 # ---------------------------------------------------------------------------
@@ -418,28 +424,26 @@ class _Outputs:
     """How one model type reports itself.
 
     ``fields`` are the model attributes in fit's summary; compare reports
-    the first only. fit diagnoses the ``residuals`` attribute. compare
-    diagnoses it too, or observed minus fitted log rates when
-    ``compare_observed``, and writes its averages to ``table``.
-    ``bootstraps`` marks the type whose intervals --bootstrap replaces.
+    the first only. fit diagnoses the ``residuals`` attribute; compare
+    diagnoses observed minus fitted log rates and writes its averages to
+    ``table``. ``bootstraps`` marks the type whose intervals --bootstrap
+    replaces.
     """
 
     params: Callable[[str, object], list]
     fields: tuple
     residuals: str
-    compare_observed: bool
     table: str
     bootstraps: bool
 
 
 _LC_OUTPUTS = _Outputs(_lc_params, ("explained_variance", "explained_variance_rss"),
-                       "residuals", compare_observed=False, table="table1.csv",
-                       bootstraps=False)
+                       "residuals", table="table1.csv", bootstraps=False)
 _OUTPUTS = {
     "lc": _LC_OUTPUTS,
     "lcs": _LC_OUTPUTS,
     "fdm": _Outputs(_fdm_params, ("explained_shares", "K"), "model_errors",
-                    compare_observed=True, table="table2.csv", bootstraps=True),
+                    table="table2.csv", bootstraps=True),
 }
 _ERROR_FIG = {"lc": "fig9", "lcs": "fig10", "fdm": "fig11"}
 
@@ -593,17 +597,15 @@ def cmd_compare(config: RunConfig, surface: MortalitySurface) -> dict:
     fitted = fit_models(surface, config.models, config.smooth, config.K)
     for name, model in fitted.items():
         outputs = _OUTPUTS[name]
-        fitted = model.fitted_log_rates()
-        rep = reports[name] = error_metrics(surface, fitted)
+        fitted_log = model.fitted_log_rates()
+        rep = reports[name] = error_metrics(surface, fitted_log)
         entry = {
             "avg_across_ages": dict(zip(metrics, rep.avg_across_ages)),
             "avg_across_years": dict(zip(metrics, rep.avg_across_years)),
             "excluded_cells": rep.excluded_cells,
             outputs.fields[0]: _field(model, outputs.fields[0]),
         }
-        residuals = (surface.log_rates - fitted if outputs.compare_observed
-                     else getattr(model, outputs.residuals))
-        entry.update(_diagnostics(residuals))
+        entry.update(_diagnostics(surface.log_rates - fitted_log))
         summary["models"][name] = entry
         for by, table in (("age", rep.by_age), ("year", rep.by_year)):
             _write_csv(config, f"metrics_{name}_by_{by}.csv", f"{by},me,mse,mpe,mape",

@@ -20,7 +20,7 @@ from .fdm import FdmModel, ForecastSurface, bootstrap_intervals, fit_fdm, foreca
 from .ingest import MortalitySurface, slice_window
 from .leecarter import LcModel, fit_lc, fit_lcs, forecast_lc
 from .lifetable import E0Path, e0_from_rates, e0_path
-from .numerics import normal_cdf, normal_quantile
+from .numerics import normal_quantile
 from .smoothing import SmoothConfig, smooth_surface
 from .tsforecast import TsSpec
 
@@ -146,8 +146,7 @@ def _shapiro_weights(n: int) -> np.ndarray:
     if n == 3:
         s = math.sqrt(0.5)
         return np.array([-s, 0.0, s])
-    i = np.arange(1, n + 1)
-    m = np.array([normal_quantile((k - 0.375) / (n + 0.25)) for k in i])
+    m = normal_quantile((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     msq = float(np.dot(m, m))
     c = m / math.sqrt(msq)
     u = 1.0 / math.sqrt(n)
@@ -205,7 +204,7 @@ def normality_test(residuals) -> tuple[float, float]:
         mu = np.polyval([0.0038915, -0.083751, -0.31082, -1.5861], ln_n)
         sigma = math.exp(np.polyval([0.0030302, -0.082676, -0.4803], ln_n))
     z = (y - mu) / sigma
-    return W, float(normal_cdf(-z))
+    return W, float(special.ndtr(-z))
 
 
 @dataclass(frozen=True)

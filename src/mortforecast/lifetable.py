@@ -51,10 +51,7 @@ def rates_to_lifetable(mx, ages=None, conversion: str = "constant-hazard") -> Li
         qx = mx / (1.0 + 0.5 * mx)
     qx[A] = 1.0
 
-    lx = np.empty(len(mx))
-    lx[0] = 1.0
-    for i in range(A):
-        lx[i + 1] = lx[i] * (1.0 - qx[i])
+    lx = np.concatenate(([1.0], np.cumprod(1.0 - qx[:A])))
     dx = lx * qx
     Lx = lx - 0.5 * dx
     Lx[A] = lx[A] / mx[A]

@@ -7,10 +7,10 @@ its inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "solve_penalized_ls",
     "cholesky_factor",
     "normal_quantile",
-    "normal_cdf",
 ]
 
 
@@ -96,51 +95,39 @@ class BsplineBasis:
         return cls(knots=knots, degree=degree)
 
 
-def _find_span(knots: np.ndarray, degree: int, num_basis: int, x: float) -> int:
-    # Spans are half-open [t_i, t_{i+1}); the right end of the domain is
-    # folded into the last span so endpoint evaluation works.
-    if x >= knots[num_basis]:
-        return num_basis - 1
-    return int(np.searchsorted(knots, x, side="right") - 1)
-
-
-def _basis_at(knots: np.ndarray, degree: int, span: int, x: float) -> np.ndarray:
-    """Values of the ``degree + 1`` basis functions active on ``span``.
-
-    Cox-de Boor recursion in the triangular form that only touches
-    nonzero entries.
-    """
-    vals = np.zeros(degree + 1)
-    left = np.zeros(degree + 1)
-    right = np.zeros(degree + 1)
-    vals[0] = 1.0
-    for j in range(1, degree + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
-        saved = 0.0
-        for r in range(j):
-            tmp = vals[r] / (right[r + 1] + left[j - r])
-            vals[r] = saved + right[r + 1] * tmp
-            saved = left[j - r] * tmp
-        vals[j] = saved
-    return vals
-
-
 def bspline_design(basis: BsplineBasis, xs) -> np.ndarray:
-    """Design matrix with row i holding all basis values at ``xs[i]``."""
+    """Design matrix with row i holding all basis values at ``xs[i]``.
+
+    Cox-de Boor recursion in the triangular form that only touches the
+    ``degree + 1`` functions active on each point's knot span, run for
+    all points at once.
+    """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    knots, degree, num_basis = basis.knots, basis.degree, basis.num_basis
     lo, hi = basis.domain
     tol = 1e-9 * max(1.0, abs(lo), abs(hi))
     if np.any(xs < lo - tol) or np.any(xs > hi + tol):
         bad = xs[(xs < lo - tol) | (xs > hi + tol)][0]
         raise ValueError(f"evaluation point {bad!r} outside basis domain [{lo}, {hi}]")
     xs = np.clip(xs, lo, hi)
-    design = np.zeros((len(xs), basis.num_basis))
-    for i, x in enumerate(xs):
-        span = _find_span(basis.knots, basis.degree, basis.num_basis, x)
-        design[i, span - basis.degree : span + 1] = _basis_at(
-            basis.knots, basis.degree, span, x
-        )
+    # spans are half-open [t_i, t_{i+1}); the right end of the domain is
+    # folded into the last span so endpoint evaluation works
+    span = np.where(xs >= knots[num_basis], num_basis - 1,
+                    np.searchsorted(knots, xs, side="right") - 1)
+    vals = np.zeros((degree + 1, len(xs)))
+    left, right = np.zeros_like(vals), np.zeros_like(vals)
+    vals[0] = 1.0
+    for j in range(1, degree + 1):
+        left[j] = xs - knots[span + 1 - j]
+        right[j] = knots[span + j] - xs
+        saved = 0.0
+        for r in range(j):
+            tmp = vals[r] / (right[r + 1] + left[j - r])
+            vals[r] = saved + right[r + 1] * tmp
+            saved = left[j - r] * tmp
+        vals[j] = saved
+    design = np.zeros((len(xs), num_basis))
+    np.put_along_axis(design, span[:, None] + np.arange(-degree, 1), vals.T, axis=1)
     return design
 
 
@@ -195,58 +182,13 @@ def cholesky_factor(M) -> tuple:
         ) from exc
 
 
-# Acklam's rational approximation to the inverse normal CDF, refined by one
-# Newton step on Phi. Max error of the raw approximation is ~1.15e-9; the
-# refinement takes it to machine precision.
-_ACKLAM_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def normal_quantile(p: float) -> float:
-    """Value z with ``Phi(z) = p`` for p in the open unit interval."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie strictly between 0 and 1, got {p!r}")
-    if p > 0.5:
-        # 1 - p is exact here (Sterbenz), and the lower-tail path keeps
-        # full precision where Phi(z) - p would cancel
-        return -normal_quantile(1.0 - p)
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        z = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    else:
-        q = p - 0.5
-        r = q * q
-        z = (
-            (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5])
-            * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        )
-    # One Newton step on Phi(z) - p.
-    err = normal_cdf(z) - p
-    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    if pdf > 0.0:
-        z -= err / pdf
-    return z
+def normal_quantile(p):
+    """Value z with ``Phi(z) = p``, elementwise for p in the open unit
+    interval; a scalar p gives a float."""
+    p = np.asarray(p, dtype=float)
+    inside = (p > 0.0) & (p < 1.0)
+    if not np.all(inside):
+        bad = float(p[~inside][0])
+        raise ValueError(f"probability must lie strictly between 0 and 1, got {bad!r}")
+    z = special.ndtri(p)
+    return float(z) if z.ndim == 0 else z

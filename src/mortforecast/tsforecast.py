@@ -43,6 +43,13 @@ class TsSpec:
         if self.d not in (0, 1):
             raise ValueError("d must be 0 or 1")
 
+    @property
+    def min_observations(self) -> int:
+        """Shortest series the model can be fitted to: 3 for rwd (level,
+        drift and one df for the variance), p + d + 2 for AR(p) on d-th
+        differences."""
+        return 3 if self.family == "rwd" else self.p + self.d + 2
+
     @classmethod
     def parse(cls, text: str) -> "TsSpec":
         """Parse 'rwd' or 'ar:p,d[,drift]' (also accepts 'arima:' prefix)."""
@@ -101,16 +108,18 @@ def fit_rwd(series) -> TsFit:
     """Random walk with drift: drift is the mean first difference and the
     innovation variance is the sample variance of the differences about
     it (denominator n−2, one df each for the level and the drift)."""
+    spec = TsSpec(family="rwd")
     arr = _check_series(series)
     n = len(arr)
-    if n < 3:
-        raise ValueError(f"random walk with drift needs at least 3 observations, got {n}")
+    if n < spec.min_observations:
+        raise ValueError(f"random walk with drift needs at least "
+                         f"{spec.min_observations} observations, got {n}")
     diffs = np.diff(arr)
     drift = float(diffs.mean())
     residuals = diffs - drift
     sigma2 = float(np.sum(residuals**2) / (n - 2))
     return TsFit(
-        spec=TsSpec(family="rwd"),
+        spec=spec,
         drift=drift,
         ar_coeffs=np.empty(0),
         innovation_variance=sigma2,
@@ -155,9 +164,9 @@ def fit_ar(series, spec: TsSpec) -> TsFit:
         raise ValueError("fit_ar requires an arima spec")
     arr = _check_series(series)
     n = len(arr)
-    if n - spec.d < spec.p + 2:
+    if n < spec.min_observations:
         raise ValueError(
-            f"need at least p+d+2 = {spec.p + spec.d + 2} observations for "
+            f"need at least p+d+2 = {spec.min_observations} observations for "
             f"AR({spec.p}) on d={spec.d} differences, got {n}"
         )
     z = np.diff(arr, n=spec.d) if spec.d else arr.copy()

@@ -11,11 +11,14 @@ from pathlib import Path
 import pytest
 
 import mortforecast
+from mortforecast import (build_surface, fit_models, normality_test, parse_hmd_rates,
+                          standardize_residuals, t_test_zero_mean)
 from mortforecast.cli import main
 
 from conftest import synthetic_hmd_text
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = Path(mortforecast.__file__).resolve().parents[1]
 
 
 def run_cli(argv):
@@ -253,14 +256,78 @@ def test_short_backtest_window_exit_2(hmd_file, tmp_path, capsys, train, test, m
      "smoothing needs at least 4 ages; --ages 38:40 has 3"),
     (["compare", "--models", "lc", "--years", "1950:1951"],
      "lc and lcs need at least 3 ages and 3 years; the fitted surface is 41 x 2"),
+    (["forecast", "--models", "fdm", "-K", "1", "--years", "2004:2005"],
+     "--ts: a random walk with drift needs at least 3 years; the fitted surface has 2"),
+    (["forecast", "--models", "lc", "--years", "2003:2005", "--ts", "ar:1,1"],
+     "--ts: AR(1) on d=1 differences needs at least 4 years; the fitted surface has 3"),
+    (["backtest", "--models", "lc,fdm", "--train", "1950:1976", "--test", "1977:2005",
+      "--ts", "ar:30,1"],
+     "--ts: AR(30) on d=1 differences needs at least 33 years; the fitted surface has 27"),
 ], ids=["fdm_fit_4_years", "fdm_train_3_years", "num_basis_over_ages", "smooth_3_ages",
-        "lc_2_years"])
+        "lc_2_years", "rwd_2_years", "ar_3_years", "ar_train_27_years"])
 def test_fit_too_small_for_settings_exit_2(hmd_file, tmp_path, capsys, argv, message):
     out = tmp_path / "small"
     code = run_cli([argv[0], *base_args(hmd_file, out), *argv[1:]])
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ages,years,K", [("0:40", "1950:1959", 9), ("0:5", "1950:2005", 5)],
+                         ids=["years_bound", "ages_bound"])
+def test_fdm_largest_K_accepted(hmd_file, tmp_path, ages, years, K):
+    out = tmp_path / "fdm"
+    code = run_cli(["forecast", *base_args(hmd_file, out), "--models", "fdm",
+                    "--ages", ages, "--years", years, "-K", K, "--horizon", "2"])
+    assert code == 0
+    assert len(read_summary(out)["models"]["fdm"]["years"]) == 2
+    assert (out / "forecast_fdm.csv").is_file()
+
+
+def test_forecast_horizon_1_bootstrap_e0(hmd_file, tmp_path):
+    out = tmp_path / "h1"
+    code = run_cli(["forecast", *base_args(hmd_file, out), "--models", "lc,fdm",
+                    "--horizon", "1", "--bootstrap", "100", "--seed", "3"])
+    assert code == 0
+    models = read_summary(out)["models"]
+    assert models["fdm"]["bootstrap"] == {"B": 100, "seed": 3}
+    for name in ("lc", "fdm"):
+        e0 = models[name]["e0"]
+        assert models[name]["years"] == [2006]
+        assert len(e0["point"]) == 1
+        assert e0["lower"][0] <= e0["point"][0] <= e0["upper"][0]
+        rows = (out / f"e0_{name}.csv").read_text().splitlines()
+        assert rows[0] == "year,point,lower,upper" and len(rows) == 2
+
+
+def test_compare_diagnoses_observed_minus_fitted(hmd_file, tmp_path):
+    out = tmp_path / "cmp"
+    code = run_cli(["compare", *base_args(hmd_file, out), "--models", "lc,lcs,fdm"])
+    assert code == 0
+    summary = read_summary(out)["models"]
+    with open(hmd_file, encoding="utf-8") as fh:
+        surface = build_surface(parse_hmd_rates(fh), "total", 0, 40, 1950, 2005)
+    for name, model in fit_models(surface, ("lc", "lcs", "fdm")).items():
+        std = standardize_residuals(surface.log_rates - model.fitted_log_rates())
+        t_stat, t_p = t_test_zero_mean(std)
+        w, p = normality_test(std)
+        entry = summary[name]
+        assert entry["n_residuals"] == std.size
+        assert entry["t_test"] == {"statistic": t_stat, "p_value": t_p}
+        assert entry["normality"] == {"statistic": w, "p_value": p, "subsampled": False}
+
+
+def test_cli_import_leaves_out_heavy_scipy_modules():
+    # scipy.stats and scipy.interpolate each add a large share of start-up
+    # time; the package only needs scipy.linalg and scipy.special
+    code = ("import sys, mortforecast.cli\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') "
+            "if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_duplicate_data_row_exit_2(tmp_path, capsys):

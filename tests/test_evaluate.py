@@ -166,6 +166,31 @@ def test_normality_matches_scipy():
         assert p == pytest.approx(ref.pvalue, abs=1e-4)
 
 
+# W and p from the Acklam-quantile, erfc-CDF kernel this one replaced;
+# "ratio" samples are normal over |normal|, heavy-tailed
+PREVIOUS_NORMALITY = [
+    (0, 3, "normal", 0.96445987303014, 0.6377840746944351),
+    (1, 4, "normal", 0.8253968912785233, 0.15611353741376832),
+    (2, 11, "ratio", 0.8073257425504701, 0.011745947992702512),
+    (3, 12, "normal", 0.919730862382956, 0.28369168103630427),
+    (4, 80, "ratio", 0.41042329096283525, 2.568693353007156e-16),
+    (5, 500, "normal", 0.9972204252688882, 0.5641466519050601),
+    (6, 5000, "ratio", 0.013103216241395318, 1.53488071660226e-95),
+    (7, 5000, "normal", 0.9997422082935821, 0.8267812769823208),
+]
+
+
+@pytest.mark.parametrize("seed,n,kind,W_prev,p_prev", PREVIOUS_NORMALITY)
+def test_normality_matches_previous_kernel(seed, n, kind, W_prev, p_prev):
+    # stated tolerance for the ndtri/ndtr kernel: W within 2e-15 and p
+    # within 1e-11, both relative
+    z = np.random.default_rng(seed).standard_normal(2 * n)
+    x = z[:n] if kind == "normal" else z[:n] / np.abs(z[n:])
+    W, p = normality_test(x)
+    assert W == pytest.approx(W_prev, rel=2e-15, abs=0)
+    assert p == pytest.approx(p_prev, rel=1e-11, abs=0)
+
+
 def test_normality_input_validation():
     with pytest.raises(ValueError):
         normality_test(np.ones(10))

@@ -257,3 +257,21 @@ def test_bootstrap_rejects_tiny_B():
     model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=1)
     with pytest.raises(ValueError, match="at least 100"):
         bootstrap_intervals(model, TsSpec(), horizon=3, B=50)
+
+
+def test_bootstrap_explosive_ar_fit_stays_finite():
+    # a coefficient path growing like 1.3^t fits an AR(1) root inside the
+    # unit circle; the fit is flagged, not rejected, and the simulated
+    # intervals stay finite around the point forecast
+    rng = np.random.default_rng(61)
+    x = np.arange(8, dtype=float)
+    t = np.arange(16, dtype=float)
+    log_m = ((-4.0 + 0.05 * x)[:, None] - 0.02 * 1.3 ** t[None, :]
+             + 0.01 * rng.standard_normal((8, 16)))
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=1)
+    spec = TsSpec(family="arima", p=1, d=0)
+    assert not fit_ts(model.beta_series[:, 0], spec).stationary
+    fc = bootstrap_intervals(model, spec, horizon=6, B=200, seed=5)
+    assert np.all(np.isfinite(fc.lower)) and np.all(np.isfinite(fc.upper))
+    assert np.all(fc.lower <= fc.point) and np.all(fc.point <= fc.upper)
+    assert np.all(fc.upper > fc.lower)

@@ -14,7 +14,6 @@ from mortforecast.numerics import (
     BsplineBasis,
     bspline_design,
     difference_matrix,
-    normal_cdf,
     normal_quantile,
     solve_penalized_ls,
     svd_thin,
@@ -172,7 +171,12 @@ def test_penalized_solve_singular_message():
 
 
 # ---------------------------------------------------------------------------
-# normal distribution helpers
+# normal quantile
+
+
+def normal_cdf(x):
+    """Standard normal CDF through the complementary error function."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def _quantile_by_bisection(p, lo=-40.0, hi=40.0):
@@ -201,6 +205,18 @@ def test_quantile_known_values():
     assert normal_quantile(0.995) == pytest.approx(2.5758293035489004, abs=1e-9)
 
 
+@pytest.mark.parametrize("p,previous", [
+    (1e-300, -37.0470962993612), (1e-10, -6.361340902404057),
+    (0.02425, -1.972961051311885), (0.3, -0.5244005127080408),
+    (0.9, 1.2815515655446006), (0.975, 1.959963984540054),
+    (0.995, 2.575829303548901), (1 - 1e-9, 5.9978070196016375),
+])
+def test_quantile_matches_previous_kernel(p, previous):
+    # values from the Acklam approximation plus one Newton step that
+    # ndtri replaced; stated tolerance 4e-14 absolute
+    assert abs(normal_quantile(p) - previous) <= 4e-14
+
+
 def test_quantile_symmetry():
     for p in (0.001, 0.1, 0.25, 0.4):
         assert normal_quantile(p) == pytest.approx(-normal_quantile(1 - p), abs=1e-10)
@@ -216,3 +232,18 @@ def test_quantile_domain():
 @given(st.floats(min_value=1e-9, max_value=1 - 1e-9))
 def test_cdf_quantile_round_trip(p):
     assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-11)
+
+
+def test_quantile_array_matches_scalar_calls():
+    ps = np.array([[1e-300, 1e-10, 0.02425], [0.3, 0.5, 0.975], [0.99999, 1 - 1e-10, 0.6]])
+    z = normal_quantile(ps)
+    assert isinstance(z, np.ndarray) and z.shape == ps.shape
+    expected = [normal_quantile(float(p)) for p in ps.ravel()]
+    assert z.ravel().tolist() == expected
+    assert isinstance(normal_quantile(0.3), float)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, np.nan])
+def test_quantile_array_domain(bad):
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        normal_quantile(np.array([0.2, bad, 0.7]))
