@@ -205,6 +205,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                              f"needs at least {least}")
     if args.bootstrap and args.bootstrap < 100:
         raise UsageError("--bootstrap needs at least 100 replicates (or 0)")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a nonnegative integer, got {args.seed}")
     if getattr(args, "horizon", 1) < 1:
         raise UsageError("--horizon must be at least 1")
 

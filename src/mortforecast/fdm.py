@@ -237,8 +237,10 @@ def bootstrap_intervals(
     Each replicate resamples coefficient-model innovation residuals to
     regenerate the beta paths, adds a whole resampled model-error curve
     per horizon (keeping the across-age error correlation), and Gaussian
-    observational noise. Replicates draw from substreams spawned from the
-    seed, so results are reproducible and order-independent.
+    observational noise. All B replicates are drawn together from one
+    generator seeded with ``seed``: one draw per coefficient series, one
+    for the model-error columns and one for the noise, so equal seeds
+    give identical bounds.
     """
     horizon = int(horizon)
     if horizon < 1:
@@ -251,23 +253,24 @@ def bootstrap_intervals(
     n_years = len(model.years)
     sigma = np.sqrt(np.maximum(model.sigma2, 0.0))
 
-    streams = np.random.SeedSequence(seed).spawn(B)
-    samples = np.empty((B, n_ages, horizon))
-    for b in range(B):
-        rng = np.random.default_rng(streams[b])
-        curves = np.empty((model.K, horizon))
-        for k, fit in enumerate(fits):
-            innov = rng.choice(fit.residuals, size=horizon, replace=True)
-            curves[k] = simulate_path(fit, horizon, innov)
-        replicate = model.mu[:, None] + model.phi @ curves
-        error_cols = rng.integers(0, n_years, size=horizon)
-        replicate = replicate + model.model_errors[:, error_cols]
-        replicate = replicate + rng.standard_normal((n_ages, horizon)) * sigma[:, None]
-        samples[b] = replicate
+    rng = np.random.default_rng(seed)
+    curves = np.empty((horizon, model.K, B))
+    for k, fit in enumerate(fits):
+        picks = rng.integers(0, len(fit.residuals), size=(horizon, B))
+        curves[:, k] = simulate_path(fit, horizon, fit.residuals[picks])
+    error_cols = rng.integers(0, n_years, size=(horizon, B))
+    # replicates on the last axis, so the quantiles run over contiguous
+    # memory; every term is added in place to this one array
+    samples = rng.standard_normal((n_ages, horizon, B))
+    samples *= sigma[:, None, None]
+    samples += model.mu[:, None, None]
+    for j in range(horizon):
+        samples[:, j] += model.phi @ curves[j]
+        samples[:, j] += model.model_errors[:, error_cols[j]]
 
     alpha = 1.0 - level / 100.0
-    lower = np.quantile(samples, alpha / 2.0, axis=0)
-    upper = np.quantile(samples, 1.0 - alpha / 2.0, axis=0)
+    lower, upper = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0],
+                               axis=-1, overwrite_input=True)
     # the analytic point forecast is the reported center; widen the
     # empirical bounds minimally if sampling noise left it outside
     lower = np.minimum(lower, analytic.point)

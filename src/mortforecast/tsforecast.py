@@ -230,16 +230,18 @@ def _psi_weights(coeffs: np.ndarray, h: int) -> np.ndarray:
 
 
 def _ar_centered_path(fit: TsFit, h: int, innovations: np.ndarray) -> np.ndarray:
-    buffer = list(fit.diff_tail)
+    """The AR recursion on the demeaned differenced scale, started from
+    ``diff_tail``; innovations of shape (h,) or (h, B) give one or B paths."""
     p = len(fit.ar_coeffs)
-    out = np.empty(h)
+    extra = innovations.shape[1:]
+    values = np.empty((p + h, *extra))
+    values[:p] = fit.diff_tail.reshape((p,) + (1,) * len(extra))
     for k in range(h):
-        value = float(innovations[k])
+        value = innovations[k]
         for i in range(p):
-            value += fit.ar_coeffs[i] * buffer[-1 - i]
-        buffer.append(value)
-        out[k] = value
-    return out
+            value = value + fit.ar_coeffs[i] * values[p + k - 1 - i]
+        values[p + k] = value
+    return values[p:]
 
 
 def forecast_ar(fit: TsFit, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,21 +284,26 @@ def forecast_ts(fit: TsFit, h: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simulate_path(fit: TsFit, h: int, innovations: Optional[np.ndarray] = None) -> np.ndarray:
-    """One future path driven by the given innovation sequence.
+    """Future paths driven by the given innovations.
 
-    With all-zero innovations this reproduces the point forecast exactly,
-    which is what makes it usable as the bootstrap path generator.
+    Innovations of shape (h,) give one path; an (h, B) matrix gives B
+    paths, column b of the result driven by column b of the innovations.
+    With all-zero innovations this reproduces the point forecast
+    exactly, which is what makes it usable as the bootstrap path
+    generator.
     """
     h = _check_horizon(h)
     if innovations is None:
         innovations = np.zeros(h)
     innovations = np.asarray(innovations, dtype=float)
-    if innovations.shape != (h,):
-        raise ValueError(f"need exactly {h} innovations, got shape {innovations.shape}")
+    if innovations.ndim not in (1, 2) or innovations.shape[0] != h:
+        raise ValueError(f"need innovations of shape ({h},) or ({h}, B), "
+                         f"got shape {innovations.shape}")
     if fit.spec.family == "rwd":
-        ks = np.arange(1, h + 1, dtype=float)
-        return fit.last_level + ks * fit.drift + np.cumsum(innovations)
+        column = (h,) + (1,) * (innovations.ndim - 1)
+        ks = np.arange(1, h + 1, dtype=float).reshape(column)
+        return fit.last_level + ks * fit.drift + np.cumsum(innovations, axis=0)
     centered = _ar_centered_path(fit, h, innovations)
     if fit.spec.d == 1:
-        return fit.last_level + np.cumsum(fit.drift + centered)
+        return fit.last_level + np.cumsum(fit.drift + centered, axis=0)
     return fit.drift + centered

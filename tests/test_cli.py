@@ -184,6 +184,15 @@ def test_bad_option_values_exit_2(hmd_file, tmp_path):
     assert run_cli(["fit", *base, "--gender", "beetle"]) == 2
 
 
+def test_negative_seed_exit_2_before_output(hmd_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = run_cli(["forecast", *base_args(hmd_file, out), "--models", "lc,fdm",
+                    "--bootstrap", "200", "--seed", "-1"])
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_window_outside_data_exit_2(hmd_file, tmp_path, capsys):
     code = run_cli(["fit", "--data", hmd_file, "--ages", "0:40",
                     "--years", "1940:2005", "--output", tmp_path / "o"])

@@ -6,6 +6,7 @@ extraction sees the constructed surface unchanged.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,57 @@ def test_bootstrap_width_tracks_analytic():
     boot = bootstrap_intervals(model, TsSpec(), horizon=5, B=2000, seed=3)
     ratio = (boot.upper - boot.lower).mean() / (analytic.upper - analytic.lower).mean()
     assert 0.8 < ratio < 1.2
+
+
+def _ar_noised_two_component_surface(seed, n_ages=8, n_years=30):
+    """A declining first coefficient and a flat second one, each carrying
+    AR(1) noise, plus a little independent noise per cell."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(n_ages, dtype=float)
+    shocks = rng.standard_normal((2, n_years))
+    ar = np.zeros((2, n_years))
+    for t in range(1, n_years):
+        ar[:, t] = 0.5 * ar[:, t - 1] + shocks[:, t]
+    b1 = np.linspace(3.0, -3.0, n_years) + 0.5 * ar[0]
+    b2 = ar[1]
+    log_m = ((-4.0 - 0.02 * x)[:, None] + 0.04 * b1[None, :]
+             + 0.01 * (x - x.mean())[:, None] * b2[None, :])
+    return log_m + 0.01 * rng.standard_normal((n_ages, n_years))
+
+
+@pytest.mark.parametrize("seed", [53, 54, 55])
+@pytest.mark.parametrize("spec", ["ar:1,0", "ar:1,1"])
+def test_ar_bootstrap_width_tracks_analytic(spec, seed):
+    log_m = _ar_noised_two_component_surface(seed)
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=2)
+    ts_spec = TsSpec.parse(spec)
+    analytic = forecast_fdm(model, ts_spec, horizon=5)
+    boot = bootstrap_intervals(model, ts_spec, horizon=5, B=2000, seed=3)
+    ratio = (boot.upper - boot.lower).mean() / (analytic.upper - analytic.lower).mean()
+    assert 0.8 < ratio < 1.2
+
+
+def test_bootstrap_memory_stays_near_one_sample_array():
+    # the replicates live in one (ages, horizon, B) float64 array; every
+    # other allocation together must stay under half of it
+    n_ages, n_years, horizon, B = 111, 40, 30, 2000
+    rng = np.random.default_rng(67)
+    x = np.arange(n_ages, dtype=float)
+    trend = np.linspace(2.0, -2.0, n_years)
+    log_m = ((-9.0 + 0.08 * x)[:, None] + 0.05 * trend[None, :]
+             + 0.02 * rng.standard_normal((n_ages, n_years)))
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=4)
+    sample_bytes = n_ages * horizon * B * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fc = bootstrap_intervals(model, TsSpec(), horizon=horizon, B=B, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert fc.lower.shape == (n_ages, horizon)
+    assert peak <= 1.5 * sample_bytes
 
 
 def test_bootstrap_rejects_tiny_B():

@@ -204,6 +204,73 @@ def test_simulate_path_rwd_accumulates_innovations():
     np.testing.assert_allclose(path, [4.5, 5.0, 7.0])
 
 
+def test_simulate_path_rejects_wrong_shape():
+    fit = fit_rwd([0.0, 1.0, 2.0, 3.0])
+    for shape in ((2,), (4,), (2, 5), (3, 2, 2)):
+        with pytest.raises(ValueError, match="shape"):
+            simulate_path(fit, 3, np.zeros(shape))
+
+
+# ---------------------------------------------------------------------------
+# batched paths against the scalar path generator
+
+
+def _reference_path(fit, h, innovations):
+    """The scalar path generator the batched one replaced: the AR
+    recursion on a Python list buffer, one innovation at a time."""
+    if fit.spec.family == "rwd":
+        ks = np.arange(1, h + 1, dtype=float)
+        return fit.last_level + ks * fit.drift + np.cumsum(innovations)
+    buffer = list(fit.diff_tail)
+    p = len(fit.ar_coeffs)
+    centered = np.empty(h)
+    for k in range(h):
+        value = float(innovations[k])
+        for i in range(p):
+            value += fit.ar_coeffs[i] * buffer[-1 - i]
+        buffer.append(value)
+        centered[k] = value
+    if fit.spec.d == 1:
+        return fit.last_level + np.cumsum(fit.drift + centered)
+    return fit.drift + centered
+
+
+def _assert_columns_match_reference(fit, innovations):
+    h = innovations.shape[0]
+    paths = simulate_path(fit, h, innovations)
+    assert paths.shape == innovations.shape
+    for b in range(innovations.shape[1]):
+        np.testing.assert_allclose(paths[:, b], _reference_path(fit, h, innovations[:, b]),
+                                   rtol=1e-12, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    spec=st.one_of(
+        st.just(TsSpec()),
+        st.builds(TsSpec, family=st.just("arima"), p=st.integers(0, 3),
+                  d=st.sampled_from([0, 1]), include_drift=st.booleans()),
+    ),
+    h=st.integers(min_value=1, max_value=12),
+    B=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_simulate_path_batch_matches_reference(spec, h, B, seed):
+    rng = np.random.default_rng(seed)
+    series = np.cumsum(0.2 + rng.standard_normal(25))
+    fit = fit_rwd(series) if spec.family == "rwd" else fit_ar(series, spec)
+    innovations = rng.choice(fit.residuals, size=(h, B))
+    _assert_columns_match_reference(fit, innovations)
+
+
+def test_simulate_path_batch_matches_reference_explosive_ar():
+    series = 1.5 ** np.arange(12)
+    fit = fit_ar(series, TsSpec(family="arima", p=1, d=0, include_drift=False))
+    assert not fit.stationary
+    rng = np.random.default_rng(17)
+    _assert_columns_match_reference(fit, rng.choice(fit.residuals, size=(30, 8)))
+
+
 def test_spec_parse():
     assert TsSpec.parse("rwd") == TsSpec(family="rwd")
     assert TsSpec.parse("ar:2,1") == TsSpec(family="arima", p=2, d=1,
