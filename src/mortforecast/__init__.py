@@ -16,11 +16,10 @@ from .fdm import FdmModel, ForecastSurface, bootstrap_intervals, fit_fdm, foreca
 from .ingest import (
     MortalitySurface,
     RateRecord,
+    RateTable,
     build_surface,
     parse_hmd_rates,
     slice_window,
-    surface_from_csv,
-    surface_to_csv,
 )
 from .leecarter import LcModel, fit_lc, fit_lcs, forecast_lc
 from .lifetable import E0Path, LifeTable, e0_from_rates, e0_path, rates_to_lifetable
@@ -35,8 +34,8 @@ __all__ = [
     "forecast_model", "normality_test", "run_backtest", "standardize_residuals", "t_test_zero_mean",
     "FdmModel", "ForecastSurface", "bootstrap_intervals", "fit_fdm",
     "forecast_fdm",
-    "MortalitySurface", "RateRecord", "build_surface", "parse_hmd_rates",
-    "slice_window", "surface_from_csv", "surface_to_csv",
+    "MortalitySurface", "RateRecord", "RateTable", "build_surface", "parse_hmd_rates",
+    "slice_window",
     "LcModel", "fit_lc", "fit_lcs", "forecast_lc",
     "E0Path", "LifeTable", "e0_from_rates", "e0_path", "rates_to_lifetable",
     "SmoothConfig", "enforce_monotone", "smooth_curve", "smooth_surface",

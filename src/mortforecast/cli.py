@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -261,19 +261,14 @@ def load_surface(config: RunConfig) -> MortalitySurface:
     path = _resolve_data_path(config)
     try:
         with open(path, encoding="utf-8") as fh:
-            records = parse_hmd_rates(fh)
-    except OSError as exc:
+            table = parse_hmd_rates(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     except HmdParseError as exc:
         raise UsageError(f"{path}: {exc}") from None
-    if config.years is not None:
-        year_min, year_max = config.years
-    else:
-        year_min = min(r.year for r in records)
-        year_max = max(r.year for r in records)
+    year_min, year_max = config.years or (int(table.year.min()), int(table.year.max()))
     try:
-        return build_surface(records, config.gender, config.ages[0], config.ages[1],
-                             year_min, year_max)
+        return build_surface(table, config.gender, *config.ages, year_min, year_max)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -337,29 +332,27 @@ def _write_json(config: RunConfig, summary: dict) -> None:
         fh.write(text)
 
 
-def _write_csv(config: RunConfig, name: str, header: str, rows) -> None:
+def _text(column) -> Iterable[str]:
+    """A column's cells: floats as ``repr``, ints and labels as ``str``."""
+    values = np.asarray(column)
+    return map(repr if values.dtype.kind == "f" else str, values.tolist())
+
+
+def _write_csv(config: RunConfig, name: str, header: str, *columns) -> None:
+    """One row per position of the columns, each formatted as a whole."""
     if "csv" not in config.formats:
         return
     with open(_out(config, name), "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.write("\n".join([header, *map(",".join, zip(*map(_text, columns)))]) + "\n")
 
 
 def _write_long_csv(config: RunConfig, name: str, ages, years, **columns) -> None:
     """One ``age,year,<columns>`` row per cell of age-by-year arrays,
-    years outermost."""
+    years outermost. Each age and year is formatted once, then repeated."""
+    age_text, year_text = (np.array([*_text(v)], dtype=object) for v in (ages, years))
     _write_csv(config, name, ",".join(["age", "year", *columns]),
-               ((age, int(year), *(c[i, j] for c in columns.values()))
-                for j, year in enumerate(years) for i, age in enumerate(ages)))
-
-
-def _cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+               np.tile(age_text, len(years)), np.repeat(year_text, len(ages)),
+               *(c.ravel(order="F") for c in columns.values()))
 
 
 def _write_svg(config: RunConfig, name: str, series, xlabel: str, ylabel: str,
@@ -458,7 +451,7 @@ def _field(model, name: str):
 def _write_params(config: RunConfig, name: str, model) -> None:
     for csv, index_name, index, columns, chart in _OUTPUTS[name].params(name, model):
         _write_csv(config, csv, ",".join([index_name, *(c[0] for c in columns)]),
-                   zip(index, *(c[2] for c in columns)))
+                   index, *(c[2] for c in columns))
         if chart is not None:
             svg, ylabel, title = chart
             _write_svg(config, svg, [(label, index, values) for _, label, values in columns],
@@ -512,7 +505,7 @@ def cmd_forecast(config: RunConfig, surface: MortalitySurface) -> dict:
             parts = ("point", "lower", "upper")
             entry["e0"] = {part: getattr(path, part).tolist() for part in parts}
             _write_csv(config, f"e0_{name}.csv", "year,point,lower,upper",
-                       zip(path.years, *(getattr(path, part) for part in parts)))
+                       path.years, *(getattr(path, part) for part in parts))
             _write_svg(config, f"fig_e0_{name}.svg",
                        [(part, path.years, getattr(path, part)) for part in parts],
                        "year", "life expectancy at birth",
@@ -555,7 +548,7 @@ def cmd_backtest(config: RunConfig, surface: MortalitySurface) -> dict:
             ("fig13", "sd", "error sd", "standard deviation of forecast error by age")):
         columns = [getattr(report.models[m], f"{stat}_error_by_age") for m in config.models]
         _write_csv(config, f"{fig}_{stat}_error_by_age.csv",
-                   "age," + ",".join(config.models), zip(report.ages, *columns))
+                   "age," + ",".join(config.models), report.ages, *columns)
         _write_svg(config, f"{fig}.svg",
                    [(m, report.ages, c) for m, c in zip(config.models, columns)],
                    "age", ylabel, title=title)
@@ -570,7 +563,7 @@ def cmd_backtest(config: RunConfig, surface: MortalitySurface) -> dict:
             fan_series.append((f"{name} {part}", years, values))
     fan_cols = ",".join(f"{m}_point,{m}_lower,{m}_upper" for m in config.models)
     _write_csv(config, "fig14_e0_fan.csv", f"year,observed,{fan_cols}",
-               zip(years, *(values for _, _, values in fan_series)))
+               years, *(values for _, _, values in fan_series))
     _write_svg(config, "fig14.svg", fan_series, "year",
                "life expectancy at birth", title="e0: observed vs projected")
     return summary
@@ -578,8 +571,8 @@ def cmd_backtest(config: RunConfig, surface: MortalitySurface) -> dict:
 
 def cmd_lifetable(config: RunConfig, surface: MortalitySurface) -> dict:
     table = rates_to_lifetable(surface.year_column(config.table_year), ages=surface.ages)
-    _write_csv(config, "lifetable.csv", "age,qx,lx,Lx",
-               [*zip(table.ages, table.qx, table.lx, table.Lx), ("e0", table.e0, "", "")])
+    _write_csv(config, "lifetable.csv", "age,qx,lx,Lx", [*_text(table.ages), "e0"],
+               np.append(table.qx, table.e0), [*_text(table.lx), ""], [*_text(table.Lx), ""])
     _write_svg(config, "fig_survival.svg",
                [("lx", table.ages, table.lx)], "age", "survivors",
                title=f"survival curve, {config.gender} {config.table_year}")
@@ -611,7 +604,7 @@ def cmd_compare(config: RunConfig, surface: MortalitySurface) -> dict:
         summary["models"][name] = entry
         for by, table in (("age", rep.by_age), ("year", rep.by_year)):
             _write_csv(config, f"metrics_{name}_by_{by}.csv", f"{by},me,mse,mpe,mape",
-                       zip(table.index, table.me, table.mse, table.mpe, table.mape))
+                       table.index, table.me, table.mse, table.mpe, table.mape)
 
     for table in ("table1.csv", "table2.csv"):
         rows = [(name, f"across_{by}", *avg)
@@ -619,7 +612,7 @@ def cmd_compare(config: RunConfig, surface: MortalitySurface) -> dict:
                 for by, avg in (("ages", reports[name].avg_across_ages),
                                 ("years", reports[name].avg_across_years))]
         if rows:
-            _write_csv(config, table, "model,aggregation,me,mse,mpe,mape", rows)
+            _write_csv(config, table, "model,aggregation,me,mse,mpe,mape", *zip(*rows))
     return summary
 
 

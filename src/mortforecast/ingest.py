@@ -8,7 +8,10 @@ columns, with ``110+`` for the open age group and ``.`` for missing values.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, TextIO
 
 import numpy as np
@@ -16,13 +19,12 @@ import numpy as np
 __all__ = [
     "GENDERS",
     "RateRecord",
+    "RateTable",
     "MortalitySurface",
     "HmdParseError",
     "parse_hmd_rates",
     "build_surface",
     "slice_window",
-    "surface_to_csv",
-    "surface_from_csv",
 ]
 
 GENDERS = ("female", "male", "total")
@@ -44,6 +46,42 @@ class RateRecord:
 
     def rate(self, gender: str) -> Optional[float]:
         return getattr(self, gender)
+
+
+@dataclass(frozen=True, eq=False)
+class RateTable(Sequence):
+    """Parsed rows as columns: ``year``, ``age``, ``rates`` (one column per
+    gender in ``GENDERS`` order, NaN where a rate is missing) and ``line``,
+    each row's source line (its position, counting from 1, for a table
+    built from records). Indexing and iteration build records on demand,
+    with ``None`` for a missing rate.
+    """
+
+    year: np.ndarray
+    age: np.ndarray
+    rates: np.ndarray
+    line: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[RateRecord]) -> "RateTable":
+        records = list(records)
+        rates = [[np.nan if v is None else v for v in (r.female, r.male, r.total)]
+                 for r in records]
+        return cls(year=np.array([r.year for r in records], dtype=np.int64),
+                   age=np.array([r.age for r in records], dtype=np.int64),
+                   rates=np.array(rates, dtype=float).reshape(-1, len(GENDERS)),
+                   line=np.arange(1, len(records) + 1))
+
+    def __len__(self) -> int:
+        return len(self.year)
+
+    def __getitem__(self, index: int) -> RateRecord:
+        rates = (None if v != v else v for v in self.rates[index].tolist())
+        return RateRecord(int(self.year[index]), int(self.age[index]), *rates)
+
+    def __iter__(self):
+        rates = np.where(np.isnan(self.rates), None, self.rates).T.tolist()
+        return map(RateRecord, self.year.tolist(), self.age.tolist(), *rates)
 
 
 @dataclass(frozen=True)
@@ -102,93 +140,96 @@ class MortalitySurface:
         return self.rates[:, j]
 
 
-def _parse_value(token: str, line_no: int) -> Optional[float]:
-    if token == ".":
-        return None
+def _column(tokens: list, dtype) -> tuple:
+    """A token column converted in one numpy call, and None; or, if a token
+    does not convert, the tokens before it as an array, and its index."""
     try:
-        return float(token)
-    except ValueError:
-        raise HmdParseError(f"line {line_no}: cannot parse rate {token!r}") from None
+        return np.array(tokens, dtype=dtype), None
+    except (ValueError, OverflowError):
+        for bad, token in enumerate(tokens):
+            try:
+                np.array([token], dtype=dtype)
+            except (ValueError, OverflowError):
+                return np.array(tokens[:bad], dtype=dtype), bad
+        raise
 
 
-def _iter_lines(text) -> Iterable[str]:
-    if isinstance(text, str):
-        return io.StringIO(text)
-    return text
-
-
-def parse_hmd_rates(text: "str | TextIO | Iterable[str]") -> list[RateRecord]:
-    """Parse an ``Mx_1x1`` stream into one record per (year, age).
+def parse_hmd_rates(text: "str | TextIO | Iterable[str]") -> RateTable:
+    """Parse an ``Mx_1x1`` stream into one row per (year, age).
 
     Header lines before the first data row are skipped; once data starts,
     every nonblank line must be well formed or the error names its line
     number, as does a second row for the same (year, age). ``110+``
-    parses as age 110 and ``.`` marks a missing value.
+    parses as age 110 and ``.`` marks a missing value. When several rows
+    are faulty, the first one is reported.
     """
-    records: list[RateRecord] = []
-    first_line: dict[tuple[int, int], int] = {}
-    data_started = False
-    for line_no, raw in enumerate(_iter_lines(text), start=1):
+    lines = enumerate(io.StringIO(text) if isinstance(text, str) else text, start=1)
+    for line_no, raw in lines:
         tokens = raw.split()
-        if not tokens:
-            continue
-        if not data_started:
+        if tokens:
             try:
                 int(tokens[0])
+                break
             except ValueError:
                 continue  # title or column-header line
-            data_started = True
-        if len(tokens) != 5:
-            raise HmdParseError(
-                f"line {line_no}: expected 5 columns (Year Age Female Male Total), "
-                f"got {len(tokens)}"
-            )
-        try:
-            year = int(tokens[0])
-        except ValueError:
-            raise HmdParseError(f"line {line_no}: cannot parse year {tokens[0]!r}") from None
-        age_token = tokens[1]
-        if age_token.endswith("+"):
-            age_token = age_token[:-1]
-        try:
-            age = int(age_token)
-        except ValueError:
-            raise HmdParseError(f"line {line_no}: cannot parse age {tokens[1]!r}") from None
-        seen = first_line.setdefault((year, age), line_no)
-        if seen != line_no:
-            raise HmdParseError(f"line {line_no}: second row for year {year}, age {age} "
-                                f"(first on line {seen})")
-        records.append(
-            RateRecord(
-                year=year,
-                age=age,
-                female=_parse_value(tokens[2], line_no),
-                male=_parse_value(tokens[3], line_no),
-                total=_parse_value(tokens[4], line_no),
-            )
-        )
-    if not records:
+    else:
         raise HmdParseError("no data rows found in input")
-    return records
+    flat: list[str] = []  # the rows' tokens, five per row
+    line = array("q")
+    faults = []  # (row, check order, message); the least one is raised
+    for line_no, raw in chain([(line_no, raw)], lines):
+        tokens = raw.split()
+        if len(tokens) == 5:
+            flat += tokens
+            line.append(line_no)
+        elif tokens:
+            faults.append((len(line), 0, f"line {line_no}: expected 5 columns "
+                                          f"(Year Age Female Male Total), got {len(tokens)}"))
+            break
+    year_tokens, age_tokens, *rate_tokens = (flat[k::5] for k in range(5))
+    del flat  # the columns hold the tokens now
+    year, bad_year = _column(year_tokens, np.int64)
+    age, bad_age = _column([t.removesuffix("+") for t in age_tokens], np.int64)
+    for bad, order, what, bad_tokens in ((bad_year, 1, "year", year_tokens),
+                                         (bad_age, 2, "age", age_tokens)):
+        if bad is not None:
+            faults.append((bad, order, f"line {line[bad]}: cannot parse {what} "
+                                       f"{bad_tokens[bad]!r}"))
+    # a duplicate counts only before the first row whose year or age is bad
+    clean = min(len(year), len(age))
+    first = np.unique(np.stack((year[:clean], age[:clean]), axis=1), axis=0,
+                      return_index=True)[1]
+    repeats = np.setdiff1d(np.arange(clean), first, assume_unique=True)
+    if len(repeats):
+        row = repeats[0]
+        seen = int(np.argmax((year[:row] == year[row]) & (age[:row] == age[row])))
+        faults.append((row, 3, f"line {line[row]}: second row for year {year[row]}, "
+                               f"age {age[row]} (first on line {line[seen]})"))
+    rates = np.empty((len(line), len(GENDERS)))
+    for k, tokens in enumerate(rate_tokens):
+        if "." in tokens:
+            tokens = [token if token != "." else "nan" for token in tokens]
+        values, bad = _column(tokens, float)
+        if bad is not None:
+            faults.append((bad, 4 + k, f"line {line[bad]}: cannot parse rate "
+                                       f"{tokens[bad]!r}"))
+        rates[:len(values), k] = values
+    if faults:
+        raise HmdParseError(min(faults)[2])
+    return RateTable(year=year, age=age, rates=rates, line=np.array(line))
 
 
 def _repair_column(rates: np.ndarray, ages: np.ndarray) -> np.ndarray:
     """Replace nonpositive/missing cells by half the smallest positive rate
     observed at the same age across years; the log transform needs
     positivity everywhere."""
-    out = rates.copy()
-    for i in range(out.shape[0]):
-        row = out[i]
-        bad = ~np.isfinite(row) | (row <= 0)
-        if not bad.any():
-            continue
-        positive = row[np.isfinite(row) & (row > 0)]
-        if len(positive) == 0:
-            raise ValueError(
-                f"age {ages[i]}: no positive rate in the window to repair from"
-            )
-        out[i, bad] = 0.5 * positive.min()
-    return out
+    bad = ~np.isfinite(rates) | (rates <= 0)
+    smallest = np.where(bad, np.inf, rates).min(axis=1, keepdims=True)
+    unrepairable = np.flatnonzero(np.isinf(smallest))
+    if len(unrepairable):
+        raise ValueError(f"age {ages[unrepairable[0]]}: no positive rate in the window "
+                         "to repair from")
+    return np.where(bad, 0.5 * smallest, rates)
 
 
 def build_surface(
@@ -204,27 +245,27 @@ def build_surface(
     Every (age, year) cell of the window must be covered by a record;
     otherwise the error lists the missing pairs. Missing or nonpositive
     rates are repaired to half the smallest positive rate at that age.
+    ``records`` is a :class:`RateTable` or any iterable of records.
     """
     if gender not in GENDERS:
         raise ValueError(f"gender must be one of {GENDERS}, got {gender!r}")
     if age_min > age_max or year_min > year_max:
         raise ValueError("window bounds must satisfy min <= max")
+    table = records if isinstance(records, RateTable) else RateTable.from_records(records)
     ages = np.arange(age_min, age_max + 1)
     years = np.arange(year_min, year_max + 1)
-    cells: dict[tuple[int, int], Optional[float]] = {}
-    for rec in records:
-        if age_min <= rec.age <= age_max and year_min <= rec.year <= year_max:
-            cells[(rec.age, rec.year)] = rec.rate(gender)
-    missing = [(a, y) for a in ages for y in years if (int(a), int(y)) not in cells]
-    if missing:
-        shown = ", ".join(f"(age {a}, year {y})" for a, y in missing[:10])
+    i, j = table.age - age_min, table.year - year_min
+    inside = (i >= 0) & (i < len(ages)) & (j >= 0) & (j < len(years))
+    i, j = i[inside], j[inside]
+    covered = np.zeros((len(ages), len(years)), dtype=bool)
+    covered[i, j] = True
+    if not covered.all():
+        missing = np.argwhere(~covered)
+        shown = ", ".join(f"(age {ages[a]}, year {years[y]})" for a, y in missing[:10])
         more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
         raise ValueError(f"window not covered by records; missing {shown}{more}")
-    raw = np.empty((len(ages), len(years)))
-    for i, a in enumerate(ages):
-        for j, y in enumerate(years):
-            value = cells[(int(a), int(y))]
-            raw[i, j] = np.nan if value is None else value
+    raw = np.empty(covered.shape)
+    raw[i, j] = table.rates[inside, GENDERS.index(gender)]
     return MortalitySurface(
         ages=ages, years=years, rates=_repair_column(raw, ages), gender=gender
     )
@@ -247,40 +288,3 @@ def slice_window(surface: MortalitySurface, year_min: int, year_max: int) -> Mor
         rates=surface.rates[:, j0:j1],
         gender=surface.gender,
     )
-
-
-def surface_to_csv(surface: MortalitySurface, stream: TextIO) -> None:
-    """Write ``age,year,rate`` rows, year-major, with full float precision
-    so a read-back is bit-identical."""
-    stream.write("age,year,rate\n")
-    for j, year in enumerate(surface.years):
-        for i, age in enumerate(surface.ages):
-            stream.write(f"{age},{year},{float(surface.rates[i, j])!r}\n")
-
-
-def surface_from_csv(stream: TextIO, gender: str = "total") -> MortalitySurface:
-    header = stream.readline().strip()
-    if header != "age,year,rate":
-        raise ValueError(f"expected header 'age,year,rate', got {header!r}")
-    cells: dict[tuple[int, int], float] = {}
-    for line_no, raw in enumerate(stream, start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line {line_no}: expected 3 fields, got {len(parts)}")
-        try:
-            age, year, rate = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ValueError(f"line {line_no}: cannot parse {line!r}") from None
-        cells[(age, year)] = rate
-    if not cells:
-        raise ValueError("no data rows found in input")
-    ages = np.array(sorted({a for a, _ in cells}))
-    years = np.array(sorted({y for _, y in cells}))
-    missing = [(a, y) for a in ages for y in years if (int(a), int(y)) not in cells]
-    if missing:
-        raise ValueError(f"grid not rectangular; first missing cell {missing[0]}")
-    rates = np.array([[cells[(int(a), int(y))] for y in years] for a in ages])
-    return MortalitySurface(ages=ages, years=years, rates=rates, gender=gender)

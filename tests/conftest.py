@@ -45,16 +45,16 @@ ITALY_SKIP = (
 
 
 @functools.lru_cache(maxsize=None)
-def _italy_records():
+def _italy_rates():
     path = italy_path()
     assert path is not None
     with open(path, encoding="utf-8") as fh:
-        return tuple(parse_hmd_rates(fh))
+        return parse_hmd_rates(fh)
 
 
 @functools.lru_cache(maxsize=None)
 def italy_surface(gender, year_min=1950, year_max=2006):
-    return build_surface(list(_italy_records()), gender, 0, 100, year_min, year_max)
+    return build_surface(_italy_rates(), gender, 0, 100, year_min, year_max)
 
 
 def requires_italy():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mortforecast
@@ -392,3 +393,53 @@ def test_console_script_runs(hmd_file, tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "lc_alpha.csv").is_file()
+
+
+def test_undecodable_data_file_exit_2(tmp_path, capsys):
+    data = tmp_path / "Mx_1x1.txt"
+    data.write_bytes(synthetic_hmd_text().encode("utf-8") + b"  2006  0  \xff\n")
+    out = tmp_path / "bad"
+    code = run_cli(["fit", "--data", data, "--ages", "0:40", "--output", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {data}: 'utf-8' codec can't decode byte 0xff" in err
+    assert not out.exists()
+
+
+def _write_rates(path, log_m, first_year=1950):
+    """A rates file with one age-by-year surface for all three genders."""
+    lines = ["Edge case, Death rates (period 1x1)", "", "  Year  Age  Female  Male  Total"]
+    for j in range(log_m.shape[1]):
+        for i in range(log_m.shape[0]):
+            rate = f"{np.exp(log_m[i, j]):.6f}"
+            lines.append(f"  {first_year + j}  {i}  {rate}  {rate}  {rate}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _edge_log_rates(kind):
+    ages, years = np.arange(12), np.arange(20)
+    alpha = -6.0 + 0.4 * ages
+    if kind == "flat_kappa":  # the same curve every year
+        return np.repeat(alpha[:, None], len(years), axis=1)
+    log_m = alpha[:, None] - 0.02 * (ages[:, None] + 5) * (years - 10.0)
+    log_m[-1] = 0.0  # m = 1 at the top age in every year
+    log_m[4, 7] = 0.0
+    return log_m
+
+
+@pytest.mark.parametrize("command", [["fit"], ["forecast", "--horizon", "5"]])
+@pytest.mark.parametrize("kind", ["unit_rates", "flat_kappa"])
+def test_edge_surfaces_fit_and_forecast(tmp_path, command, kind):
+    data = tmp_path / "Mx_1x1.txt"
+    _write_rates(data, _edge_log_rates(kind))
+    out = tmp_path / "out"
+    code = run_cli([*command, "--data", data, "--ages", "0:11", "--models", "lc,lcs,fdm",
+                    "--output", out])
+    assert code == 0
+
+    def reject(constant):
+        raise AssertionError(f"{constant} in summary.json")
+
+    with open(out / "summary.json", encoding="utf-8") as fh:
+        summary = json.load(fh, parse_constant=reject)
+    assert set(summary["models"]) == {"lc", "lcs", "fdm"}

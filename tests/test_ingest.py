@@ -1,17 +1,19 @@
 import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mortforecast.ingest import (
+    GENDERS,
     HmdParseError,
     MortalitySurface,
+    RateRecord,
+    RateTable,
     build_surface,
     parse_hmd_rates,
     slice_window,
-    surface_from_csv,
-    surface_to_csv,
 )
 
 SAMPLE = """Italy, Death rates (period 1x1)
@@ -155,47 +157,220 @@ def test_slice_window():
 
 
 # ---------------------------------------------------------------------------
-# CSV round trip
+# RateTable
 
 
-def test_csv_round_trip_bit_identical():
-    rng = np.random.default_rng(9)
-    rates = np.exp(rng.standard_normal((5, 4)) - 4.0)
-    surface = MortalitySurface(ages=np.arange(5), years=np.arange(2000, 2004),
-                               rates=rates, gender="female")
-    buf = io.StringIO()
-    surface_to_csv(surface, buf)
-    buf.seek(0)
-    back = surface_from_csv(buf, gender="female")
-    assert np.array_equal(back.rates, surface.rates)  # exact, not approx
-    assert list(back.ages) == list(surface.ages)
-    assert list(back.years) == list(surface.years)
+def test_parse_returns_columns():
+    table = parse_hmd_rates(SAMPLE)
+    assert isinstance(table, RateTable)
+    assert table.year.tolist() == [1950, 1950, 1950, 1951, 1951, 1951]
+    assert table.age.tolist() == [0, 1, 110, 0, 1, 110]
+    assert table.line.tolist() == [4, 5, 6, 7, 8, 9]
+    assert table.rates.shape == (6, len(GENDERS))
+    assert np.isnan(table.rates[4, 0])
 
 
-def test_csv_rejects_bad_header():
-    with pytest.raises(ValueError, match="header"):
-        surface_from_csv(io.StringIO("a,b,c\n"))
+def test_rate_table_builds_records_on_demand():
+    table = parse_hmd_rates(SAMPLE)
+    records = list(table)
+    assert records == [table[i] for i in range(len(table))]
+    assert records[4] == RateRecord(1951, 1, None, 0.0068, 0.0063)
+    assert table[-1] == records[-1]
+    assert all(type(r.year) is int and type(r.male) is float for r in records)
 
 
-def test_csv_rejects_ragged_grid():
-    text = "age,year,rate\n0,2000,0.1\n0,2001,0.1\n1,2000,0.2\n"
-    with pytest.raises(ValueError, match="rectangular"):
-        surface_from_csv(io.StringIO(text))
+def test_literal_nan_rate_reads_as_missing():
+    table = parse_hmd_rates(SAMPLE.replace("0.006800", "nan"))
+    assert table[4].male is None
 
 
-@settings(deadline=None, max_examples=25)
-@given(
-    n_ages=st.integers(min_value=1, max_value=6),
-    n_years=st.integers(min_value=1, max_value=6),
-    seed=st.integers(min_value=0, max_value=2**31),
+def test_build_surface_from_records_matches_table():
+    table = parse_hmd_rates(SAMPLE)
+    for gender in GENDERS:
+        from_table = build_surface(table, gender, 0, 1, 1950, 1951)
+        from_records = build_surface(iter(list(table)), gender, 0, 1, 1950, 1951)
+        assert np.array_equal(from_table.rates, from_records.rates)
+    empty = RateTable.from_records([])
+    assert len(empty) == 0 and empty.rates.shape == (0, len(GENDERS))
+
+
+# ---------------------------------------------------------------------------
+# the array parser and surface builder against the record-at-a-time ones
+# they replaced
+
+
+def _reference_value(token, line_no):
+    if token == ".":
+        return None
+    try:
+        return float(token)
+    except ValueError:
+        raise HmdParseError(f"line {line_no}: cannot parse rate {token!r}") from None
+
+
+def _reference_parse(text):
+    records = []
+    first_line = {}
+    data_started = False
+    for line_no, raw in enumerate(io.StringIO(text), start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if not data_started:
+            try:
+                int(tokens[0])
+            except ValueError:
+                continue
+            data_started = True
+        if len(tokens) != 5:
+            raise HmdParseError(
+                f"line {line_no}: expected 5 columns (Year Age Female Male Total), "
+                f"got {len(tokens)}"
+            )
+        try:
+            year = int(tokens[0])
+        except ValueError:
+            raise HmdParseError(f"line {line_no}: cannot parse year {tokens[0]!r}") from None
+        age_token = tokens[1]
+        if age_token.endswith("+"):
+            age_token = age_token[:-1]
+        try:
+            age = int(age_token)
+        except ValueError:
+            raise HmdParseError(f"line {line_no}: cannot parse age {tokens[1]!r}") from None
+        seen = first_line.setdefault((year, age), line_no)
+        if seen != line_no:
+            raise HmdParseError(f"line {line_no}: second row for year {year}, age {age} "
+                                f"(first on line {seen})")
+        records.append(RateRecord(year, age, *(_reference_value(t, line_no)
+                                               for t in tokens[2:])))
+    if not records:
+        raise HmdParseError("no data rows found in input")
+    return records
+
+
+def _reference_build_surface(records, gender, age_min, age_max, year_min, year_max):
+    ages = np.arange(age_min, age_max + 1)
+    years = np.arange(year_min, year_max + 1)
+    cells = {}
+    for rec in records:
+        if age_min <= rec.age <= age_max and year_min <= rec.year <= year_max:
+            cells[(rec.age, rec.year)] = rec.rate(gender)
+    missing = [(a, y) for a in ages for y in years if (int(a), int(y)) not in cells]
+    if missing:
+        shown = ", ".join(f"(age {a}, year {y})" for a, y in missing[:10])
+        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
+        raise ValueError(f"window not covered by records; missing {shown}{more}")
+    out = np.array([[np.nan if cells[(int(a), int(y))] is None else cells[(int(a), int(y))]
+                     for y in years] for a in ages])
+    for i in range(out.shape[0]):
+        row = out[i]
+        bad = ~np.isfinite(row) | (row <= 0)
+        if not bad.any():
+            continue
+        positive = row[np.isfinite(row) & (row > 0)]
+        if len(positive) == 0:
+            raise ValueError(f"age {ages[i]}: no positive rate in the window to repair from")
+        out[i, bad] = 0.5 * positive.min()
+    return out
+
+
+HEADERS = ("Italy, Death rates (period 1x1),  Last modified: 01 Jan 2020",
+           "  Year          Age             Female            Male           Total", "")
+RATE_TOKENS = st.one_of(
+    st.sampled_from([".", "nan", "NaN", "inf", "0.000000", "-0.0", "1.000000"]),
+    st.floats(0, 2).map(lambda v: f"{v:.6f}"),
+    st.floats(1e-300, 5).map(lambda v: f"{v:.4e}"),
+    st.floats(1e-9, 5).map(lambda v: f"+{v:.6f}"),
+    st.floats(1e-9, 5).map(repr),
 )
-def test_csv_round_trip_property(n_ages, n_years, seed):
-    rng = np.random.default_rng(seed)
-    rates = np.exp(rng.standard_normal((n_ages, n_years)) * 3.0 - 3.0)
-    surface = MortalitySurface(ages=np.arange(n_ages),
-                               years=np.arange(1900, 1900 + n_years),
-                               rates=rates)
-    buf = io.StringIO()
-    surface_to_csv(surface, buf)
-    buf.seek(0)
-    assert np.array_equal(surface_from_csv(buf).rates, surface.rates)
+BAD_TOKENS = {
+    "year": ["19x0", "1950.0", "1e3", "0x7a", "--5", "1_", "year"],
+    "age": ["x", "+", "5++", "1.5", "0b1", "+5+"],
+    "rate": ["abc", "1.2.3", "..", "-", "e5", "0,5", "1e", "nan(1)", "+"],
+}
+
+
+@st.composite
+def hmd_rows(draw):
+    """Token rows of a file, in file order; sometimes gappy or shuffled."""
+    n_years, n_ages = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    first_year = draw(st.integers(1900, 2000))
+    cells = [(y, a) for y in range(first_year, first_year + n_years) for a in range(n_ages)]
+    dropped = draw(st.sets(st.sampled_from(cells), max_size=2))
+    cells = [c for c in cells if c not in dropped]
+    if draw(st.booleans()):
+        cells = draw(st.permutations(cells))
+    rows = []
+    for y, a in cells:
+        year = draw(st.sampled_from([str(y), f"+{y}", f"0{y}", f"{y // 100}_{y % 100:02d}"]))
+        age = f"{a}+" if a == n_ages - 1 and draw(st.booleans()) else str(a)
+        rows.append([year, age, *(draw(RATE_TOKENS) for _ in GENDERS)])
+    return rows
+
+
+@st.composite
+def hmd_text(draw, rows):
+    lines = draw(st.lists(st.sampled_from(HEADERS), max_size=3))
+    for row in rows:
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+        sep = draw(st.sampled_from([" ", "    ", "\t", " \t  "]))
+        lines.append("  " + sep.join(row) + draw(st.sampled_from(["", "  "])))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(parse, text):
+    """Rows as tuples with NaN and None both read as None, or the error."""
+    try:
+        return [(r.year, r.age, *(None if v is None or math.isnan(v) else v
+                                  for v in (r.female, r.male, r.total)))
+                for r in parse(text)]
+    except HmdParseError as exc:
+        return str(exc)
+
+
+def _build_outcome(build, records, gender, window):
+    try:
+        surface = build(records, gender, *window)
+    except ValueError as exc:
+        return str(exc)
+    return getattr(surface, "rates", surface).tolist()
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_parse_and_build_match_reference(data):
+    text = data.draw(hmd_text(data.draw(hmd_rows())))
+    expected = _parse_outcome(_reference_parse, text)
+    assert _parse_outcome(parse_hmd_rates, text) == expected
+    if isinstance(expected, str):
+        return
+    table, records = parse_hmd_rates(text), _reference_parse(text)
+    window = (int(table.age.min()), int(table.age.max()),
+              int(table.year.min()), int(table.year.max()))
+    for gender in GENDERS:
+        assert (_build_outcome(build_surface, table, gender, window)
+                == _build_outcome(_reference_build_surface, records, gender, window))
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_parse_faults_match_reference(data):
+    rows = data.draw(hmd_rows().filter(len))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    for n in range(data.draw(st.integers(1, 3))):
+        if n and data.draw(st.booleans()):  # else another fault on the same row
+            i = data.draw(st.integers(0, len(rows) - 1))
+        kind = data.draw(st.sampled_from(["columns", "year", "age", "rate", "duplicate"]))
+        if kind == "columns":
+            rows[i] = rows[i][:4] if data.draw(st.booleans()) else [*rows[i], "0.1"]
+        elif kind == "duplicate":
+            rows[i][:2] = rows[data.draw(st.integers(0, len(rows) - 1))][:2]
+        else:
+            column = {"year": 0, "age": 1}.get(kind)
+            if column is None:
+                column = data.draw(st.integers(2, len(rows[i]) - 1))
+            rows[i][column] = data.draw(st.sampled_from(BAD_TOKENS[kind]))
+    text = data.draw(hmd_text(rows))
+    assert _parse_outcome(parse_hmd_rates, text) == _parse_outcome(_reference_parse, text)
