@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from .smoothing import SmoothConfig
 from .svgchart import render_line_chart
 from .tsforecast import TsSpec
 
-__all__ = ["main", "RunConfig", "DATA_ENV", "render_line_chart"]
+__all__ = ["main", "DATA_ENV"]
 
 DATA_ENV = "MORTFORECAST_DATA"
 SCHEMA_VERSION = 1
@@ -56,49 +57,46 @@ class UsageError(Exception):
     """Bad flags, windows, or input files; maps to exit status 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    data_path: Optional[str]
-    gender: str
-    ages: tuple
-    years: Optional[tuple]
-    train: Optional[tuple]
-    test: Optional[tuple]
-    horizon: int
-    models: tuple
-    K: int
-    smooth: SmoothConfig
-    ts_spec: TsSpec
-    level: float
-    bootstrap: int
-    seed: int
-    output: str
-    formats: frozenset
-    table_year: Optional[int] = None
+def _flag_type(expects: str, convert: Callable,
+               accept: Callable = lambda value: True) -> Callable:
+    """A ``type=`` converter: ``convert`` the flag's text and keep the
+    result if ``accept`` holds. Otherwise argparse prints the usage line
+    and ``argument --flag: expects ...``, and exits 2."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expects {expects}, got {text!r}")
+
+    return parse
 
 
-def _parse_window(text: str, flag: str) -> tuple:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"{flag} expects A:B (inclusive), got {text!r}")
-    try:
-        a, b = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"{flag} expects integer bounds, got {text!r}") from None
-    if a > b:
-        raise UsageError(f"{flag}: lower bound {a} exceeds upper bound {b}")
-    return (a, b)
+def _names(text: str) -> tuple:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
 
 
-def _parse_models(text: str) -> tuple:
-    names = tuple(t.strip() for t in text.split(",") if t.strip())
-    if not names:
-        raise UsageError("--models needs at least one of lc,lcs,fdm")
-    for name in names:
-        if name not in MODELS:
-            raise UsageError(f"unknown model {name!r}; choose from {','.join(MODELS)}")
-    return names
+_window = _flag_type("A:B (inclusive), integers with A <= B",
+                     lambda text: tuple(map(int, text.split(":"))),
+                     lambda w: len(w) == 2 and w[0] <= w[1])
+_models = _flag_type("a comma list from " + ",".join(MODELS), _names,
+                     lambda names: names and set(names) <= set(MODELS))
+_formats = _flag_type("a comma subset of csv,json,svg",
+                      lambda text: frozenset(_names(text)),
+                      lambda names: names and names <= {"csv", "json", "svg"})
+_ts_spec = _flag_type("rwd or ar:p,d[,drift] with p >= 0 and d 0 or 1", TsSpec.parse)
+_level = _flag_type("a number in (50, 99.9)", float, lambda level: 50.0 < level < 99.9)
+_lam = _flag_type("'auto' or a finite number >= 0",
+                  lambda text: "auto" if text.strip().lower() == "auto" else float(text),
+                  lambda lam: lam == "auto" or 0.0 <= lam < math.inf)
+_monotone_from = _flag_type(
+    "an age or 'none'", lambda text: None if text.strip().lower() == "none" else int(text))
+_bootstrap = _flag_type("0 or at least 100 replicates", int, lambda b: b == 0 or b >= 100)
+_seed = _flag_type("a nonnegative integer", int, lambda seed: seed >= 0)
+_horizon = _flag_type("an integer >= 1", int, lambda horizon: horizon >= 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,133 +109,64 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--data", help="rates file (Mx_1x1 layout) or a directory "
                         f"containing one; falls back to ${DATA_ENV}")
     common.add_argument("--gender", choices=GENDERS, default="total")
-    common.add_argument("--ages", default="0:100", help="age window A:B inclusive")
-    common.add_argument("--years", default=None, help="year window A:B inclusive "
-                        "(default: everything in the file)")
-    common.add_argument("--models", default=None, help="comma list from lc,lcs,fdm")
-    common.add_argument("--model", default=None, help="single model (same as --models)")
+    common.add_argument("--ages", type=_window, default=(0, 100),
+                        help="age window A:B inclusive")
+    common.add_argument("--years", type=_window, default=None, help="year window A:B "
+                        "inclusive (default: everything in the file)")
     common.add_argument("-K", "--components", type=int, default=4,
                         help="number of basis functions for fdm")
-    common.add_argument("--ts", default="rwd", help="time-series spec: rwd or "
-                        "ar:p,d[,drift]")
-    common.add_argument("--level", type=float, default=95.0,
+    common.add_argument("--ts", type=_ts_spec, default=TsSpec(), help="time-series "
+                        "spec: rwd or ar:p,d[,drift]")
+    common.add_argument("--level", type=_level, default=95.0,
                         help="two-sided interval level in percent")
     common.add_argument("--num-basis", type=int, default=None,
                         help="spline basis size per curve")
-    common.add_argument("--lam", default="auto",
+    common.add_argument("--lam", type=_lam, default="auto",
                         help="smoothing penalty weight, or 'auto' for GCV")
-    common.add_argument("--monotone-from", default="65",
+    common.add_argument("--monotone-from", type=_monotone_from, default=65,
                         help="age from which smoothed curves are forced "
                         "nondecreasing, or 'none'")
-    common.add_argument("--bootstrap", type=int, default=0,
+    common.add_argument("--bootstrap", type=_bootstrap, default=0,
                         help="bootstrap replicates for fdm intervals (0 = analytic)")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_seed, default=0)
     common.add_argument("--output", default=".", help="artifact directory")
-    common.add_argument("--formats", default="csv,json,svg",
+    common.add_argument("--formats", type=_formats,
+                        default=frozenset({"csv", "json", "svg"}),
                         help="comma subset of csv,json,svg")
+    common.set_defaults(train=None, test=None, year=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("fit", parents=[common],
-                   help="fit models and write parameters + diagnostics")
-    p_forecast = sub.add_parser("forecast", parents=[common],
-                                help="fit then project forward")
-    p_forecast.add_argument("--horizon", type=int, default=20)
-    p_backtest = sub.add_parser("backtest", parents=[common],
-                                help="train/test split evaluation")
-    p_backtest.add_argument("--train", required=True, help="train years A:B")
-    p_backtest.add_argument("--test", required=True, help="test years A:B")
-    p_lifetable = sub.add_parser("lifetable", parents=[common],
-                                 help="period life table for one year")
-    p_lifetable.add_argument("--year", type=int, required=True)
-    sub.add_parser("compare", parents=[common],
-                   help="in-sample error tables for several models")
+    commands = {}
+    for name, models, help_text in (
+            ("fit", ("lc",), "fit models and write parameters + diagnostics"),
+            ("forecast", MODELS, "fit then project forward"),
+            ("backtest", MODELS, "train/test split evaluation"),
+            ("lifetable", MODELS, "period life table for one year"),
+            ("compare", ("lc", "fdm"), "in-sample error tables for several models")):
+        commands[name] = sub.add_parser(name, parents=[common], help=help_text)
+        # not on the shared parent: subparsers share a parent's actions, so
+        # a per-command default set there would hold for every command
+        commands[name].add_argument("--models", "--model", type=_models,
+                                    default=models,
+                                    help="comma list from lc,lcs,fdm")
+    commands["forecast"].add_argument("--horizon", type=_horizon, default=20)
+    commands["backtest"].add_argument("--train", type=_window, required=True,
+                                      help="train years A:B")
+    commands["backtest"].add_argument("--test", type=_window, required=True,
+                                      help="test years A:B")
+    commands["lifetable"].add_argument("--year", type=int, required=True)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.model and args.models:
-        raise UsageError("give either --model or --models, not both")
-    models_text = args.models or args.model
-    if models_text is None:
-        models_text = {"fit": "lc", "compare": "lc,fdm"}.get(args.command, "lc,lcs,fdm")
-    models = _parse_models(models_text)
-
-    if not 50.0 < args.level < 99.9:
-        raise UsageError(f"--level must be in (50, 99.9), got {args.level}")
-
-    formats = frozenset(t.strip() for t in args.formats.split(",") if t.strip())
-    bad = formats - {"csv", "json", "svg"}
-    if bad or not formats:
-        raise UsageError(f"--formats must be a subset of csv,json,svg, got {args.formats!r}")
-
-    try:
-        monotone_from = (None if args.monotone_from.strip().lower() == "none"
-                         else int(args.monotone_from))
-    except ValueError:
-        raise UsageError(f"--monotone-from expects an age or 'none', "
-                         f"got {args.monotone_from!r}") from None
-    try:
-        lam = "auto" if args.lam.strip().lower() == "auto" else float(args.lam)
-    except ValueError:
-        raise UsageError(f"--lam expects a number or 'auto', got {args.lam!r}") from None
-    if lam != "auto" and lam < 0:
-        raise UsageError("--lam must be nonnegative")
-    smooth = SmoothConfig(num_basis=args.num_basis, lam=lam,
-                          monotone_from=monotone_from)
-
-    try:
-        ts_spec = TsSpec.parse(args.ts)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-    train = _parse_window(args.train, "--train") if getattr(args, "train", None) else None
-    test = _parse_window(args.test, "--test") if getattr(args, "test", None) else None
-    if train and test and test[0] <= train[1]:
-        raise UsageError(
-            f"--test {test[0]}:{test[1]} overlaps or precedes --train "
-            f"{train[0]}:{train[1]}"
-        )
-    for flag, window, least in (("--train", train, _MIN_TRAIN_YEARS),
-                                ("--test", test, _MIN_TEST_YEARS)):
-        if window and window[1] - window[0] + 1 < least:
-            raise UsageError(f"{flag} {window[0]}:{window[1]} spans "
-                             f"{window[1] - window[0] + 1} year(s); a backtest "
-                             f"needs at least {least}")
-    if args.bootstrap and args.bootstrap < 100:
-        raise UsageError("--bootstrap needs at least 100 replicates (or 0)")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be a nonnegative integer, got {args.seed}")
-    if getattr(args, "horizon", 1) < 1:
-        raise UsageError("--horizon must be at least 1")
-
-    return RunConfig(
-        command=args.command,
-        data_path=args.data,
-        gender=args.gender,
-        ages=_parse_window(args.ages, "--ages"),
-        years=_parse_window(args.years, "--years") if args.years else None,
-        train=train,
-        test=test,
-        horizon=getattr(args, "horizon", 20),
-        models=models,
-        K=args.components,
-        smooth=smooth,
-        ts_spec=ts_spec,
-        level=args.level,
-        bootstrap=args.bootstrap,
-        seed=args.seed,
-        output=args.output,
-        formats=formats,
-        table_year=getattr(args, "year", None),
-    )
+_PARSER = build_parser()
 
 
 # ---------------------------------------------------------------------------
 # data loading
 
 
-def _resolve_data_path(config: RunConfig) -> str:
-    candidate = config.data_path or os.environ.get(DATA_ENV)
+def _resolve_data_path(args: argparse.Namespace) -> str:
+    candidate = args.data or os.environ.get(DATA_ENV)
     if candidate is None:
         raise UsageError(
             f"no data source: pass --data or set ${DATA_ENV} to a rates "
@@ -257,8 +186,8 @@ def _resolve_data_path(config: RunConfig) -> str:
     return candidate
 
 
-def load_surface(config: RunConfig) -> MortalitySurface:
-    path = _resolve_data_path(config)
+def load_surface(args: argparse.Namespace) -> MortalitySurface:
+    path = _resolve_data_path(args)
     try:
         with open(path, encoding="utf-8") as fh:
             table = parse_hmd_rates(fh)
@@ -266,48 +195,58 @@ def load_surface(config: RunConfig) -> MortalitySurface:
         raise UsageError(f"cannot read {path}: {exc}") from None
     except HmdParseError as exc:
         raise UsageError(f"{path}: {exc}") from None
-    year_min, year_max = config.years or (int(table.year.min()), int(table.year.max()))
+    year_min, year_max = args.years or (int(table.year.min()), int(table.year.max()))
     try:
-        return build_surface(table, config.gender, *config.ages, year_min, year_max)
+        return build_surface(table, args.gender, *args.ages, year_min, year_max)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _check_windows(config: RunConfig, surface: MortalitySurface) -> None:
+def _check_windows(args: argparse.Namespace, surface: MortalitySurface) -> None:
+    train, test = args.train, args.test
+    if train and test and test[0] <= train[1]:
+        raise UsageError(f"--test {test[0]}:{test[1]} overlaps or precedes --train "
+                         f"{train[0]}:{train[1]}")
     lo, hi = int(surface.years[0]), int(surface.years[-1])
-    for flag, window in (("--train", config.train), ("--test", config.test)):
+    for flag, window, least in (("--train", train, _MIN_TRAIN_YEARS),
+                                ("--test", test, _MIN_TEST_YEARS)):
+        if window and window[1] - window[0] + 1 < least:
+            raise UsageError(f"{flag} {window[0]}:{window[1]} spans "
+                             f"{window[1] - window[0] + 1} year(s); a backtest "
+                             f"needs at least {least}")
         if window and (window[0] < lo or window[1] > hi):
             raise UsageError(f"{flag} {window[0]}:{window[1]} outside data years "
                              f"{lo}:{hi}")
-    year = config.table_year
+    year = args.year
     if year is not None and not lo <= year <= hi:
         raise UsageError(f"--year {year} outside data years {lo}:{hi}")
 
 
-def _check_fit_sizes(config: RunConfig, surface: MortalitySurface) -> None:
+def _check_fit_sizes(args: argparse.Namespace, surface: MortalitySurface,
+                     smooth: SmoothConfig) -> None:
     """Reject models, smoothing settings and time-series models the
     fitted surface (for a backtest, the train window) is too small for."""
-    if config.command == "lifetable":
+    if args.command == "lifetable":
         return
     n_ages = surface.n_ages
-    n_years = config.train[1] - config.train[0] + 1 if config.train else surface.n_years
-    ages = f"--ages {config.ages[0]}:{config.ages[1]}"
-    if "lcs" in config.models or "fdm" in config.models:
+    n_years = args.train[1] - args.train[0] + 1 if args.train else surface.n_years
+    ages = f"--ages {args.ages[0]}:{args.ages[1]}"
+    if "lcs" in args.models or "fdm" in args.models:
         if n_ages < 4:
             raise UsageError(f"smoothing needs at least 4 ages; {ages} has {n_ages}")
         try:
-            config.smooth.resolved_num_basis(n_ages)
+            smooth.resolved_num_basis(n_ages)
         except ValueError as exc:
             raise UsageError(f"--num-basis with {ages}: {exc}") from None
-    if ("lc" in config.models or "lcs" in config.models) and min(n_ages, n_years) < 3:
+    if ("lc" in args.models or "lcs" in args.models) and min(n_ages, n_years) < 3:
         raise UsageError(f"lc and lcs need at least 3 ages and 3 years; the fitted "
                          f"surface is {n_ages} x {n_years}")
-    largest_K = min(n_ages, n_years) - 1
-    if "fdm" in config.models and not 1 <= config.K <= largest_K:
-        raise UsageError(f"-K {config.K} does not fit a {n_ages} x {n_years} surface; "
+    K, largest_K = args.components, min(n_ages, n_years) - 1
+    if "fdm" in args.models and not 1 <= K <= largest_K:
+        raise UsageError(f"-K {K} does not fit a {n_ages} x {n_years} surface; "
                          f"fdm needs 1 <= K <= {largest_K}")
-    ts = config.ts_spec
-    if config.command in ("forecast", "backtest") and n_years < ts.min_observations:
+    ts = args.ts
+    if args.command in ("forecast", "backtest") and n_years < ts.min_observations:
         model = ("a random walk with drift" if ts.family == "rwd"
                  else f"AR({ts.p}) on d={ts.d} differences")
         raise UsageError(f"--ts: {model} needs at least {ts.min_observations} years; "
@@ -318,17 +257,17 @@ def _check_fit_sizes(config: RunConfig, surface: MortalitySurface) -> None:
 # artifact helpers
 
 
-def _out(config: RunConfig, name: str) -> str:
-    return os.path.join(config.output, name)
+def _out(args: argparse.Namespace, name: str) -> str:
+    return os.path.join(args.output, name)
 
 
-def _write_json(config: RunConfig, summary: dict) -> None:
-    if "json" not in config.formats:
+def _write_json(args: argparse.Namespace, summary: dict) -> None:
+    if "json" not in args.formats:
         return
-    obj = {"command": config.command, "gender": config.gender,
+    obj = {"command": args.command, "gender": args.gender,
            "schema_version": SCHEMA_VERSION, **summary}
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    with open(_out(config, "summary.json"), "w", encoding="utf-8") as fh:
+    with open(_out(args, "summary.json"), "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -338,28 +277,28 @@ def _text(column) -> Iterable[str]:
     return map(repr if values.dtype.kind == "f" else str, values.tolist())
 
 
-def _write_csv(config: RunConfig, name: str, header: str, *columns) -> None:
+def _write_csv(args: argparse.Namespace, name: str, header: str, *columns) -> None:
     """One row per position of the columns, each formatted as a whole."""
-    if "csv" not in config.formats:
+    if "csv" not in args.formats:
         return
-    with open(_out(config, name), "w", encoding="utf-8") as fh:
+    with open(_out(args, name), "w", encoding="utf-8") as fh:
         fh.write("\n".join([header, *map(",".join, zip(*map(_text, columns)))]) + "\n")
 
 
-def _write_long_csv(config: RunConfig, name: str, ages, years, **columns) -> None:
+def _write_long_csv(args: argparse.Namespace, name: str, ages, years, **columns) -> None:
     """One ``age,year,<columns>`` row per cell of age-by-year arrays,
     years outermost. Each age and year is formatted once, then repeated."""
     age_text, year_text = (np.array([*_text(v)], dtype=object) for v in (ages, years))
-    _write_csv(config, name, ",".join(["age", "year", *columns]),
+    _write_csv(args, name, ",".join(["age", "year", *columns]),
                np.tile(age_text, len(years)), np.repeat(year_text, len(ages)),
                *(c.ravel(order="F") for c in columns.values()))
 
 
-def _write_svg(config: RunConfig, name: str, series, xlabel: str, ylabel: str,
+def _write_svg(args: argparse.Namespace, name: str, series, xlabel: str, ylabel: str,
                title: Optional[str] = None) -> None:
-    if "svg" not in config.formats:
+    if "svg" not in args.formats:
         return
-    render_line_chart(series, xlabel, ylabel, path=_out(config, name), title=title)
+    render_line_chart(series, xlabel, ylabel, path=_out(args, name), title=title)
 
 
 def _diagnostics(residuals: np.ndarray) -> dict:
@@ -448,13 +387,13 @@ def _field(model, name: str):
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-def _write_params(config: RunConfig, name: str, model) -> None:
+def _write_params(args: argparse.Namespace, name: str, model) -> None:
     for csv, index_name, index, columns, chart in _OUTPUTS[name].params(name, model):
-        _write_csv(config, csv, ",".join([index_name, *(c[0] for c in columns)]),
+        _write_csv(args, csv, ",".join([index_name, *(c[0] for c in columns)]),
                    index, *(c[2] for c in columns))
         if chart is not None:
             svg, ylabel, title = chart
-            _write_svg(config, svg, [(label, index, values) for _, label, values in columns],
+            _write_svg(args, svg, [(label, index, values) for _, label, values in columns],
                        index_name, ylabel, title=title)
 
 
@@ -462,36 +401,38 @@ def _write_params(config: RunConfig, name: str, model) -> None:
 # commands
 
 
-def cmd_fit(config: RunConfig, surface: MortalitySurface) -> dict:
+def cmd_fit(args: argparse.Namespace, surface: MortalitySurface,
+           smooth: SmoothConfig) -> dict:
     summary: dict = {
-        "ages": list(config.ages),
+        "ages": list(args.ages),
         "years": [int(surface.years[0]), int(surface.years[-1])],
         "models": {},
     }
-    fitted = fit_models(surface, config.models, config.smooth, config.K)
+    fitted = fit_models(surface, args.models, smooth, args.components)
     for name, model in fitted.items():
         outputs = _OUTPUTS[name]
         entry = {field: _field(model, field) for field in outputs.fields}
         entry.update(_diagnostics(getattr(model, outputs.residuals)))
-        _write_params(config, name, model)
+        _write_params(args, name, model)
         summary["models"][name] = entry
     return summary
 
 
-def cmd_forecast(config: RunConfig, surface: MortalitySurface) -> dict:
+def cmd_forecast(args: argparse.Namespace, surface: MortalitySurface,
+                smooth: SmoothConfig) -> dict:
     summary: dict = {
-        "horizon": config.horizon,
-        "level": config.level,
+        "horizon": args.horizon,
+        "level": args.level,
         "models": {},
     }
-    fitted = fit_models(surface, config.models, config.smooth, config.K)
+    fitted = fit_models(surface, args.models, smooth, args.components)
     for name, model in fitted.items():
-        forecast = forecast_model(model, config.ts_spec, config.horizon, config.level,
-                                  config.bootstrap, config.seed)
-        _write_long_csv(config, f"forecast_{name}.csv", forecast.ages, forecast.years,
+        forecast = forecast_model(model, args.ts, args.horizon, args.level,
+                                  args.bootstrap, args.seed)
+        _write_long_csv(args, f"forecast_{name}.csv", forecast.ages, forecast.years,
                         point=forecast.point, variance=forecast.variance,
                         lower=forecast.lower, upper=forecast.upper)
-        _write_svg(config, f"fig_forecast_{name}.svg",
+        _write_svg(args, f"fig_forecast_{name}.svg",
                    [(f"year {int(surface.years[-1])} observed", surface.ages,
                      surface.log_rates[:, -1]),
                     (f"year {int(forecast.years[0])}", forecast.ages,
@@ -504,41 +445,42 @@ def cmd_forecast(config: RunConfig, surface: MortalitySurface) -> dict:
             path = e0_path(forecast)
             parts = ("point", "lower", "upper")
             entry["e0"] = {part: getattr(path, part).tolist() for part in parts}
-            _write_csv(config, f"e0_{name}.csv", "year,point,lower,upper",
+            _write_csv(args, f"e0_{name}.csv", "year,point,lower,upper",
                        path.years, *(getattr(path, part) for part in parts))
-            _write_svg(config, f"fig_e0_{name}.svg",
+            _write_svg(args, f"fig_e0_{name}.svg",
                        [(part, path.years, getattr(path, part)) for part in parts],
                        "year", "life expectancy at birth",
                        title=f"{name}: projected e0")
-        if config.bootstrap and _OUTPUTS[name].bootstraps:
-            entry["bootstrap"] = {"B": config.bootstrap, "seed": config.seed}
+        if args.bootstrap and _OUTPUTS[name].bootstraps:
+            entry["bootstrap"] = {"B": args.bootstrap, "seed": args.seed}
         summary["models"][name] = entry
     return summary
 
 
-def cmd_backtest(config: RunConfig, surface: MortalitySurface) -> dict:
-    report = run_backtest(surface, config.models, config.train, config.test,
-                          config.ts_spec, config.level, config.smooth, config.K,
-                          config.bootstrap, config.seed)
+def cmd_backtest(args: argparse.Namespace, surface: MortalitySurface,
+                smooth: SmoothConfig) -> dict:
+    report = run_backtest(surface, args.models, args.train, args.test,
+                          args.ts, args.level, smooth, args.components,
+                          args.bootstrap, args.seed)
     summary: dict = {
         "train": list(report.train_years),
         "test": list(report.test_years),
-        "level": config.level,
+        "level": args.level,
         "models": {},
         "e0_interval_note": "e0 bounds are pointwise envelopes of the mortality "
                             "interval, not joint intervals",
     }
 
     years, mid = report.years, len(report.years) // 2
-    for name in config.models:
+    for name in args.models:
         entry = report.models[name]
         summary["models"][name] = {
             "e0_error_mean": entry.e0_error_mean,
             "e0_error_variance": entry.e0_error_variance,
         }
-        _write_long_csv(config, f"errors_{name}.csv", entry.forecast.ages,
+        _write_long_csv(args, f"errors_{name}.csv", entry.forecast.ages,
                         entry.forecast.years, error=entry.errors)
-        _write_svg(config, f"{_ERROR_FIG[name]}_errors_{name}.svg",
+        _write_svg(args, f"{_ERROR_FIG[name]}_errors_{name}.svg",
                    [(f"year {int(years[j])}", report.ages, entry.errors[:, j])
                     for j in (0, mid, -1)],
                    "age", "log-rate error", title=f"{name}: forecast errors")
@@ -546,40 +488,42 @@ def cmd_backtest(config: RunConfig, surface: MortalitySurface) -> dict:
     for fig, stat, ylabel, title in (
             ("fig12", "mean", "mean error", "mean forecast error by age"),
             ("fig13", "sd", "error sd", "standard deviation of forecast error by age")):
-        columns = [getattr(report.models[m], f"{stat}_error_by_age") for m in config.models]
-        _write_csv(config, f"{fig}_{stat}_error_by_age.csv",
-                   "age," + ",".join(config.models), report.ages, *columns)
-        _write_svg(config, f"{fig}.svg",
-                   [(m, report.ages, c) for m, c in zip(config.models, columns)],
+        columns = [getattr(report.models[m], f"{stat}_error_by_age") for m in args.models]
+        _write_csv(args, f"{fig}_{stat}_error_by_age.csv",
+                   "age," + ",".join(args.models), report.ages, *columns)
+        _write_svg(args, f"{fig}.svg",
+                   [(m, report.ages, c) for m, c in zip(args.models, columns)],
                    "age", ylabel, title=title)
 
-    observed = report.models[config.models[0]].e0_observed
+    observed = report.models[args.models[0]].e0_observed
     fan_series = [("observed", years, observed)]
-    for name in config.models:
+    for name in args.models:
         entry = report.models[name]
         for part, values in (("point", entry.e0_forecast),
                              ("lower", entry.e0_interval.lower),
                              ("upper", entry.e0_interval.upper)):
             fan_series.append((f"{name} {part}", years, values))
-    fan_cols = ",".join(f"{m}_point,{m}_lower,{m}_upper" for m in config.models)
-    _write_csv(config, "fig14_e0_fan.csv", f"year,observed,{fan_cols}",
+    fan_cols = ",".join(f"{m}_point,{m}_lower,{m}_upper" for m in args.models)
+    _write_csv(args, "fig14_e0_fan.csv", f"year,observed,{fan_cols}",
                years, *(values for _, _, values in fan_series))
-    _write_svg(config, "fig14.svg", fan_series, "year",
+    _write_svg(args, "fig14.svg", fan_series, "year",
                "life expectancy at birth", title="e0: observed vs projected")
     return summary
 
 
-def cmd_lifetable(config: RunConfig, surface: MortalitySurface) -> dict:
-    table = rates_to_lifetable(surface.year_column(config.table_year), ages=surface.ages)
-    _write_csv(config, "lifetable.csv", "age,qx,lx,Lx", [*_text(table.ages), "e0"],
+def cmd_lifetable(args: argparse.Namespace, surface: MortalitySurface,
+                 smooth: SmoothConfig) -> dict:
+    table = rates_to_lifetable(surface.year_column(args.year), ages=surface.ages)
+    _write_csv(args, "lifetable.csv", "age,qx,lx,Lx", [*_text(table.ages), "e0"],
                np.append(table.qx, table.e0), [*_text(table.lx), ""], [*_text(table.Lx), ""])
-    _write_svg(config, "fig_survival.svg",
+    _write_svg(args, "fig_survival.svg",
                [("lx", table.ages, table.lx)], "age", "survivors",
-               title=f"survival curve, {config.gender} {config.table_year}")
-    return {"year": config.table_year, "e0": table.e0}
+               title=f"survival curve, {args.gender} {args.year}")
+    return {"year": args.year, "e0": table.e0}
 
 
-def cmd_compare(config: RunConfig, surface: MortalitySurface) -> dict:
+def cmd_compare(args: argparse.Namespace, surface: MortalitySurface,
+               smooth: SmoothConfig) -> dict:
     summary: dict = {
         "years": [int(surface.years[0]), int(surface.years[-1])],
         "models": {},
@@ -589,7 +533,7 @@ def cmd_compare(config: RunConfig, surface: MortalitySurface) -> dict:
     }
     metrics = ("me", "mse", "mpe", "mape")
     reports: dict[str, ErrorReport] = {}
-    fitted = fit_models(surface, config.models, config.smooth, config.K)
+    fitted = fit_models(surface, args.models, smooth, args.components)
     for name, model in fitted.items():
         outputs = _OUTPUTS[name]
         fitted_log = model.fitted_log_rates()
@@ -603,7 +547,7 @@ def cmd_compare(config: RunConfig, surface: MortalitySurface) -> dict:
         entry.update(_diagnostics(surface.log_rates - fitted_log))
         summary["models"][name] = entry
         for by, table in (("age", rep.by_age), ("year", rep.by_year)):
-            _write_csv(config, f"metrics_{name}_by_{by}.csv", f"{by},me,mse,mpe,mape",
+            _write_csv(args, f"metrics_{name}_by_{by}.csv", f"{by},me,mse,mpe,mape",
                        table.index, table.me, table.mse, table.mpe, table.mape)
 
     for table in ("table1.csv", "table2.csv"):
@@ -612,7 +556,7 @@ def cmd_compare(config: RunConfig, surface: MortalitySurface) -> dict:
                 for by, avg in (("ages", reports[name].avg_across_ages),
                                 ("years", reports[name].avg_across_years))]
         if rows:
-            _write_csv(config, table, "model,aggregation,me,mse,mpe,mape", *zip(*rows))
+            _write_csv(args, table, "model,aggregation,me,mse,mpe,mape", *zip(*rows))
     return summary
 
 
@@ -626,15 +570,15 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    smooth = SmoothConfig(num_basis=args.num_basis, lam=args.lam,
+                          monotone_from=args.monotone_from)
     try:
-        config = config_from_args(args)
-        surface = load_surface(config)
-        _check_windows(config, surface)
-        _check_fit_sizes(config, surface)
-        os.makedirs(config.output, exist_ok=True)
-        _write_json(config, _DISPATCH[config.command](config, surface))
+        surface = load_surface(args)
+        _check_windows(args, surface)
+        _check_fit_sizes(args, surface, smooth)
+        os.makedirs(args.output, exist_ok=True)
+        _write_json(args, _DISPATCH[args.command](args, surface, smooth))
         return 0
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

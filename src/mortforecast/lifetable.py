@@ -10,8 +10,6 @@ from .fdm import ForecastSurface
 
 __all__ = ["LifeTable", "E0Path", "rates_to_lifetable", "e0_from_rates", "e0_path"]
 
-CONVERSIONS = ("constant-hazard", "actuarial")
-
 
 @dataclass(frozen=True)
 class LifeTable:
@@ -24,31 +22,25 @@ class LifeTable:
     e0: float
 
 
-def rates_to_lifetable(mx, ages=None, conversion: str = "constant-hazard") -> LifeTable:
+def rates_to_lifetable(mx, ages=None) -> LifeTable:
     """Build a period life table from central rates m_x for ages 0..A.
 
     q_x = 1 - exp(-m_x), exact when the hazard is constant within the
-    year and stable for large m (the actuarial m/(1+m/2) rule is
-    available via ``conversion='actuarial'``). The terminal age is
-    open-ended: everyone alive there dies at exposure 1/m_A, so
-    L_A = l_A/m_A. e0 is the sum of the L_x column.
+    year and stable for large m. The terminal age is open-ended: everyone
+    alive there dies at exposure 1/m_A, so L_A = l_A/m_A. e0 is the sum of
+    the L_x column.
     """
     mx = np.asarray(mx, dtype=float)
     if mx.ndim != 1 or len(mx) == 0:
         raise ValueError("mx must be a non-empty 1-d array")
     if not np.all(np.isfinite(mx)) or np.any(mx <= 0):
         raise ValueError("all rates must be finite and positive")
-    if conversion not in CONVERSIONS:
-        raise ValueError(f"conversion must be one of {CONVERSIONS}, got {conversion!r}")
     ages = np.arange(len(mx)) if ages is None else np.asarray(ages, dtype=int)
     if ages.shape != mx.shape:
         raise ValueError("ages and mx must have the same length")
 
     A = len(mx) - 1
-    if conversion == "constant-hazard":
-        qx = 1.0 - np.exp(-mx)
-    else:
-        qx = mx / (1.0 + 0.5 * mx)
+    qx = 1.0 - np.exp(-mx)
     qx[A] = 1.0
 
     lx = np.concatenate(([1.0], np.cumprod(1.0 - qx[:A])))
@@ -59,8 +51,8 @@ def rates_to_lifetable(mx, ages=None, conversion: str = "constant-hazard") -> Li
     return LifeTable(ages=ages, qx=qx, lx=lx, Lx=Lx, e0=e0)
 
 
-def e0_from_rates(mx, conversion: str = "constant-hazard") -> float:
-    return rates_to_lifetable(mx, conversion=conversion).e0
+def e0_from_rates(mx) -> float:
+    return rates_to_lifetable(mx).e0
 
 
 @dataclass(frozen=True)
@@ -79,7 +71,7 @@ class E0Path:
     level: float
 
 
-def e0_path(forecast: ForecastSurface, conversion: str = "constant-hazard") -> E0Path:
+def e0_path(forecast: ForecastSurface) -> E0Path:
     """e0 per horizon from a log-rate forecast.
 
     Higher mortality means lower life expectancy, so the upper mortality
@@ -95,8 +87,8 @@ def e0_path(forecast: ForecastSurface, conversion: str = "constant-hazard") -> E
     lower = np.empty(h)
     upper = np.empty(h)
     for j in range(h):
-        point[j] = e0_from_rates(np.exp(forecast.point[:, j]), conversion)
-        lower[j] = e0_from_rates(np.exp(forecast.upper[:, j]), conversion)
-        upper[j] = e0_from_rates(np.exp(forecast.lower[:, j]), conversion)
+        point[j] = e0_from_rates(np.exp(forecast.point[:, j]))
+        lower[j] = e0_from_rates(np.exp(forecast.upper[:, j]))
+        upper[j] = e0_from_rates(np.exp(forecast.lower[:, j]))
     return E0Path(years=forecast.years.copy(), point=point, lower=lower,
                   upper=upper, level=forecast.level)

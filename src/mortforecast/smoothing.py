@@ -37,9 +37,11 @@ class SmoothConfig:
     """Knobs for the smoother.
 
     ``num_basis=None`` resolves to roughly one basis function per 2.5
-    observations, capped at 35; ``lam="auto"`` picks the penalty weight by
-    GCV over ``lambda_grid``. ``monotone_from=None`` disables the
-    monotone projection entirely.
+    observations, capped at 35 and raised to the smallest basis that the
+    degree and difference order allow; an explicit ``num_basis`` below
+    that is an error. ``lam="auto"`` picks the penalty weight by GCV over
+    ``lambda_grid``; a fixed ``lam`` must be finite and nonnegative.
+    ``monotone_from=None`` disables the monotone projection entirely.
     """
 
     num_basis: Optional[int] = None
@@ -53,11 +55,13 @@ class SmoothConfig:
     def resolved_num_basis(self, n_points: int) -> int:
         if self.difference_order not in (1, 2, 3):
             raise ValueError("difference order must be 1, 2 or 3")
-        if self.num_basis is not None:
-            k = int(self.num_basis)
+        least = max(self.degree + 1, self.difference_order + 1)
+        if self.num_basis is None:
+            k = max(min(int(n_points / 2.5), 35), least)
         else:
-            k = min(int(n_points / 2.5), 35)
-        k = max(k, self.degree + 1, self.difference_order + 1)
+            k = int(self.num_basis)
+            if k < least:
+                raise ValueError(f"num_basis {k} is below the minimum of {least}")
         if k > n_points:
             raise ValueError(
                 f"num_basis {k} exceeds the {n_points} observations available"
@@ -109,8 +113,8 @@ def _smooth_columns(xs: np.ndarray, Y: np.ndarray, config: SmoothConfig):
     if not np.all(np.isfinite(Y)):
         raise ValueError("curve contains non-finite values")
     auto = config.lam == "auto"
-    if not auto and float(config.lam) < 0:
-        raise ValueError("lam must be nonnegative")
+    if not auto and not 0.0 <= float(config.lam) < np.inf:
+        raise ValueError("lam must be finite and nonnegative")
     k = config.resolved_num_basis(n)
     basis = BsplineBasis.uniform(float(xs[0]), float(xs[-1]), k, degree=config.degree)
     B = bspline_design(basis, xs)

@@ -57,7 +57,7 @@ def test_fit_writes_model_artifacts(hmd_file, tmp_path):
 
 def test_fit_fdm_artifacts(hmd_file, tmp_path):
     out = tmp_path / "fdm"
-    code = run_cli(["fit", *base_args(hmd_file, out), "--models", "fdm", "-K", "3"])
+    code = run_cli(["fit", *base_args(hmd_file, out), "--model", "fdm", "-K", "3"])
     assert code == 0
     for stem in ("fdm_mu", "fdm_phi", "fdm_beta", "fdm_variances"):
         assert (out / f"{stem}.csv").is_file()
@@ -132,6 +132,18 @@ def test_compare_tables(hmd_file, tmp_path):
         assert (out / f"metrics_{name}_by_year.csv").is_file()
 
 
+@pytest.mark.parametrize("command,models", [
+    (["fit"], ["lc"]),
+    (["forecast", "--horizon", "2"], ["fdm", "lc", "lcs"]),
+    (["compare"], ["fdm", "lc"]),
+], ids=["fit", "forecast", "compare"])
+def test_default_models_per_command(hmd_file, tmp_path, command, models):
+    out = tmp_path / "defaults"
+    code = run_cli([*command, *base_args(hmd_file, out), "--formats", "json"])
+    assert code == 0
+    assert sorted(read_summary(out)["models"]) == models
+
+
 def test_formats_subset_skips_other_outputs(hmd_file, tmp_path):
     out = tmp_path / "csvonly"
     code = run_cli(["fit", *base_args(hmd_file, out), "--models", "lc",
@@ -160,6 +172,16 @@ def test_identical_runs_are_byte_identical(hmd_file, tmp_path):
     assert len(match) == len(names)
 
 
+@pytest.mark.parametrize("command", [[], ["fit"], ["forecast"], ["backtest"],
+                                     ["lifetable"], ["compare"]],
+                         ids=lambda command: "_".join(command) or "top")
+def test_help_renders(command, capsys):
+    # argparse formats the help strings only here, so a stray % in one
+    # fails nowhere else
+    assert run_cli([*command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: {' '.join(['mortforecast', *command])} ")
+
+
 def test_missing_data_file_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope" / "ITA.Mx_1x1.txt"
     code = run_cli(["fit", "--data", missing, "--output", tmp_path / "o"])
@@ -175,14 +197,17 @@ def test_overlapping_windows_exit_2(hmd_file, tmp_path, capsys):
     assert "train" in capsys.readouterr().err
 
 
-def test_bad_option_values_exit_2(hmd_file, tmp_path):
-    base = base_args(hmd_file, tmp_path / "o")
-    assert run_cli(["fit", *base, "--level", "120"]) == 2
-    assert run_cli(["fit", *base, "--models", "glm"]) == 2
-    assert run_cli(["fit", *base, "--ts", "ar:x"]) == 2
-    assert run_cli(["fit", *base, "--ages", "40:0"]) == 2
-    assert run_cli(["forecast", *base, "--horizon", "0"]) == 2
-    assert run_cli(["fit", *base, "--gender", "beetle"]) == 2
+def test_bad_option_values_exit_2(hmd_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    base = base_args(hmd_file, out)
+    for command, flag, value in (("fit", "--level", "120"), ("fit", "--models", "glm"),
+                                 ("fit", "--ts", "ar:x"), ("fit", "--ages", "40:0"),
+                                 ("forecast", "--horizon", "0"),
+                                 ("fit", "--gender", "beetle"),
+                                 ("fit", "--lam", "nan"), ("fit", "--lam", "inf")):
+        assert run_cli([command, *base, flag, value]) == 2
+        assert f"error: argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_seed_exit_2_before_output(hmd_file, tmp_path, capsys):
@@ -262,6 +287,8 @@ def test_short_backtest_window_exit_2(hmd_file, tmp_path, capsys, train, test, m
      "-K 4 does not fit a 41 x 3 surface; fdm needs 1 <= K <= 2"),
     (["fit", "--models", "lcs", "--ages", "20:40", "--num-basis", "40"],
      "--num-basis with --ages 20:40: num_basis 40 exceeds the 21 observations"),
+    (["fit", "--models", "lcs", "--num-basis", "0"],
+     "--num-basis with --ages 0:40: num_basis 0 is below the minimum of 4"),
     (["forecast", "--models", "lcs", "--ages", "38:40"],
      "smoothing needs at least 4 ages; --ages 38:40 has 3"),
     (["compare", "--models", "lc", "--years", "1950:1951"],
@@ -273,7 +300,8 @@ def test_short_backtest_window_exit_2(hmd_file, tmp_path, capsys, train, test, m
     (["backtest", "--models", "lc,fdm", "--train", "1950:1976", "--test", "1977:2005",
       "--ts", "ar:30,1"],
      "--ts: AR(30) on d=1 differences needs at least 33 years; the fitted surface has 27"),
-], ids=["fdm_fit_4_years", "fdm_train_3_years", "num_basis_over_ages", "smooth_3_ages",
+], ids=["fdm_fit_4_years", "fdm_train_3_years", "num_basis_over_ages", "num_basis_zero",
+        "smooth_3_ages",
         "lc_2_years", "rwd_2_years", "ar_3_years", "ar_train_27_years"])
 def test_fit_too_small_for_settings_exit_2(hmd_file, tmp_path, capsys, argv, message):
     out = tmp_path / "small"

@@ -72,16 +72,6 @@ def test_table_columns():
     assert table.e0 == pytest.approx(table.Lx.sum())
 
 
-def test_actuarial_conversion():
-    mx = _plausible_schedule(31)
-    table = rates_to_lifetable(mx, conversion="actuarial")
-    np.testing.assert_allclose(table.qx[:-1], mx[:-1] / (1.0 + 0.5 * mx[:-1]),
-                               atol=1e-15)
-    # both conversions agree to first order in m
-    default = rates_to_lifetable(mx)
-    assert table.e0 == pytest.approx(default.e0, abs=0.1)
-
-
 def test_scaling_down_raises_e0():
     mx = _plausible_schedule(51)
     assert e0_from_rates(0.7 * mx) > e0_from_rates(mx)
@@ -102,8 +92,6 @@ def test_input_validation():
         rates_to_lifetable(np.array([0.01, np.nan]))
     with pytest.raises(ValueError, match="non-empty"):
         rates_to_lifetable(np.array([]))
-    with pytest.raises(ValueError, match="conversion"):
-        rates_to_lifetable(np.array([0.01, 0.02]), conversion="midpoint")
     with pytest.raises(ValueError, match="same length"):
         rates_to_lifetable(np.array([0.01, 0.02]), ages=np.array([0, 1, 2]))
 

@@ -79,6 +79,11 @@ def test_smooth_curve_validation():
         smooth_curve(np.array([1.0, np.nan, 2.0, 3.0, 4.0]))
     with pytest.raises(ValueError):
         smooth_curve(np.ones(5), SmoothConfig(num_basis=10))
+    with pytest.raises(ValueError, match="num_basis 3 is below the minimum of 4"):
+        smooth_curve(np.ones(12), SmoothConfig(num_basis=3))
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            smooth_curve(np.ones(12), SmoothConfig(lam=lam))
 
 
 def test_smooth_surface_shapes_and_sigma():
