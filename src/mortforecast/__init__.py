@@ -25,7 +25,7 @@ from .leecarter import LcModel, fit_lc, fit_lcs, forecast_lc
 from .lifetable import E0Path, LifeTable, e0_from_rates, e0_path, rates_to_lifetable
 from .smoothing import SmoothConfig, enforce_monotone, smooth_curve, smooth_surface
 from .svgchart import render_line_chart
-from .tsforecast import TsFit, TsSpec, fit_ar, fit_rwd, forecast_ar, forecast_rwd
+from .tsforecast import TsFit, TsSpec, fit_ts, forecast_ts
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "E0Path", "LifeTable", "e0_from_rates", "e0_path", "rates_to_lifetable",
     "SmoothConfig", "enforce_monotone", "smooth_curve", "smooth_surface",
     "render_line_chart",
-    "TsFit", "TsSpec", "fit_ar", "fit_rwd", "forecast_ar", "forecast_rwd",
+    "TsFit", "TsSpec", "fit_ts", "forecast_ts",
     "__version__",
 ]

@@ -116,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("-K", "--components", type=int, default=4,
                         help="number of basis functions for fdm")
     common.add_argument("--ts", type=_ts_spec, default=TsSpec(), help="time-series "
-                        "spec: rwd or ar:p,d[,drift]")
+                        "spec: ar:p,d[,drift], AR(p) on d-th differences; rwd, the "
+                        "default random walk with drift, is ar:0,1,drift")
     common.add_argument("--level", type=_level, default=95.0,
                         help="two-sided interval level in percent")
     common.add_argument("--num-basis", type=int, default=None,
@@ -247,7 +248,7 @@ def _check_fit_sizes(args: argparse.Namespace, surface: MortalitySurface,
                          f"fdm needs 1 <= K <= {largest_K}")
     ts = args.ts
     if args.command in ("forecast", "backtest") and n_years < ts.min_observations:
-        model = ("a random walk with drift" if ts.family == "rwd"
+        model = ("a random walk with drift" if ts == TsSpec()
                  else f"AR({ts.p}) on d={ts.d} differences")
         raise UsageError(f"--ts: {model} needs at least {ts.min_observations} years; "
                          f"the fitted surface has {n_years}")

@@ -318,11 +318,8 @@ def run_backtest(
         forecast = forecast_model(model, ts_spec, horizon, level, bootstrap, seed)
         forecast = forecast.slice_years(test_start, test_end)
         errors = observed_log - forecast.point
-        e0_forecast = np.array([
-            e0_from_rates(np.exp(forecast.point[:, j]))
-            for j in range(len(forecast.years))
-        ])
-        e0_errors = e0_observed - e0_forecast
+        e0_interval = e0_path(forecast)
+        e0_errors = e0_observed - e0_interval.point
         results[name] = ModelBacktest(
             name=name,
             forecast=forecast,
@@ -330,8 +327,8 @@ def run_backtest(
             mean_error_by_age=errors.mean(axis=1),
             sd_error_by_age=errors.std(axis=1, ddof=1),
             e0_observed=e0_observed,
-            e0_forecast=e0_forecast,
-            e0_interval=e0_path(forecast),
+            e0_forecast=e0_interval.point,
+            e0_interval=e0_interval,
             e0_error_mean=float(e0_errors.mean()),
             e0_error_variance=float(e0_errors.var(ddof=1)),
         )

@@ -204,12 +204,9 @@ def forecast_fdm(
     """Forecast each coefficient series, recombine, and attach
     normal-theory intervals from the summed variance."""
     horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    beta_points = np.empty((model.K, horizon))
-    beta_vars = np.empty((model.K, horizon))
-    for k, fit in enumerate(_coefficient_fits(model, ts_spec)):
-        beta_points[k], beta_vars[k] = forecast_ts(fit, horizon)
+    forecasts = [forecast_ts(fit, horizon) for fit in _coefficient_fits(model, ts_spec)]
+    beta_points = np.array([point for point, _ in forecasts])
+    beta_vars = np.array([variance for _, variance in forecasts])
     point = model.mu[:, None] + model.phi @ beta_points
     variance = (
         model.sigma2_mu[:, None]
@@ -243,8 +240,6 @@ def bootstrap_intervals(
     give identical bounds.
     """
     horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     if B < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {B}")
     analytic = forecast_fdm(model, ts_spec, horizon, level)

@@ -117,8 +117,6 @@ def forecast_lc(
     ignored, the standard simplification for this model.
     """
     horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     fit = fit_ts(model.kappa, ts_spec)
     k_point, k_var = forecast_ts(fit, horizon)
     point = model.alpha[:, None] + np.outer(model.beta, k_point)

@@ -1,7 +1,8 @@
 """Univariate time-series models for the period indexes.
 
-Two families: a random walk with drift (the default for mortality
-indexes) and AR(p) on d-th differences fit by conditional least squares.
+One model: AR(p) on d-th differences, with or without drift, fit by
+conditional least squares. The default, AR(0) on first differences with
+drift, is the random walk with drift used for mortality indexes.
 Forecast variances include the drift-estimation term, so intervals widen
 a little faster than the pure innovation variance would suggest.
 """
@@ -16,10 +17,6 @@ import numpy as np
 __all__ = [
     "TsSpec",
     "TsFit",
-    "fit_rwd",
-    "forecast_rwd",
-    "fit_ar",
-    "forecast_ar",
     "fit_ts",
     "forecast_ts",
     "simulate_path",
@@ -28,16 +25,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TsSpec:
-    """Which model to fit: family 'rwd', or 'arima' with order (p, d)."""
+    """AR order p on d-th differences, with or without drift. The
+    default, p=0, d=1 with drift, is the random walk with drift."""
 
-    family: str = "rwd"
     p: int = 0
     d: int = 1
     include_drift: bool = True
 
     def __post_init__(self):
-        if self.family not in ("rwd", "arima"):
-            raise ValueError(f"family must be 'rwd' or 'arima', got {self.family!r}")
         if self.p < 0:
             raise ValueError("p must be nonnegative")
         if self.d not in (0, 1):
@@ -45,17 +40,18 @@ class TsSpec:
 
     @property
     def min_observations(self) -> int:
-        """Shortest series the model can be fitted to: 3 for rwd (level,
-        drift and one df for the variance), p + d + 2 for AR(p) on d-th
-        differences."""
-        return 3 if self.family == "rwd" else self.p + self.d + 2
+        """Shortest series the model can be fitted to: p + d + 2, so 3
+        for the random walk with drift (level, drift and one df for the
+        variance)."""
+        return self.p + self.d + 2
 
     @classmethod
     def parse(cls, text: str) -> "TsSpec":
-        """Parse 'rwd' or 'ar:p,d[,drift]' (also accepts 'arima:' prefix)."""
+        """Parse 'rwd' (short for 'ar:0,1,drift') or 'ar:p,d[,drift]'
+        (also accepts 'arima:' prefix)."""
         text = text.strip().lower()
         if text == "rwd":
-            return cls(family="rwd")
+            return cls()
         for prefix in ("ar:", "arima:"):
             if text.startswith(prefix):
                 parts = [t.strip() for t in text[len(prefix):].split(",")]
@@ -70,7 +66,7 @@ class TsSpec:
                     d = int(parts[1]) if len(parts) == 2 else 1
                 except ValueError:
                     raise ValueError(f"cannot parse time-series spec {text!r}") from None
-                return cls(family="arima", p=p, d=d, include_drift=drift)
+                return cls(p=p, d=d, include_drift=drift)
         raise ValueError(f"cannot parse time-series spec {text!r}")
 
 
@@ -104,34 +100,6 @@ def _check_series(series) -> np.ndarray:
     return arr
 
 
-def fit_rwd(series) -> TsFit:
-    """Random walk with drift: drift is the mean first difference and the
-    innovation variance is the sample variance of the differences about
-    it (denominator n−2, one df each for the level and the drift)."""
-    spec = TsSpec(family="rwd")
-    arr = _check_series(series)
-    n = len(arr)
-    if n < spec.min_observations:
-        raise ValueError(f"random walk with drift needs at least "
-                         f"{spec.min_observations} observations, got {n}")
-    diffs = np.diff(arr)
-    drift = float(diffs.mean())
-    residuals = diffs - drift
-    sigma2 = float(np.sum(residuals**2) / (n - 2))
-    return TsFit(
-        spec=spec,
-        drift=drift,
-        ar_coeffs=np.empty(0),
-        innovation_variance=sigma2,
-        n=n,
-        residuals=residuals,
-        last_level=float(arr[-1]),
-        diff_tail=np.empty(0),
-        n_diff=n - 1,
-        stationary=True,
-    )
-
-
 def _check_horizon(h: int) -> int:
     h = int(h)
     if h < 1:
@@ -139,34 +107,21 @@ def _check_horizon(h: int) -> int:
     return h
 
 
-def forecast_rwd(fit: TsFit, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Point forecasts and variances for horizons 1..h.
-
-    Variance at horizon k is k·σ² from accumulated innovations plus
-    k²·σ²/(n−1) from the estimated drift.
-    """
-    h = _check_horizon(h)
-    ks = np.arange(1, h + 1, dtype=float)
-    point = fit.last_level + ks * fit.drift
-    variance = ks * fit.innovation_variance + ks**2 * fit.innovation_variance / fit.n_diff
-    return point, variance
-
-
-def fit_ar(series, spec: TsSpec) -> TsFit:
+def fit_ts(series, spec: TsSpec) -> TsFit:
     """AR(p) on d-th differences by conditional least squares.
 
     The mean of the differenced series is removed first when the spec
     includes drift. The fitted polynomial's roots are checked; a root on
     or inside the unit circle clears the ``stationary`` flag rather than
-    raising, since an explosive κ fit is a diagnosis, not a crash.
+    raising, since an explosive κ fit is a diagnosis, not a crash. The
+    default spec is the random walk with drift: the drift is the mean
+    first difference and the innovation variance has denominator n−2.
     """
-    if spec.family != "arima":
-        raise ValueError("fit_ar requires an arima spec")
     arr = _check_series(series)
     n = len(arr)
     if n < spec.min_observations:
         raise ValueError(
-            f"need at least p+d+2 = {spec.min_observations} observations for "
+            f"need at least {spec.min_observations} observations (p+d+2) for "
             f"AR({spec.p}) on d={spec.d} differences, got {n}"
         )
     z = np.diff(arr, n=spec.d) if spec.d else arr.copy()
@@ -244,7 +199,18 @@ def _ar_centered_path(fit: TsFit, h: int, innovations: np.ndarray) -> np.ndarray
     return values[p:]
 
 
-def forecast_ar(fit: TsFit, h: int) -> tuple[np.ndarray, np.ndarray]:
+def _level_paths(fit: TsFit, centered: np.ndarray) -> np.ndarray:
+    """Paths on the series scale from demeaned differenced-scale paths of
+    shape (h,) or (h, B). On d=1 the level is the last observation plus
+    k drifts plus the running sum of the centered differences."""
+    if fit.spec.d == 0:
+        return fit.drift + centered
+    h = centered.shape[0]
+    ks = np.arange(1, h + 1, dtype=float).reshape((h,) + (1,) * (centered.ndim - 1))
+    return fit.last_level + ks * fit.drift + np.cumsum(centered, axis=0)
+
+
+def forecast_ts(fit: TsFit, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Recursive point forecasts with psi-weight variance accumulation.
 
     On d=1 the differenced-scale weights are cumulated before squaring
@@ -252,15 +218,10 @@ def forecast_ar(fit: TsFit, h: int) -> tuple[np.ndarray, np.ndarray]:
     adds k²·σ²/n_diff when d=1 and σ²/n_diff when d=0.
     """
     h = _check_horizon(h)
-    centered = _ar_centered_path(fit, h, np.zeros(h))
+    point = _level_paths(fit, _ar_centered_path(fit, h, np.zeros(h)))
     sigma2 = fit.innovation_variance
     psi = _psi_weights(fit.ar_coeffs, h)
-    if fit.spec.d == 1:
-        point = fit.last_level + np.cumsum(fit.drift + centered)
-        weights = np.cumsum(psi)
-    else:
-        point = fit.drift + centered
-        weights = psi
+    weights = np.cumsum(psi) if fit.spec.d == 1 else psi
     variance = sigma2 * np.cumsum(weights**2)
     if fit.spec.include_drift:
         ks = np.arange(1, h + 1, dtype=float)
@@ -269,18 +230,6 @@ def forecast_ar(fit: TsFit, h: int) -> tuple[np.ndarray, np.ndarray]:
         else:
             variance = variance + sigma2 / fit.n_diff
     return point, variance
-
-
-def fit_ts(series, spec: TsSpec) -> TsFit:
-    if spec.family == "rwd":
-        return fit_rwd(series)
-    return fit_ar(series, spec)
-
-
-def forecast_ts(fit: TsFit, h: int) -> tuple[np.ndarray, np.ndarray]:
-    if fit.spec.family == "rwd":
-        return forecast_rwd(fit, h)
-    return forecast_ar(fit, h)
 
 
 def simulate_path(fit: TsFit, h: int, innovations: Optional[np.ndarray] = None) -> np.ndarray:
@@ -299,11 +248,4 @@ def simulate_path(fit: TsFit, h: int, innovations: Optional[np.ndarray] = None) 
     if innovations.ndim not in (1, 2) or innovations.shape[0] != h:
         raise ValueError(f"need innovations of shape ({h},) or ({h}, B), "
                          f"got shape {innovations.shape}")
-    if fit.spec.family == "rwd":
-        column = (h,) + (1,) * (innovations.ndim - 1)
-        ks = np.arange(1, h + 1, dtype=float).reshape(column)
-        return fit.last_level + ks * fit.drift + np.cumsum(innovations, axis=0)
-    centered = _ar_centered_path(fit, h, innovations)
-    if fit.spec.d == 1:
-        return fit.last_level + np.cumsum(fit.drift + centered, axis=0)
-    return fit.drift + centered
+    return _level_paths(fit, _ar_centered_path(fit, h, innovations))

@@ -23,7 +23,7 @@ from mortforecast.fdm import FdmModel, bootstrap_intervals, fit_fdm, forecast_fd
 from mortforecast.leecarter import fit_lc, fit_lcs
 from mortforecast.lifetable import e0_from_rates
 from mortforecast.smoothing import SmoothConfig, enforce_monotone, smooth_curve, smooth_surface
-from mortforecast.tsforecast import TsSpec, fit_rwd, forecast_ts
+from mortforecast.tsforecast import TsSpec, fit_ts, forecast_ts
 
 from conftest import ITALY_SKIP, italy_path, italy_surface, make_surface, rank1_surface, smooth
 from test_lifetable import _e0_by_integration
@@ -272,13 +272,13 @@ def test_criterion_09_reconstruction_and_variance_sum():
 def test_criterion_10_rwd_closed_forms():
     label = "random-walk-with-drift closed forms"
     with criterion(10, label):
-        line = fit_rwd(np.arange(5.0))
+        line = fit_ts(np.arange(5.0), TsSpec())
         assert line.drift == pytest.approx(1.0, abs=1e-12)
         assert line.innovation_variance == pytest.approx(0.0, abs=1e-12)
-        hand = fit_rwd(np.array([0.0, 2.0, 1.0, 3.0]))
+        hand = fit_ts(np.array([0.0, 2.0, 1.0, 3.0]), TsSpec())
         assert hand.drift == pytest.approx(1.0, abs=1e-12)
         assert hand.innovation_variance == pytest.approx(3.0, abs=1e-12)
-        base = fit_rwd(np.linspace(0.0, 25.0, 26))
+        base = fit_ts(np.linspace(0.0, 25.0, 26), TsSpec())
         unit = dataclasses.replace(base, innovation_variance=1.0)
         _, variance = forecast_ts(unit, 30)
         assert variance[29] == pytest.approx(30.0 + 900.0 / 25.0, abs=1e-10)

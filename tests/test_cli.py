@@ -15,6 +15,7 @@ import mortforecast
 from mortforecast import (build_surface, fit_models, normality_test, parse_hmd_rates,
                           standardize_residuals, t_test_zero_mean)
 from mortforecast.cli import main
+from mortforecast.tsforecast import TsSpec
 
 from conftest import synthetic_hmd_text
 
@@ -170,6 +171,24 @@ def test_identical_runs_are_byte_identical(hmd_file, tmp_path):
                                                shallow=False)
     assert mismatch == [] and errors == []
     assert len(match) == len(names)
+
+
+def test_random_walk_spellings_write_identical_artifacts(hmd_file, tmp_path):
+    spellings = ("rwd", "ar:0,1,drift", "arima:0,1,drift")
+    assert all(TsSpec.parse(text) == TsSpec() for text in spellings)
+    outs = []
+    for tag, text in enumerate(spellings):
+        out = tmp_path / str(tag)
+        code = run_cli(["forecast", *base_args(hmd_file, out), "--models", "lc,fdm",
+                        "--bootstrap", "200", "--ts", text])
+        assert code == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    for out in outs[1:]:
+        assert names == sorted(p.name for p in out.iterdir())
+        match, mismatch, errors = filecmp.cmpfiles(outs[0], out, names, shallow=False)
+        assert mismatch == [] and errors == []
+        assert len(match) == len(names)
 
 
 @pytest.mark.parametrize("command", [[], ["fit"], ["forecast"], ["backtest"],

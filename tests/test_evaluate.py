@@ -6,8 +6,10 @@ import scipy.special
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from mortforecast.evaluate import (error_metrics, normality_test, run_backtest,
-                                   standardize_residuals, t_test_zero_mean)
+from mortforecast import tsforecast
+from mortforecast.evaluate import (error_metrics, fit_models, forecast_model, normality_test,
+                                   run_backtest, standardize_residuals, t_test_zero_mean)
+from mortforecast.smoothing import SmoothConfig
 from mortforecast.tsforecast import TsSpec
 
 from conftest import make_surface, rank1_surface
@@ -254,3 +256,49 @@ def test_backtest_window_validation():
         run_backtest(surface, models=["lc"], train=(2010, 2000), test=(2011, 2015))
     with pytest.raises(ValueError, match="unknown model"):
         run_backtest(surface, models=["lx"], train=(2000, 2008), test=(2009, 2015))
+
+
+def test_backtest_ar_d1_drift_within_tolerance_of_summed_drift(monkeypatch):
+    # ar:p,1,drift forecasts add k drifts to the running sum of the
+    # centered differences. Summing drift + centered step by step, as the
+    # level used to be built, moves log-rate points, bounds and errors by
+    # at most 1e-12 and e0 by at most 1e-10; variances do not move.
+    surface, _, _, _ = rank1_surface(n_ages=12, n_years=30, seed=5, noise=0.03,
+                                     first_year=1950)
+    kw = dict(models=["lc", "fdm"], train=(1950, 1971), test=(1972, 1979),
+              ts_spec=TsSpec.parse("ar:1,1,drift"),
+              smooth_config=SmoothConfig(monotone_from=None), K=2,
+              bootstrap=100, seed=4)
+    report = run_backtest(surface, **kw)
+
+    def summed_drift_level_paths(fit, centered):
+        if fit.spec.d == 0:
+            return fit.drift + centered
+        return fit.last_level + np.cumsum(fit.drift + centered, axis=0)
+
+    monkeypatch.setattr(tsforecast, "_level_paths", summed_drift_level_paths)
+    summed = run_backtest(surface, **kw)
+    for name in ("lc", "fdm"):
+        got, want = report.models[name], summed.models[name]
+        for part in ("point", "lower", "upper"):
+            np.testing.assert_allclose(getattr(got.forecast, part),
+                                       getattr(want.forecast, part), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.errors, want.errors, rtol=0, atol=1e-12)
+        assert np.array_equal(got.forecast.variance, want.forecast.variance)
+        for part in ("point", "lower", "upper"):
+            np.testing.assert_allclose(getattr(got.e0_interval, part),
+                                       getattr(want.e0_interval, part), rtol=0, atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def lc_and_fdm():
+    surface, _, _, _ = rank1_surface(n_ages=12, n_years=20, seed=2, noise=0.03)
+    return fit_models(surface, ["lc", "fdm"], SmoothConfig(monotone_from=None), K=2)
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+@pytest.mark.parametrize("bootstrap", [0, 100])
+@pytest.mark.parametrize("name", ["lc", "fdm"])
+def test_forecast_model_rejects_short_horizon(lc_and_fdm, name, bootstrap, horizon):
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        forecast_model(lc_and_fdm[name], TsSpec(), horizon, bootstrap=bootstrap)

@@ -321,7 +321,7 @@ def test_bootstrap_explosive_ar_fit_stays_finite():
     log_m = ((-4.0 + 0.05 * x)[:, None] - 0.02 * 1.3 ** t[None, :]
              + 0.01 * rng.standard_normal((8, 16)))
     model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=1)
-    spec = TsSpec(family="arima", p=1, d=0)
+    spec = TsSpec(p=1, d=0)
     assert not fit_ts(model.beta_series[:, 0], spec).stationary
     fc = bootstrap_intervals(model, spec, horizon=6, B=200, seed=5)
     assert np.all(np.isfinite(fc.lower)) and np.all(np.isfinite(fc.upper))
