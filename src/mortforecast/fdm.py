@@ -11,6 +11,7 @@ phi_k^2, leftover model error v(x), and observational noise sigma2(x).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,16 +196,9 @@ def _coefficient_fits(model: FdmModel, ts_spec: TsSpec):
     return [fit_ts(model.beta_series[:, k], ts_spec) for k in range(model.K)]
 
 
-def forecast_fdm(
-    model: FdmModel,
-    ts_spec: TsSpec = TsSpec(),
-    horizon: int = 20,
-    level: float = 95.0,
-) -> ForecastSurface:
-    """Forecast each coefficient series, recombine, and attach
-    normal-theory intervals from the summed variance."""
-    horizon = int(horizon)
-    forecasts = [forecast_ts(fit, horizon) for fit in _coefficient_fits(model, ts_spec)]
+def _forecast_from_fits(model: FdmModel, fits, horizon: int,
+                        level: float) -> ForecastSurface:
+    forecasts = [forecast_ts(fit, horizon) for fit in fits]
     beta_points = np.array([point for point, _ in forecasts])
     beta_vars = np.array([variance for _, variance in forecasts])
     point = model.mu[:, None] + model.phi @ beta_points
@@ -221,6 +215,25 @@ def forecast_fdm(
                            level=level)
 
 
+def forecast_fdm(
+    model: FdmModel,
+    ts_spec: TsSpec = TsSpec(),
+    horizon: int = 20,
+    level: float = 95.0,
+) -> ForecastSurface:
+    """Forecast each coefficient series, recombine, and attach
+    normal-theory intervals from the summed variance."""
+    return _forecast_from_fits(model, _coefficient_fits(model, ts_spec),
+                               int(horizon), level)
+
+
+# Rows per age block of the bootstrap, at most. The ages are split into
+# ceil(n/8) near-equal blocks rather than fixed 8-row ones: a 1-row block
+# would send phi[block] @ curves[j] down BLAS's matrix-vector path, which
+# rounds differently from the matrix-matrix path of the other blocks.
+_BLOCK_ROWS = 8
+
+
 def bootstrap_intervals(
     model: FdmModel,
     ts_spec: TsSpec = TsSpec(),
@@ -234,16 +247,22 @@ def bootstrap_intervals(
     Each replicate resamples coefficient-model innovation residuals to
     regenerate the beta paths, adds a whole resampled model-error curve
     per horizon (keeping the across-age error correlation), and Gaussian
-    observational noise. All B replicates are drawn together from one
-    generator seeded with ``seed``: one draw per coefficient series, one
-    for the model-error columns and one for the noise, so equal seeds
-    give identical bounds.
+    observational noise. All B replicates are drawn from one generator
+    seeded with ``seed``: one draw per coefficient series, one for the
+    model-error columns, then the noise, so equal seeds give identical
+    bounds.
+
+    The noise is drawn, accumulated and reduced to quantiles in blocks
+    of ages, by the calling thread and one helper thread. Blocks draw
+    their noise in age order under a lock, which yields the same values
+    as one (ages, horizon, B) draw, so the bounds do not depend on which
+    thread took which block.
     """
     horizon = int(horizon)
     if B < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {B}")
-    analytic = forecast_fdm(model, ts_spec, horizon, level)
     fits = _coefficient_fits(model, ts_spec)
+    analytic = _forecast_from_fits(model, fits, horizon, level)
     n_ages = len(model.ages)
     n_years = len(model.years)
     sigma = np.sqrt(np.maximum(model.sigma2, 0.0))
@@ -254,22 +273,62 @@ def bootstrap_intervals(
         picks = rng.integers(0, len(fit.residuals), size=(horizon, B))
         curves[:, k] = simulate_path(fit, horizon, fit.residuals[picks])
     error_cols = rng.integers(0, n_years, size=(horizon, B))
-    # replicates on the last axis, so the quantiles run over contiguous
-    # memory; every term is added in place to this one array
-    samples = rng.standard_normal((n_ages, horizon, B))
-    samples *= sigma[:, None, None]
-    samples += model.mu[:, None, None]
-    for j in range(horizon):
-        samples[:, j] += model.phi @ curves[j]
-        samples[:, j] += model.model_errors[:, error_cols[j]]
 
     alpha = 1.0 - level / 100.0
-    lower, upper = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0],
-                               axis=-1, overwrite_input=True)
+    probs = [alpha / 2.0, 1.0 - alpha / 2.0]
+    n_blocks = -(-n_ages // _BLOCK_ROWS)
+    edges = [i * n_ages // n_blocks for i in range(n_blocks + 1)]
+    pending = [(edges[i], edges[i + 1]) for i in reversed(range(n_blocks))]
+    bounds = np.empty((2, n_ages, horizon))
+    lock = threading.Lock()
+
+    def work():
+        # only numpy runs here, no public function of the package: the
+        # layer trace in bench/ keeps one span stack, for the caller's
+        # thread. On failure the other worker is left no further block.
+        buf = np.empty((-(-n_ages // n_blocks), horizon, B))
+        try:
+            while True:
+                with lock:
+                    if not pending:
+                        return
+                    a, b = pending.pop()
+                    # replicates on the last axis, so the quantiles run
+                    # over contiguous memory
+                    samples = rng.standard_normal(out=buf[:b - a])
+                samples *= sigma[a:b, None, None]
+                samples += model.mu[a:b, None, None]
+                for j in range(horizon):
+                    samples[:, j] += model.phi[a:b] @ curves[j]
+                    samples[:, j] += model.model_errors[a:b, error_cols[j]]
+                bounds[:, a:b] = np.quantile(samples, probs, axis=-1,
+                                             overwrite_input=True)
+        except BaseException:
+            with lock:
+                pending.clear()
+            raise
+
+    helper_failure = []
+
+    def helper():
+        try:
+            work()
+        except BaseException as exc:
+            helper_failure.append(exc)
+
+    thread = threading.Thread(target=helper, name="fdm-bootstrap")
+    thread.start()
+    try:
+        work()
+    finally:
+        thread.join()
+    if helper_failure:
+        raise helper_failure[0]
+
     # the analytic point forecast is the reported center; widen the
     # empirical bounds minimally if sampling noise left it outside
-    lower = np.minimum(lower, analytic.point)
-    upper = np.maximum(upper, analytic.point)
+    lower = np.minimum(bounds[0], analytic.point)
+    upper = np.maximum(bounds[1], analytic.point)
     return ForecastSurface(ages=model.ages, years=analytic.years,
                            point=analytic.point, variance=analytic.variance,
                            lower=lower, upper=upper, level=level)

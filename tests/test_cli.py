@@ -474,7 +474,14 @@ def _edge_log_rates(kind):
     return log_m
 
 
-@pytest.mark.parametrize("command", [["fit"], ["forecast", "--horizon", "5"]])
+@pytest.mark.parametrize("command", [
+    ["fit"],
+    ["forecast", "--horizon", "5"],
+    # flat_kappa makes every beta series flat, so the fdm bootstrap
+    # resamples all-zero innovations
+    ["forecast", "--horizon", "5", "--bootstrap", "100"],
+    ["backtest", "--train", "1950:1964", "--test", "1965:1969", "--bootstrap", "100"],
+])
 @pytest.mark.parametrize("kind", ["unit_rates", "flat_kappa"])
 def test_edge_surfaces_fit_and_forecast(tmp_path, command, kind):
     data = tmp_path / "Mx_1x1.txt"

@@ -6,14 +6,18 @@ extraction sees the constructed surface unchanged.
 """
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mortforecast.fdm import bootstrap_intervals, fit_fdm, forecast_fdm
+import mortforecast.fdm
+from mortforecast.fdm import ForecastSurface, bootstrap_intervals, fit_fdm, forecast_fdm
 from mortforecast.smoothing import SmoothConfig
-from mortforecast.tsforecast import TsSpec, fit_ts, forecast_ts
+from mortforecast.tsforecast import TsSpec, fit_ts, forecast_ts, simulate_path
 
 from conftest import make_surface, smooth
 
@@ -301,6 +305,169 @@ def test_bootstrap_memory_stays_near_one_sample_array():
         tracemalloc.stop()
     assert fc.lower.shape == (n_ages, horizon)
     assert peak <= 1.5 * sample_bytes
+
+
+def _hmd_scale_model():
+    """The 111-age, K=4 model of the memory test above."""
+    n_ages, n_years = 111, 40
+    rng = np.random.default_rng(67)
+    x = np.arange(n_ages, dtype=float)
+    trend = np.linspace(2.0, -2.0, n_years)
+    log_m = ((-9.0 + 0.08 * x)[:, None] + 0.05 * trend[None, :]
+             + 0.02 * rng.standard_normal((n_ages, n_years)))
+    return fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=4)
+
+
+def test_bootstrap_memory_stays_near_two_age_blocks():
+    # each of the two workers reuses one buffer of at most 8 ages of
+    # replicates; nothing of the full (ages, horizon, B) size is allocated
+    model = _hmd_scale_model()
+    horizon, B = 30, 2000
+    sample_bytes = len(model.ages) * horizon * B * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        bootstrap_intervals(model, TsSpec(), horizon=horizon, B=B, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * sample_bytes
+
+
+def test_bootstrap_fits_each_coefficient_series_once(monkeypatch):
+    rng = np.random.default_rng(43)
+    log_m = rng.standard_normal((9, 14)) * 0.3 - 4.0
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=3)
+    calls = []
+
+    def counting_fit_ts(series, spec):
+        calls.append(spec)
+        return fit_ts(series, spec)
+
+    monkeypatch.setattr(mortforecast.fdm, "fit_ts", counting_fit_ts)
+    bootstrap_intervals(model, TsSpec(), horizon=4, B=100, seed=2)
+    assert len(calls) == model.K
+
+
+def _small_model(n_ages=24, n_years=14, K=2, seed=71):
+    rng = np.random.default_rng(seed)
+    log_m = rng.standard_normal((n_ages, n_years)) * 0.3 - 4.0
+    return fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=K)
+
+
+@pytest.mark.parametrize("failing_thread", ["helper", "caller"])
+def test_bootstrap_worker_error_reaches_caller(monkeypatch, failing_thread):
+    # three age blocks; each worker's first quantile waits for the other
+    # worker's, so both hold a block when one of them fails
+    model = _small_model()
+    real_quantile = np.quantile
+    both_hold_a_block = threading.Barrier(2, timeout=30)
+    threads_before = set(threading.enumerate())
+    calls = []
+
+    def quantile(*args, **kwargs):
+        in_caller = threading.current_thread() is threading.main_thread()
+        calls.append(in_caller)
+        if calls.count(in_caller) == 1:
+            both_hold_a_block.wait()
+        if (failing_thread == "caller") == in_caller:
+            raise RuntimeError(f"quantile failed in the {failing_thread}")
+        if in_caller:
+            for thread in set(threading.enumerate()) - threads_before:
+                thread.join(timeout=30)
+        return real_quantile(*args, **kwargs)
+
+    monkeypatch.setattr(np, "quantile", quantile)
+    with pytest.raises(RuntimeError, match=f"failed in the {failing_thread}"):
+        bootstrap_intervals(model, TsSpec(), horizon=3, B=100, seed=4)
+    assert set(threading.enumerate()) == threads_before
+    if failing_thread == "helper":
+        # the helper's failure left the caller no third block
+        assert sorted(calls) == [False, True]
+    monkeypatch.undo()
+    bootstrap_intervals(model, TsSpec(), horizon=3, B=100, seed=4)
+    assert set(threading.enumerate()) == threads_before
+
+
+def test_concurrent_bootstraps_match_reference():
+    # four callers at once run eight workers on fewer cores, with thread
+    # switches forced often; a block drawn out of age order or a bound
+    # written to the wrong rows would break agreement with the reference
+    model = _small_model(n_ages=40)
+    seeds = [11, 12, 13, 14]
+    want = {seed: _reference_bootstrap_intervals(model, TsSpec(), 5, 95.0, 200, seed)
+            for seed in seeds}
+    mismatched = []
+
+    def run(seed):
+        for _ in range(10):
+            got = bootstrap_intervals(model, TsSpec(), horizon=5, B=200, seed=seed)
+            if not (np.allclose(got.lower, want[seed].lower, rtol=0, atol=1e-12)
+                    and np.allclose(got.upper, want[seed].upper, rtol=0, atol=1e-12)):
+                mismatched.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert mismatched == []
+
+
+def _reference_bootstrap_intervals(model, ts_spec, horizon, level, B, seed):
+    """The single-array bootstrap that the age-block version replaced:
+    every replicate accumulated in one (ages, horizon, B) array, both
+    bounds in one quantile pass over it."""
+    analytic = forecast_fdm(model, ts_spec, horizon, level)
+    fits = [fit_ts(model.beta_series[:, k], ts_spec) for k in range(model.K)]
+    sigma = np.sqrt(np.maximum(model.sigma2, 0.0))
+    rng = np.random.default_rng(seed)
+    curves = np.empty((horizon, model.K, B))
+    for k, fit in enumerate(fits):
+        picks = rng.integers(0, len(fit.residuals), size=(horizon, B))
+        curves[:, k] = simulate_path(fit, horizon, fit.residuals[picks])
+    error_cols = rng.integers(0, len(model.years), size=(horizon, B))
+    samples = rng.standard_normal((len(model.ages), horizon, B))
+    samples *= sigma[:, None, None]
+    samples += model.mu[:, None, None]
+    for j in range(horizon):
+        samples[:, j] += model.phi @ curves[j]
+        samples[:, j] += model.model_errors[:, error_cols[j]]
+    alpha = 1.0 - level / 100.0
+    lower, upper = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0],
+                               axis=-1, overwrite_input=True)
+    lower = np.minimum(lower, analytic.point)
+    upper = np.maximum(upper, analytic.point)
+    return ForecastSurface(ages=model.ages, years=analytic.years,
+                           point=analytic.point, variance=analytic.variance,
+                           lower=lower, upper=upper, level=level)
+
+
+@settings(deadline=None, max_examples=40)
+@given(n_ages=st.one_of(st.integers(4, 40), st.sampled_from([9, 17, 25, 33])),
+       horizon=st.integers(1, 8), K=st.integers(1, 3), B=st.integers(100, 400),
+       seed=st.integers(0, 2**31), spec=st.sampled_from(["rwd", "ar:1,0", "ar:1,1"]))
+def test_bootstrap_matches_single_array_reference(n_ages, horizon, K, B, seed, spec):
+    rng = np.random.default_rng(seed)
+    x = np.arange(n_ages, dtype=float)
+    trend = np.linspace(2.0, -2.0, 16)
+    log_m = ((-6.0 + 0.08 * x)[:, None] + 0.05 * trend[None, :]
+             + 0.05 * rng.standard_normal((n_ages, 16)))
+    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=K)
+    ts_spec = TsSpec.parse(spec)
+    got = bootstrap_intervals(model, ts_spec, horizon, 90.0, B, seed)
+    want = _reference_bootstrap_intervals(model, ts_spec, horizon, 90.0, B, seed)
+    np.testing.assert_array_equal(got.point, want.point)
+    np.testing.assert_array_equal(got.variance, want.variance)
+    np.testing.assert_allclose(got.lower, want.lower, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.upper, want.upper, rtol=0, atol=1e-12)
 
 
 def test_bootstrap_rejects_tiny_B():
