@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, svd
 
 __all__ = [
     "SvdResult",
@@ -40,7 +40,9 @@ class SvdResult:
 def svd_thin(A) -> SvdResult:
     """Thin singular value decomposition of a real matrix.
 
-    Backed by LAPACK through numpy; wrapped so callers get input
+    LAPACK's divide-and-conquer driver (gesdd) through ``scipy.linalg``,
+    like the Cholesky steps below, so every factorization here runs on
+    one BLAS build and its thread pool. Wrapped so callers get input
     validation and a stable result type. Singular values come back
     in descending order, vectors column-orthonormal.
     """
@@ -49,7 +51,7 @@ def svd_thin(A) -> SvdResult:
         raise ValueError("svd_thin: matrix must be at least 1x1")
     if not np.all(np.isfinite(A)):
         raise ValueError("svd_thin: matrix contains non-finite entries")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    U, s, Vt = svd(A, full_matrices=False, check_finite=False, lapack_driver="gesdd")
     return SvdResult(singular_values=s, left_vectors=U, right_vectors=Vt.T)
 
 

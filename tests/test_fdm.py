@@ -403,8 +403,8 @@ def test_concurrent_bootstraps_match_reference():
     def run(seed):
         for _ in range(10):
             got = bootstrap_intervals(model, TsSpec(), horizon=5, B=200, seed=seed)
-            if not (np.allclose(got.lower, want[seed].lower, rtol=0, atol=1e-12)
-                    and np.allclose(got.upper, want[seed].upper, rtol=0, atol=1e-12)):
+            if not (np.array_equal(got.lower, want[seed].lower)
+                    and np.array_equal(got.upper, want[seed].upper)):
                 mismatched.append(seed)
 
     interval = sys.getswitchinterval()
@@ -466,8 +466,8 @@ def test_bootstrap_matches_single_array_reference(n_ages, horizon, K, B, seed, s
     want = _reference_bootstrap_intervals(model, ts_spec, horizon, 90.0, B, seed)
     np.testing.assert_array_equal(got.point, want.point)
     np.testing.assert_array_equal(got.variance, want.variance)
-    np.testing.assert_allclose(got.lower, want.lower, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got.upper, want.upper, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got.lower, want.lower)
+    np.testing.assert_array_equal(got.upper, want.upper)
 
 
 def test_bootstrap_rejects_tiny_B():

@@ -1,8 +1,8 @@
 """Numerical kernels checked against independent routes: the SVD against
-a Gram-matrix eigendecomposition, the B-spline design against a scalar
-Cox-de Boor recursion written here, the penalized solver against a
-stacked least-squares formulation, and the normal quantile against
-bisection on the CDF."""
+a Gram-matrix eigendecomposition and numpy's own SVD, the B-spline
+design against a scalar Cox-de Boor recursion written here, the
+penalized solver against a stacked least-squares formulation, and the
+normal quantile against bisection on the CDF."""
 
 import math
 
@@ -48,6 +48,38 @@ def test_svd_orthonormal_columns():
                                np.eye(6), atol=1e-12)
     np.testing.assert_allclose(res.right_vectors.T @ res.right_vectors,
                                np.eye(6), atol=1e-12)
+
+
+@settings(deadline=None, max_examples=150)
+@given(m=st.integers(2, 111), n=st.integers(2, 85), seed=st.integers(0, 2**31),
+       kind=st.sampled_from(["full", "rank_deficient", "constant_rows"]))
+def test_svd_thin_matches_numpy_svd(m, n, seed, kind):
+    # svd_thin runs on scipy's LAPACK, which may link another BLAS build
+    # than numpy's; both must give the same decomposition up to rounding
+    rng = np.random.default_rng(seed)
+    if kind == "full":
+        A = rng.standard_normal((m, n))
+    elif kind == "rank_deficient":
+        r = int(rng.integers(1, min(m, n)))
+        A = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    else:
+        # a flat surface row by row, with some rows left noisy
+        A = np.repeat(rng.standard_normal((m, 1)), n, axis=1)
+        noisy = rng.random(m) < 0.3
+        A[noisy] += 0.1 * rng.standard_normal((int(noisy.sum()), n))
+    res = svd_thin(A)
+    want = np.linalg.svd(A, compute_uv=False)
+    scale = max(float(want[0]), 1.0)
+    # singular values at rounding level are only determined to eps * s[0]
+    np.testing.assert_allclose(res.singular_values, want, rtol=1e-12,
+                               atol=1e-13 * scale)
+    k = min(m, n)
+    assert res.left_vectors.shape == (m, k) and res.right_vectors.shape == (n, k)
+    np.testing.assert_allclose(res.reconstruct(), A, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(res.left_vectors.T @ res.left_vectors, np.eye(k),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.right_vectors.T @ res.right_vectors, np.eye(k),
+                               rtol=0, atol=1e-12)
 
 
 def test_svd_rejects_bad_input():
