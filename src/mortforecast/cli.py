@@ -3,12 +3,16 @@
 Artifacts (CSV, JSON, SVG) land under --output with stable names, and a
 given config + data + seed always produces byte-identical files. Exit
 status 0 means success, 1 a computation failure, 2 a usage or I/O
-problem; usage problems are caught before --output is created.
+problem. Every artifact is computed before any is written, so a failed
+run creates and changes nothing. Files in --output that are not this
+run's artifacts are left alone, each artifact is replaced whole, and a
+failed write exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -258,48 +262,56 @@ def _check_fit_sizes(args: argparse.Namespace, surface: MortalitySurface,
 # artifact helpers
 
 
-def _out(args: argparse.Namespace, name: str) -> str:
-    return os.path.join(args.output, name)
-
-
-def _write_json(args: argparse.Namespace, summary: dict) -> None:
-    if "json" not in args.formats:
-        return
-    obj = {"command": args.command, "gender": args.gender,
-           "schema_version": SCHEMA_VERSION, **summary}
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    with open(_out(args, "summary.json"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _text(column) -> Iterable[str]:
     """A column's cells: floats as ``repr``, ints and labels as ``str``."""
     values = np.asarray(column)
     return map(repr if values.dtype.kind == "f" else str, values.tolist())
 
 
-def _write_csv(args: argparse.Namespace, name: str, header: str, *columns) -> None:
+def _csv(header: str, *columns) -> str:
     """One row per position of the columns, each formatted as a whole."""
-    if "csv" not in args.formats:
-        return
-    with open(_out(args, name), "w", encoding="utf-8") as fh:
-        fh.write("\n".join([header, *map(",".join, zip(*map(_text, columns)))]) + "\n")
+    return "\n".join([header, *map(",".join, zip(*map(_text, columns)))]) + "\n"
 
 
-def _write_long_csv(args: argparse.Namespace, name: str, ages, years, **columns) -> None:
+def _long_csv(ages, years, **columns) -> str:
     """One ``age,year,<columns>`` row per cell of age-by-year arrays,
     years outermost. Each age and year is formatted once, then repeated."""
     age_text, year_text = (np.array([*_text(v)], dtype=object) for v in (ages, years))
-    _write_csv(args, name, ",".join(["age", "year", *columns]),
-               np.tile(age_text, len(years)), np.repeat(year_text, len(ages)),
-               *(c.ravel(order="F") for c in columns.values()))
+    return _csv(",".join(["age", "year", *columns]),
+                np.tile(age_text, len(years)), np.repeat(year_text, len(ages)),
+                *(c.ravel(order="F") for c in columns.values()))
 
 
-def _write_svg(args: argparse.Namespace, name: str, series, xlabel: str, ylabel: str,
-               title: Optional[str] = None) -> None:
-    if "svg" not in args.formats:
-        return
-    render_line_chart(series, xlabel, ylabel, path=_out(args, name), title=title)
+def _summary_json(args: argparse.Namespace, summary: dict) -> str:
+    obj = {"command": args.command, "gender": args.gender,
+           "schema_version": SCHEMA_VERSION, **summary}
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _commit(output: str, files: dict) -> None:
+    """Write each (name, text) of ``files`` into ``output``.
+
+    Every text goes to ``.<name>.partial`` first; only when all are
+    staged is each renamed over its artifact, so an artifact is replaced
+    whole and a failed staging write changes no earlier file. Staged
+    files that were not renamed are removed. Plain ``open`` rather than
+    ``mkstemp``, whose 0600 mode the rename would carry onto the artifact.
+    """
+    os.makedirs(output, exist_ok=True)
+    staged: dict = {}  # partial path -> artifact path
+    try:
+        for name, text in files.items():
+            partial = os.path.join(output, f".{name}.partial")
+            with open(partial, "w", encoding="utf-8") as fh:
+                staged[partial] = os.path.join(output, name)
+                fh.write(text)
+        for partial, target in list(staged.items()):
+            os.replace(partial, target)
+            del staged[partial]
+    finally:
+        for partial in staged:
+            with contextlib.suppress(OSError):
+                os.remove(partial)
 
 
 def _diagnostics(residuals: np.ndarray) -> dict:
@@ -388,78 +400,81 @@ def _field(model, name: str):
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-def _write_params(args: argparse.Namespace, name: str, model) -> None:
+def _param_files(name: str, model) -> dict:
+    files = {}
     for csv, index_name, index, columns, chart in _OUTPUTS[name].params(name, model):
-        _write_csv(args, csv, ",".join([index_name, *(c[0] for c in columns)]),
-                   index, *(c[2] for c in columns))
+        files[csv] = _csv(",".join([index_name, *(c[0] for c in columns)]),
+                          index, *(c[2] for c in columns))
         if chart is not None:
             svg, ylabel, title = chart
-            _write_svg(args, svg, [(label, index, values) for _, label, values in columns],
-                       index_name, ylabel, title=title)
+            files[svg] = render_line_chart(
+                [(label, index, values) for _, label, values in columns],
+                index_name, ylabel, title=title)
+    return files
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns the summary.json fields and an ordered map from
+# artifact name to its text, and writes nothing
 
 
 def cmd_fit(args: argparse.Namespace, surface: MortalitySurface,
-           smooth: SmoothConfig) -> dict:
+           smooth: SmoothConfig) -> tuple[dict, dict]:
     summary: dict = {
         "ages": list(args.ages),
         "years": [int(surface.years[0]), int(surface.years[-1])],
         "models": {},
     }
+    files: dict = {}
     fitted = fit_models(surface, args.models, smooth, args.components)
     for name, model in fitted.items():
         outputs = _OUTPUTS[name]
         entry = {field: _field(model, field) for field in outputs.fields}
         entry.update(_diagnostics(getattr(model, outputs.residuals)))
-        _write_params(args, name, model)
+        files.update(_param_files(name, model))
         summary["models"][name] = entry
-    return summary
+    return summary, files
 
 
 def cmd_forecast(args: argparse.Namespace, surface: MortalitySurface,
-                smooth: SmoothConfig) -> dict:
+                smooth: SmoothConfig) -> tuple[dict, dict]:
     summary: dict = {
         "horizon": args.horizon,
         "level": args.level,
         "models": {},
     }
+    files: dict = {}
     fitted = fit_models(surface, args.models, smooth, args.components)
     for name, model in fitted.items():
         forecast = forecast_model(model, args.ts, args.horizon, args.level,
                                   args.bootstrap, args.seed)
-        _write_long_csv(args, f"forecast_{name}.csv", forecast.ages, forecast.years,
-                        point=forecast.point, variance=forecast.variance,
-                        lower=forecast.lower, upper=forecast.upper)
-        _write_svg(args, f"fig_forecast_{name}.svg",
-                   [(f"year {int(surface.years[-1])} observed", surface.ages,
-                     surface.log_rates[:, -1]),
-                    (f"year {int(forecast.years[0])}", forecast.ages,
-                     forecast.point[:, 0]),
-                    (f"year {int(forecast.years[-1])}", forecast.ages,
-                     forecast.point[:, -1])],
-                   "age", "log death rate", title=f"{name}: projected rates")
+        files[f"forecast_{name}.csv"] = _long_csv(
+            forecast.ages, forecast.years, point=forecast.point,
+            variance=forecast.variance, lower=forecast.lower, upper=forecast.upper)
+        files[f"fig_forecast_{name}.svg"] = render_line_chart(
+            [(f"year {int(surface.years[-1])} observed", surface.ages,
+              surface.log_rates[:, -1]),
+             (f"year {int(forecast.years[0])}", forecast.ages, forecast.point[:, 0]),
+             (f"year {int(forecast.years[-1])}", forecast.ages, forecast.point[:, -1])],
+            "age", "log death rate", title=f"{name}: projected rates")
         entry: dict = {"years": forecast.years.tolist()}
         if int(forecast.ages[0]) == 0:
             path = e0_path(forecast)
             parts = ("point", "lower", "upper")
             entry["e0"] = {part: getattr(path, part).tolist() for part in parts}
-            _write_csv(args, f"e0_{name}.csv", "year,point,lower,upper",
-                       path.years, *(getattr(path, part) for part in parts))
-            _write_svg(args, f"fig_e0_{name}.svg",
-                       [(part, path.years, getattr(path, part)) for part in parts],
-                       "year", "life expectancy at birth",
-                       title=f"{name}: projected e0")
+            files[f"e0_{name}.csv"] = _csv("year,point,lower,upper", path.years,
+                                           *(getattr(path, part) for part in parts))
+            files[f"fig_e0_{name}.svg"] = render_line_chart(
+                [(part, path.years, getattr(path, part)) for part in parts],
+                "year", "life expectancy at birth", title=f"{name}: projected e0")
         if args.bootstrap and _OUTPUTS[name].bootstraps:
             entry["bootstrap"] = {"B": args.bootstrap, "seed": args.seed}
         summary["models"][name] = entry
-    return summary
+    return summary, files
 
 
 def cmd_backtest(args: argparse.Namespace, surface: MortalitySurface,
-                smooth: SmoothConfig) -> dict:
+                smooth: SmoothConfig) -> tuple[dict, dict]:
     report = run_backtest(surface, args.models, args.train, args.test,
                           args.ts, args.level, smooth, args.components,
                           args.bootstrap, args.seed)
@@ -471,6 +486,7 @@ def cmd_backtest(args: argparse.Namespace, surface: MortalitySurface,
         "e0_interval_note": "e0 bounds are pointwise envelopes of the mortality "
                             "interval, not joint intervals",
     }
+    files: dict = {}
 
     years, mid = report.years, len(report.years) // 2
     for name in args.models:
@@ -479,22 +495,22 @@ def cmd_backtest(args: argparse.Namespace, surface: MortalitySurface,
             "e0_error_mean": entry.e0_error_mean,
             "e0_error_variance": entry.e0_error_variance,
         }
-        _write_long_csv(args, f"errors_{name}.csv", entry.forecast.ages,
-                        entry.forecast.years, error=entry.errors)
-        _write_svg(args, f"{_ERROR_FIG[name]}_errors_{name}.svg",
-                   [(f"year {int(years[j])}", report.ages, entry.errors[:, j])
-                    for j in (0, mid, -1)],
-                   "age", "log-rate error", title=f"{name}: forecast errors")
+        files[f"errors_{name}.csv"] = _long_csv(entry.forecast.ages, entry.forecast.years,
+                                                error=entry.errors)
+        files[f"{_ERROR_FIG[name]}_errors_{name}.svg"] = render_line_chart(
+            [(f"year {int(years[j])}", report.ages, entry.errors[:, j])
+             for j in (0, mid, -1)],
+            "age", "log-rate error", title=f"{name}: forecast errors")
 
     for fig, stat, ylabel, title in (
             ("fig12", "mean", "mean error", "mean forecast error by age"),
             ("fig13", "sd", "error sd", "standard deviation of forecast error by age")):
         columns = [getattr(report.models[m], f"{stat}_error_by_age") for m in args.models]
-        _write_csv(args, f"{fig}_{stat}_error_by_age.csv",
-                   "age," + ",".join(args.models), report.ages, *columns)
-        _write_svg(args, f"{fig}.svg",
-                   [(m, report.ages, c) for m, c in zip(args.models, columns)],
-                   "age", ylabel, title=title)
+        files[f"{fig}_{stat}_error_by_age.csv"] = _csv(
+            "age," + ",".join(args.models), report.ages, *columns)
+        files[f"{fig}.svg"] = render_line_chart(
+            [(m, report.ages, c) for m, c in zip(args.models, columns)],
+            "age", ylabel, title=title)
 
     observed = report.models[args.models[0]].e0_observed
     fan_series = [("observed", years, observed)]
@@ -505,26 +521,29 @@ def cmd_backtest(args: argparse.Namespace, surface: MortalitySurface,
                              ("upper", entry.e0_interval.upper)):
             fan_series.append((f"{name} {part}", years, values))
     fan_cols = ",".join(f"{m}_point,{m}_lower,{m}_upper" for m in args.models)
-    _write_csv(args, "fig14_e0_fan.csv", f"year,observed,{fan_cols}",
-               years, *(values for _, _, values in fan_series))
-    _write_svg(args, "fig14.svg", fan_series, "year",
-               "life expectancy at birth", title="e0: observed vs projected")
-    return summary
+    files["fig14_e0_fan.csv"] = _csv(f"year,observed,{fan_cols}",
+                                     years, *(values for _, _, values in fan_series))
+    files["fig14.svg"] = render_line_chart(fan_series, "year", "life expectancy at birth",
+                                           title="e0: observed vs projected")
+    return summary, files
 
 
 def cmd_lifetable(args: argparse.Namespace, surface: MortalitySurface,
-                 smooth: SmoothConfig) -> dict:
+                 smooth: SmoothConfig) -> tuple[dict, dict]:
     table = rates_to_lifetable(surface.year_column(args.year), ages=surface.ages)
-    _write_csv(args, "lifetable.csv", "age,qx,lx,Lx", [*_text(table.ages), "e0"],
-               np.append(table.qx, table.e0), [*_text(table.lx), ""], [*_text(table.Lx), ""])
-    _write_svg(args, "fig_survival.svg",
-               [("lx", table.ages, table.lx)], "age", "survivors",
-               title=f"survival curve, {args.gender} {args.year}")
-    return {"year": args.year, "e0": table.e0}
+    files = {
+        "lifetable.csv": _csv("age,qx,lx,Lx", [*_text(table.ages), "e0"],
+                              np.append(table.qx, table.e0), [*_text(table.lx), ""],
+                              [*_text(table.Lx), ""]),
+        "fig_survival.svg": render_line_chart(
+            [("lx", table.ages, table.lx)], "age", "survivors",
+            title=f"survival curve, {args.gender} {args.year}"),
+    }
+    return {"year": args.year, "e0": table.e0}, files
 
 
 def cmd_compare(args: argparse.Namespace, surface: MortalitySurface,
-               smooth: SmoothConfig) -> dict:
+               smooth: SmoothConfig) -> tuple[dict, dict]:
     summary: dict = {
         "years": [int(surface.years[0]), int(surface.years[-1])],
         "models": {},
@@ -532,6 +551,7 @@ def cmd_compare(args: argparse.Namespace, surface: MortalitySurface,
                         "averages per-year metrics under the same convention "
                         "as the across-ages row",
     }
+    files: dict = {}
     metrics = ("me", "mse", "mpe", "mape")
     reports: dict[str, ErrorReport] = {}
     fitted = fit_models(surface, args.models, smooth, args.components)
@@ -548,8 +568,9 @@ def cmd_compare(args: argparse.Namespace, surface: MortalitySurface,
         entry.update(_diagnostics(surface.log_rates - fitted_log))
         summary["models"][name] = entry
         for by, table in (("age", rep.by_age), ("year", rep.by_year)):
-            _write_csv(args, f"metrics_{name}_by_{by}.csv", f"{by},me,mse,mpe,mape",
-                       table.index, table.me, table.mse, table.mpe, table.mape)
+            files[f"metrics_{name}_by_{by}.csv"] = _csv(
+                f"{by},me,mse,mpe,mape", table.index, table.me, table.mse, table.mpe,
+                table.mape)
 
     for table in ("table1.csv", "table2.csv"):
         rows = [(name, f"across_{by}", *avg)
@@ -557,8 +578,8 @@ def cmd_compare(args: argparse.Namespace, surface: MortalitySurface,
                 for by, avg in (("ages", reports[name].avg_across_ages),
                                 ("years", reports[name].avg_across_years))]
         if rows:
-            _write_csv(args, table, "model,aggregation,me,mse,mpe,mape", *zip(*rows))
-    return summary
+            files[table] = _csv("model,aggregation,me,mse,mpe,mape", *zip(*rows))
+    return summary, files
 
 
 _DISPATCH = {
@@ -575,11 +596,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     smooth = SmoothConfig(num_basis=args.num_basis, lam=args.lam,
                           monotone_from=args.monotone_from)
     try:
+        if os.path.exists(args.output) and not os.path.isdir(args.output):
+            raise UsageError(f"--output {args.output} exists and is not a directory")
         surface = load_surface(args)
         _check_windows(args, surface)
         _check_fit_sizes(args, surface, smooth)
-        os.makedirs(args.output, exist_ok=True)
-        _write_json(args, _DISPATCH[args.command](args, surface, smooth))
+        summary, files = _DISPATCH[args.command](args, surface, smooth)
+        files["summary.json"] = _summary_json(args, summary)
+        _commit(args.output, {name: text for name, text in files.items()
+                              if name.rsplit(".", 1)[-1] in args.formats})
         return 0
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

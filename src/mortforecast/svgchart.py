@@ -70,12 +70,11 @@ def render_line_chart(
     series: Sequence[tuple],
     xlabel: str,
     ylabel: str,
-    path: Optional[str] = None,
     title: Optional[str] = None,
     width: int = 720,
     height: int = 480,
 ) -> str:
-    """Render (label, xs, ys) series to an SVG string and optionally a file."""
+    """Render (label, xs, ys) series to an SVG string."""
     if len(series) == 0:
         raise ValueError("need at least one series")
     cleaned = []
@@ -180,11 +179,7 @@ def render_line_chart(
         )
 
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(parts) + "\n"
 
 
 def _escape(text: str) -> str:

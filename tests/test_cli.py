@@ -497,3 +497,113 @@ def test_edge_surfaces_fit_and_forecast(tmp_path, command, kind):
     with open(out / "summary.json", encoding="utf-8") as fh:
         summary = json.load(fh, parse_constant=reject)
     assert set(summary["models"]) == {"lc", "lcs", "fdm"}
+
+
+# ---------------------------------------------------------------------------
+# writing: every artifact is computed before any is written
+
+
+def snapshot(out):
+    """Every file in ``out``, name -> bytes."""
+    return {p.name: p.read_bytes() for p in Path(out).iterdir() if p.is_file()}
+
+
+@pytest.fixture
+def earlier_run(hmd_file, tmp_path):
+    """An --output holding a finished fit plus one file of the user's own."""
+    out = tmp_path / "out"
+    assert run_cli(["fit", *base_args(hmd_file, out), "--models", "lc,fdm"]) == 0
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    return out
+
+
+def test_output_that_is_a_file_exit_2_before_reading_data(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    code = run_cli(["fit", "--data", tmp_path / "missing.txt", "--output", out])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: --output {out} exists and is not "
+                                       "a directory\n")
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def _fail_last_forecast(monkeypatch, n_models):
+    """Make the ``n_models``-th forecast raise, after the others succeed."""
+    forecast_model, calls = mortforecast.cli.forecast_model, []
+
+    def fake(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == n_models:
+            raise ValueError("forced failure in the last model")
+        return forecast_model(*args, **kwargs)
+
+    monkeypatch.setattr(mortforecast.cli, "forecast_model", fake)
+    return calls
+
+
+def test_failed_forecast_creates_no_output(hmd_file, tmp_path, monkeypatch, capsys):
+    calls = _fail_last_forecast(monkeypatch, 2)
+    out = tmp_path / "fresh"
+    code = run_cli(["forecast", *base_args(hmd_file, out), "--models", "lc,fdm"])
+    assert code == 1
+    assert len(calls) == 2
+    assert "computation failed: forced failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_forecast_changes_no_earlier_file(hmd_file, earlier_run, monkeypatch):
+    before = snapshot(earlier_run)
+    _fail_last_forecast(monkeypatch, 2)
+    code = run_cli(["forecast", *base_args(hmd_file, earlier_run), "--models", "lc,fdm"])
+    assert code == 1
+    assert sorted(p.name for p in earlier_run.iterdir()) == sorted(before)
+    assert snapshot(earlier_run) == before
+
+
+def _block_the_last_partial(out, monkeypatch):
+    # summary.json is staged last, so every other artifact is staged first
+    (out / ".summary.json.partial").mkdir()
+
+
+def _fail_every_rename(out, monkeypatch):
+    def fail(src, dst):
+        raise PermissionError(f"cannot rename {src}")
+
+    monkeypatch.setattr(os, "replace", fail)
+
+
+@pytest.mark.parametrize("break_write", [_block_the_last_partial, _fail_every_rename],
+                         ids=lambda fn: fn.__name__.strip("_"))
+def test_failed_write_exit_2_changes_no_earlier_file(hmd_file, earlier_run, monkeypatch,
+                                                     capsys, break_write):
+    break_write(earlier_run, monkeypatch)
+    before = snapshot(earlier_run)
+    names = sorted(p.name for p in earlier_run.iterdir())
+    # a shorter window, so every artifact would change
+    code = run_cli(["fit", "--data", hmd_file, "--ages", "0:40", "--years", "1950:1990",
+                    "--models", "lc,fdm", "--output", earlier_run])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in earlier_run.iterdir()) == names
+    assert snapshot(earlier_run) == before
+
+
+def test_nan_summary_exit_1_under_any_formats(hmd_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(mortforecast.cli, "t_test_zero_mean",
+                        lambda std: (float("nan"), float("nan")))
+    out = tmp_path / "csvonly"
+    code = run_cli(["fit", *base_args(hmd_file, out), "--models", "lc",
+                    "--formats", "csv"])
+    assert code == 1
+    assert "computation failed: Out of range float values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rerun_replaces_artifacts_and_keeps_other_files(hmd_file, earlier_run):
+    code = run_cli(["fit", "--data", hmd_file, "--ages", "0:40", "--years", "1950:1990",
+                    "--models", "lc", "--formats", "csv", "--output", earlier_run])
+    assert code == 0
+    assert (earlier_run / "notes.txt").read_text(encoding="utf-8") == "kept\n"
+    assert (earlier_run / "lc_kappa.csv").read_text().splitlines()[-1].startswith("1990,")
+    assert (earlier_run / "fdm_mu.csv").is_file()
+    assert not list(earlier_run.glob(".*.partial"))

@@ -58,13 +58,6 @@ def test_byte_determinism():
     assert a == b
 
 
-def test_writes_file(tmp_path):
-    out = tmp_path / "chart.svg"
-    text = render_line_chart([("s", [0, 1], [2.0, 3.0])], "x", "y",
-                             path=str(out))
-    assert out.read_text() == text
-
-
 def test_label_escaping():
     svg = render_line_chart([("a<b&c", [0, 1], [0.0, 1.0])], "x<y", "y&z")
     assert "a&lt;b&amp;c" in svg
@@ -82,9 +75,3 @@ def test_validation_errors():
     with pytest.raises(ValueError, match="equal-length"):
         render_line_chart([("s", [], [])], "x", "y")
 
-
-def test_unwritable_path(tmp_path):
-    target = tmp_path / "missing-dir" / "chart.svg"
-    with pytest.raises(OSError):
-        render_line_chart([("s", [0, 1], [0.0, 1.0])], "x", "y",
-                          path=str(target))
