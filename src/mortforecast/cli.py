@@ -48,7 +48,7 @@ from .tsforecast import TsSpec
 __all__ = ["main", "DATA_ENV"]
 
 DATA_ENV = "MORTFORECAST_DATA"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _DATA_BASENAMES = ("Mx_1x1.txt", "ITA.Mx_1x1.txt")
 _NORMALITY_CAP = 5000
 # Shortest windows a backtest accepts: fit_lc needs three years, and the
@@ -314,13 +314,12 @@ def _commit(output: str, files: dict) -> None:
                 os.remove(partial)
 
 
-def _diagnostics(residuals: np.ndarray) -> dict:
+def _diagnostics(residuals: np.ndarray, t_test: bool) -> dict:
     std = standardize_residuals(residuals)
-    t_stat, t_p = t_test_zero_mean(std)
-    out = {
-        "t_test": {"statistic": t_stat, "p_value": t_p},
-        "n_residuals": int(std.size),
-    }
+    out: dict = {"n_residuals": int(std.size)}
+    if t_test:
+        t_stat, t_p = t_test_zero_mean(std)
+        out["t_test"] = {"statistic": t_stat, "p_value": t_p}
     # the normality approximation is calibrated up to n=5000; test a
     # deterministic evenly spaced subsample and say so
     subsampled = std.size > _NORMALITY_CAP
@@ -374,7 +373,10 @@ class _Outputs:
     the first only. fit diagnoses the ``residuals`` attribute; compare
     diagnoses observed minus fitted log rates and writes its averages to
     ``table``. ``bootstraps`` marks the type whose intervals --bootstrap
-    replaces.
+    replaces. ``t_test`` marks the type whose diagnostics t-test the
+    residual mean. Lee-Carter's is not tested: alpha is each age's row
+    mean and kappa sums to zero, so the mean is zero by construction and
+    the statistic would be rounding noise.
     """
 
     params: Callable[[str, object], list]
@@ -382,15 +384,16 @@ class _Outputs:
     residuals: str
     table: str
     bootstraps: bool
+    t_test: bool
 
 
 _LC_OUTPUTS = _Outputs(_lc_params, ("explained_variance", "explained_variance_rss"),
-                       "residuals", table="table1.csv", bootstraps=False)
+                       "residuals", table="table1.csv", bootstraps=False, t_test=False)
 _OUTPUTS = {
     "lc": _LC_OUTPUTS,
     "lcs": _LC_OUTPUTS,
     "fdm": _Outputs(_fdm_params, ("explained_shares", "K"), "model_errors",
-                    table="table2.csv", bootstraps=True),
+                    table="table2.csv", bootstraps=True, t_test=True),
 }
 _ERROR_FIG = {"lc": "fig9", "lcs": "fig10", "fdm": "fig11"}
 
@@ -430,7 +433,7 @@ def cmd_fit(args: argparse.Namespace, surface: MortalitySurface,
     for name, model in fitted.items():
         outputs = _OUTPUTS[name]
         entry = {field: _field(model, field) for field in outputs.fields}
-        entry.update(_diagnostics(getattr(model, outputs.residuals)))
+        entry.update(_diagnostics(getattr(model, outputs.residuals), outputs.t_test))
         files.update(_param_files(name, model))
         summary["models"][name] = entry
     return summary, files
@@ -448,6 +451,8 @@ def cmd_forecast(args: argparse.Namespace, surface: MortalitySurface,
     for name, model in fitted.items():
         forecast = forecast_model(model, args.ts, args.horizon, args.level,
                                   args.bootstrap, args.seed)
+        if int(forecast.ages[0]) == 0:
+            _check_e0_horizon(args.horizon, name, forecast)
         files[f"forecast_{name}.csv"] = _long_csv(
             forecast.ages, forecast.years, point=forecast.point,
             variance=forecast.variance, lower=forecast.lower, upper=forecast.upper)
@@ -471,6 +476,19 @@ def cmd_forecast(args: argparse.Namespace, surface: MortalitySurface,
             entry["bootstrap"] = {"B": args.bootstrap, "seed": args.seed}
         summary["models"][name] = entry
     return summary, files
+
+
+def _check_e0_horizon(horizon: int, name: str, forecast) -> None:
+    """A long horizon can carry the drift past the log rates whose exp
+    is a finite positive rate, and a life table needs such rates."""
+    with np.errstate(over="ignore", under="ignore"):
+        rates = np.exp([forecast.lower, forecast.point, forecast.upper])
+    bad = ~np.all(np.isfinite(rates) & (rates > 0), axis=(0, 1))
+    if bad.any():
+        raise UsageError(f"--horizon {horizon} is too long for {name}: from "
+                         f"{int(forecast.years[bad.argmax()])} its forecast death "
+                         "rates underflow to 0 or overflow, so e0 has no life table; "
+                         "use a shorter --horizon")
 
 
 def cmd_backtest(args: argparse.Namespace, surface: MortalitySurface,
@@ -565,7 +583,7 @@ def cmd_compare(args: argparse.Namespace, surface: MortalitySurface,
             "excluded_cells": rep.excluded_cells,
             outputs.fields[0]: _field(model, outputs.fields[0]),
         }
-        entry.update(_diagnostics(surface.log_rates - fitted_log))
+        entry.update(_diagnostics(surface.log_rates - fitted_log, outputs.t_test))
         summary["models"][name] = entry
         for by, table in (("age", rep.by_age), ("year", rep.by_year)):
             files[f"metrics_{name}_by_{by}.csv"] = _csv(

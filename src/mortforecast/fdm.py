@@ -11,6 +11,7 @@ phi_k^2, leftover model error v(x), and observational noise sigma2(x).
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -223,6 +224,26 @@ def forecast_fdm(
                                int(horizon), level)
 
 
+def _read_quantile(rows: np.ndarray, q: float, out: np.ndarray) -> None:
+    """The q-quantile of each row of ``rows``, sorted along the last
+    axis, by ``np.quantile``'s default linear method: the order
+    statistics floor((n-1)q) and the next one, interpolated with numpy's
+    own rule, so the result matches ``np.quantile`` bit for bit. A row
+    holding a NaN, which sorts last, gives NaN, as there. Needs
+    0 <= q < 1, so the next order statistic exists."""
+    v = (rows.shape[-1] - 1) * q
+    lo = math.floor(v)
+    t = v - lo
+    a, b = rows[..., lo], rows[..., lo + 1]
+    diff = b - a
+    if t >= 0.5:
+        np.subtract(b, diff * (1 - t), out=out)
+    else:
+        np.add(a, diff * t, out=out)
+    last = rows[..., -1]
+    np.copyto(out, last, where=np.isnan(last))
+
+
 # Rows per age block of the bootstrap, at most. The ages are split into
 # ceil(n/8) near-equal blocks rather than fixed 8-row ones: a 1-row block
 # would send phi[block] @ curves[j] down BLAS's matrix-vector path, which
@@ -243,16 +264,17 @@ def bootstrap_intervals(
     Each replicate resamples coefficient-model innovation residuals to
     regenerate the beta paths, adds a whole resampled model-error curve
     per horizon (keeping the across-age error correlation), and Gaussian
-    observational noise. All B replicates are drawn from one generator
-    seeded with ``seed``: one draw per coefficient series, one for the
-    model-error columns, then the noise, so equal seeds give identical
-    bounds.
+    observational noise. The coefficient paths and the model-error
+    columns are drawn from one generator seeded with ``seed``. The ages
+    are split into blocks, and block i draws its noise from its own
+    generator, seeded with child i of ``SeedSequence(seed).spawn``, so
+    equal seeds give identical bounds.
 
-    The noise is drawn, accumulated and reduced to quantiles in blocks
-    of ages, by the calling thread and one helper thread. Blocks draw
-    their noise in age order under a lock, which yields the same values
-    as one (ages, horizon, B) draw, so the bounds do not depend on which
-    thread took which block.
+    The noise is drawn, accumulated and sorted block by block, by the
+    calling thread and one helper thread; a lock guards only the hand-out
+    of blocks. Each bound is read straight off the sorted replicates,
+    interpolated as ``np.quantile``'s default linear method does, so the
+    bounds do not depend on which thread took which block.
     """
     horizon = int(horizon)
     if B < 100:
@@ -274,7 +296,8 @@ def bootstrap_intervals(
     probs = [alpha / 2.0, 1.0 - alpha / 2.0]
     n_blocks = -(-n_ages // _BLOCK_ROWS)
     edges = [i * n_ages // n_blocks for i in range(n_blocks + 1)]
-    pending = [(edges[i], edges[i + 1]) for i in reversed(range(n_blocks))]
+    children = np.random.SeedSequence(seed).spawn(n_blocks)
+    pending = [(edges[i], edges[i + 1], children[i]) for i in reversed(range(n_blocks))]
     bounds = np.empty((2, n_ages, horizon))
     lock = threading.Lock()
 
@@ -288,21 +311,18 @@ def bootstrap_intervals(
                 with lock:
                     if not pending:
                         return
-                    a, b = pending.pop()
-                    # replicates on the last axis, so the quantiles run
-                    # over contiguous memory
-                    samples = rng.standard_normal(out=buf[:b - a])
+                    a, b, child = pending.pop()
+                # replicates on the last axis, so each row sorts over
+                # contiguous memory
+                samples = np.random.default_rng(child).standard_normal(out=buf[:b - a])
                 samples *= sigma[a:b, None, None]
                 samples += model.mu[a:b, None, None]
                 for j in range(horizon):
                     samples[:, j] += model.phi[a:b] @ curves[j]
                     samples[:, j] += model.model_errors[a:b, error_cols[j]]
-                # np.quantile partitions at six order statistics per row,
-                # which takes numpy's slow multi-kth selection; on sorted
-                # rows it picks the same values in a fraction of the time
                 samples.sort(axis=-1)
-                bounds[:, a:b] = np.quantile(samples, probs, axis=-1,
-                                             overwrite_input=True)
+                for bound, q in zip(bounds, probs):
+                    _read_quantile(samples, q, out=bound[a:b])
         except BaseException:
             with lock:
                 pending.clear()

@@ -49,9 +49,13 @@ def test_fit_writes_model_artifacts(hmd_file, tmp_path):
         for part in ("alpha", "beta", "kappa"):
             assert (out / f"{name}_{part}.csv").is_file()
     summary = read_summary(out)
-    assert summary["schema_version"] == 1
+    assert summary["schema_version"] == 2
     assert summary["command"] == "fit"
     assert 0.0 < summary["models"]["lc"]["explained_variance"] <= 1.0
+    # lc residuals have mean zero by construction, so no t-test is reported
+    for name in ("lc", "lcs"):
+        assert "t_test" not in summary["models"][name]
+        assert summary["models"][name]["n_residuals"] > 0
     header = (out / "lc_kappa.csv").read_text().splitlines()[0]
     assert header == "year,value"
 
@@ -62,7 +66,9 @@ def test_fit_fdm_artifacts(hmd_file, tmp_path):
     assert code == 0
     for stem in ("fdm_mu", "fdm_phi", "fdm_beta", "fdm_variances"):
         assert (out / f"{stem}.csv").is_file()
-    shares = read_summary(out)["models"]["fdm"]["explained_shares"]
+    entry = read_summary(out)["models"]["fdm"]
+    assert set(entry["t_test"]) == {"statistic", "p_value"}
+    shares = entry["explained_shares"]
     assert len(shares) == 3
     assert shares == sorted(shares, reverse=True)
 
@@ -357,6 +363,19 @@ def test_forecast_horizon_1_bootstrap_e0(hmd_file, tmp_path):
         assert rows[0] == "year,point,lower,upper" and len(rows) == 2
 
 
+@pytest.mark.parametrize("ts", ["rwd", "ar:2,1,drift"])
+def test_horizon_past_float_range_exit_2(hmd_file, tmp_path, capsys, ts):
+    # the drift, about -0.007 a year in every log rate, carries the lower
+    # bounds below exp's range (about -745) within 100000 years; that is
+    # a horizon too long, not a failed computation
+    out = tmp_path / "far"
+    code = run_cli(["forecast", "--data", hmd_file, "--ages", "0:10", "--models", "lc,fdm",
+                    "--horizon", "100000", "--ts", ts, "--output", out])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --horizon 100000 is too long for lc")
+    assert not out.exists()
+
+
 def test_compare_diagnoses_observed_minus_fitted(hmd_file, tmp_path):
     out = tmp_path / "cmp"
     code = run_cli(["compare", *base_args(hmd_file, out), "--models", "lc,lcs,fdm"])
@@ -370,7 +389,10 @@ def test_compare_diagnoses_observed_minus_fitted(hmd_file, tmp_path):
         w, p = normality_test(std)
         entry = summary[name]
         assert entry["n_residuals"] == std.size
-        assert entry["t_test"] == {"statistic": t_stat, "p_value": t_p}
+        if name == "fdm":
+            assert entry["t_test"] == {"statistic": t_stat, "p_value": t_p}
+        else:
+            assert "t_test" not in entry
         assert entry["normality"] == {"statistic": w, "p_value": p, "subsampled": False}
 
 
@@ -592,7 +614,7 @@ def test_nan_summary_exit_1_under_any_formats(hmd_file, tmp_path, monkeypatch, c
     monkeypatch.setattr(mortforecast.cli, "t_test_zero_mean",
                         lambda std: (float("nan"), float("nan")))
     out = tmp_path / "csvonly"
-    code = run_cli(["fit", *base_args(hmd_file, out), "--models", "lc",
+    code = run_cli(["fit", *base_args(hmd_file, out), "--models", "fdm",
                     "--formats", "csv"])
     assert code == 1
     assert "computation failed: Out of range float values" in capsys.readouterr().err

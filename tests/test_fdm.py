@@ -358,27 +358,30 @@ def _small_model(n_ages=24, n_years=14, K=2, seed=71):
 
 @pytest.mark.parametrize("failing_thread", ["helper", "caller"])
 def test_bootstrap_worker_error_reaches_caller(monkeypatch, failing_thread):
-    # three age blocks; each worker's first quantile waits for the other
-    # worker's, so both hold a block when one of them fails
+    # three age blocks; each worker's first block generator waits for the
+    # other worker's, so both hold a block when one of them fails
     model = _small_model()
-    real_quantile = np.quantile
+    real_default_rng = np.random.default_rng
     both_hold_a_block = threading.Barrier(2, timeout=30)
     threads_before = set(threading.enumerate())
     calls = []
 
-    def quantile(*args, **kwargs):
+    def default_rng(seed=None):
+        if not isinstance(seed, np.random.SeedSequence):
+            # the caller's generator for the coefficient paths
+            return real_default_rng(seed)
         in_caller = threading.current_thread() is threading.main_thread()
         calls.append(in_caller)
         if calls.count(in_caller) == 1:
             both_hold_a_block.wait()
         if (failing_thread == "caller") == in_caller:
-            raise RuntimeError(f"quantile failed in the {failing_thread}")
+            raise RuntimeError(f"block generator failed in the {failing_thread}")
         if in_caller:
             for thread in set(threading.enumerate()) - threads_before:
                 thread.join(timeout=30)
-        return real_quantile(*args, **kwargs)
+        return real_default_rng(seed)
 
-    monkeypatch.setattr(np, "quantile", quantile)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
     with pytest.raises(RuntimeError, match=f"failed in the {failing_thread}"):
         bootstrap_intervals(model, TsSpec(), horizon=3, B=100, seed=4)
     assert set(threading.enumerate()) == threads_before
@@ -388,6 +391,43 @@ def test_bootstrap_worker_error_reaches_caller(monkeypatch, failing_thread):
     monkeypatch.undo()
     bootstrap_intervals(model, TsSpec(), horizon=3, B=100, seed=4)
     assert set(threading.enumerate()) == threads_before
+
+
+def _identical_ages_model(n_ages=24, n_years=14):
+    """Every age has the same mu, sigma2 and phi row, and no model error,
+    so ages differ only in the observational noise they draw."""
+    model = _small_model(n_ages=n_ages, n_years=n_years, K=1)
+    trend = np.linspace(1.0, -1.0, n_years)
+    return dataclasses.replace(
+        model, mu=np.full(n_ages, -4.0), phi=np.full((n_ages, 1), n_ages ** -0.5),
+        beta_series=(trend + 0.1 * np.sin(np.arange(n_years)))[:, None],
+        v=np.zeros(n_ages), sigma2=np.full(n_ages, 0.01),
+        model_errors=np.zeros((n_ages, n_years)))
+
+
+class _IdleThread(threading.Thread):
+    """Starts only when joined, so the caller takes every block first."""
+
+    def start(self):
+        pass
+
+    def join(self, timeout=None):
+        self.run()
+
+
+def test_bootstrap_blocks_draw_independent_noise(monkeypatch):
+    model = _identical_ages_model()
+    block = np.arange(24) // 8  # 24 ages make three blocks of 8
+    two_workers = bootstrap_intervals(model, TsSpec(), horizon=3, B=200, seed=8)
+    for bound in (two_workers.lower, two_workers.upper):
+        for x in range(24):
+            # a block that repeated another's noise would repeat its bounds
+            assert not np.any(bound[block != block[x]] == bound[x])
+
+    monkeypatch.setattr(mortforecast.fdm.threading, "Thread", _IdleThread)
+    one_worker = bootstrap_intervals(model, TsSpec(), horizon=3, B=200, seed=8)
+    np.testing.assert_array_equal(one_worker.lower, two_workers.lower)
+    np.testing.assert_array_equal(one_worker.upper, two_workers.upper)
 
 
 def test_concurrent_bootstraps_match_reference():
@@ -424,7 +464,8 @@ def test_concurrent_bootstraps_match_reference():
 def _reference_bootstrap_intervals(model, ts_spec, horizon, level, B, seed):
     """The single-array bootstrap that the age-block version replaced:
     every replicate accumulated in one (ages, horizon, B) array, both
-    bounds in one quantile pass over it."""
+    bounds in one quantile pass over it. The noise is each age block's
+    own stream, concatenated in age order."""
     analytic = forecast_fdm(model, ts_spec, horizon, level)
     fits = [fit_ts(model.beta_series[:, k], ts_spec) for k in range(model.K)]
     sigma = np.sqrt(np.maximum(model.sigma2, 0.0))
@@ -434,7 +475,13 @@ def _reference_bootstrap_intervals(model, ts_spec, horizon, level, B, seed):
         picks = rng.integers(0, len(fit.residuals), size=(horizon, B))
         curves[:, k] = simulate_path(fit, horizon, fit.residuals[picks])
     error_cols = rng.integers(0, len(model.years), size=(horizon, B))
-    samples = rng.standard_normal((len(model.ages), horizon, B))
+    n_ages = len(model.ages)
+    n_blocks = -(-n_ages // mortforecast.fdm._BLOCK_ROWS)
+    edges = [i * n_ages // n_blocks for i in range(n_blocks + 1)]
+    children = np.random.SeedSequence(seed).spawn(n_blocks)
+    samples = np.concatenate([
+        np.random.default_rng(child).standard_normal((b - a, horizon, B))
+        for a, b, child in zip(edges, edges[1:], children)])
     samples *= sigma[:, None, None]
     samples += model.mu[:, None, None]
     for j in range(horizon):
@@ -468,6 +515,22 @@ def test_bootstrap_matches_single_array_reference(n_ages, horizon, K, B, seed, s
     np.testing.assert_array_equal(got.variance, want.variance)
     np.testing.assert_array_equal(got.lower, want.lower)
     np.testing.assert_array_equal(got.upper, want.upper)
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(2, 3000), q=st.floats(0.0, 0.9995), seed=st.integers(0, 2**31),
+       nan_row=st.booleans())
+def test_read_quantile_matches_np_quantile(n, q, seed, nan_row):
+    # the bootstrap's direct read off sorted rows against numpy's linear
+    # method, both interpolation branches and a row holding a NaN
+    rows = np.random.default_rng(seed).standard_normal((3, 2, n))
+    if nan_row:
+        rows[1, 0, n // 2] = np.nan
+    want = np.quantile(rows, q, axis=-1)
+    rows.sort(axis=-1)
+    got = np.empty((3, 2))
+    mortforecast.fdm._read_quantile(rows, q, out=got)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_bootstrap_rejects_tiny_B():
