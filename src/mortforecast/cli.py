@@ -268,18 +268,23 @@ def _text(column) -> Iterable[str]:
     return map(repr if values.dtype.kind == "f" else str, values.tolist())
 
 
+def _rows(header: str, *cells: Iterable[str]) -> str:
+    """One row per position of the already formatted cell columns."""
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
 def _csv(header: str, *columns) -> str:
     """One row per position of the columns, each formatted as a whole."""
-    return "\n".join([header, *map(",".join, zip(*map(_text, columns)))]) + "\n"
+    return _rows(header, *map(_text, columns))
 
 
 def _long_csv(ages, years, **columns) -> str:
     """One ``age,year,<columns>`` row per cell of age-by-year arrays,
     years outermost. Each age and year is formatted once, then repeated."""
-    age_text, year_text = (np.array([*_text(v)], dtype=object) for v in (ages, years))
-    return _csv(",".join(["age", "year", *columns]),
-                np.tile(age_text, len(years)), np.repeat(year_text, len(ages)),
-                *(c.ravel(order="F") for c in columns.values()))
+    age_text, year_text = [*_text(ages)], [*_text(years)]
+    return _rows(",".join(["age", "year", *columns]), age_text * len(year_text),
+                 [year for year in year_text for _ in age_text],
+                 *(_text(c.ravel(order="F")) for c in columns.values()))
 
 
 def _summary_json(args: argparse.Namespace, summary: dict) -> str:

@@ -19,7 +19,7 @@ from scipy import special
 from .fdm import FdmModel, ForecastSurface, bootstrap_intervals, fit_fdm, forecast_fdm
 from .ingest import MortalitySurface, slice_window
 from .leecarter import LcModel, fit_lc, fit_lcs, forecast_lc
-from .lifetable import E0Path, e0_from_rates, e0_path
+from .lifetable import E0Path, _lifetables, e0_path
 from .numerics import normal_quantile
 from .smoothing import SmoothConfig, smooth_surface
 from .tsforecast import TsSpec
@@ -308,9 +308,7 @@ def run_backtest(
     observed_log = test_surface.log_rates
     horizon = test_end - train_end
 
-    e0_observed = np.array([
-        e0_from_rates(test_surface.rates[:, j]) for j in range(test_surface.n_years)
-    ])
+    e0_observed = _lifetables(test_surface.rates.T)[3]
 
     results: dict[str, ModelBacktest] = {}
     fitted = fit_models(train_surface, models, smooth_config, K)

@@ -195,11 +195,15 @@ def parse_hmd_rates(text: "str | TextIO | Iterable[str]") -> RateTable:
         if bad is not None:
             faults.append((bad, order, f"line {line[bad]}: cannot parse {what} "
                                        f"{bad_tokens[bad]!r}"))
-    # a duplicate counts only before the first row whose year or age is bad
+    # a duplicate counts only before the first row whose year or age is bad;
+    # files come sorted, and rows in strictly increasing (year, age) order
+    # hold none, so the sort in np.unique runs only on rows out of order
     clean = min(len(year), len(age))
-    first = np.unique(np.stack((year[:clean], age[:clean]), axis=1), axis=0,
-                      return_index=True)[1]
-    repeats = np.setdiff1d(np.arange(clean), first, assume_unique=True)
+    y, a = year[:clean], age[:clean]
+    repeats = ()
+    if not np.all((y[1:] > y[:-1]) | ((y[1:] == y[:-1]) & (a[1:] > a[:-1]))):
+        first = np.unique(np.stack((y, a), axis=1), axis=0, return_index=True)[1]
+        repeats = np.setdiff1d(np.arange(clean), first, assume_unique=True)
     if len(repeats):
         row = repeats[0]
         seen = int(np.argmax((year[:row] == year[row]) & (age[:row] == age[row])))

@@ -1,4 +1,11 @@
-"""Period life tables and life expectancy from central death rates."""
+"""Period life tables and life expectancy from central death rates.
+
+Tables are built one ``(tables, ages)`` block at a time: a forecast's e0
+path is one block of its point and bound surfaces, and a single table is
+the one-row case. Ages sit on the last, contiguous axis, so a table in a
+block goes through the same floating-point operations in the same order
+as the table alone, and its e0 has the same bits.
+"""
 
 from __future__ import annotations
 
@@ -22,33 +29,47 @@ class LifeTable:
     e0: float
 
 
+def _lifetables(mx):
+    """(qx, lx, Lx, e0) for a block of tables, one per row of ``mx``.
+
+    ``mx`` is a 2-d ``(tables, ages)`` block of central rates, taken in
+    C order (copied if it is not), so ages sit last and contiguous: ``exp`` and the
+    row-wise ``cumprod`` then run element by element as on one table, and
+    the row sum that gives e0 is the same pairwise reduction as a 1-d
+    ``sum``. A table built in a block has the bits of the same table
+    built alone.
+    """
+    mx = np.ascontiguousarray(mx, dtype=float)
+    if not np.all(np.isfinite(mx)) or np.any(mx <= 0):
+        raise ValueError("all rates must be finite and positive")
+    qx = 1.0 - np.exp(-mx)
+    qx[:, -1] = 1.0
+    lx = np.empty_like(qx)
+    lx[:, 0] = 1.0
+    np.cumprod(1.0 - qx[:, :-1], axis=1, out=lx[:, 1:])
+    dx = lx * qx
+    Lx = lx - 0.5 * dx
+    Lx[:, -1] = lx[:, -1] / mx[:, -1]
+    return qx, lx, Lx, Lx.sum(axis=1)
+
+
 def rates_to_lifetable(mx, ages=None) -> LifeTable:
     """Build a period life table from central rates m_x for ages 0..A.
 
     q_x = 1 - exp(-m_x), exact when the hazard is constant within the
     year and stable for large m. The terminal age is open-ended: everyone
     alive there dies at exposure 1/m_A, so L_A = l_A/m_A. e0 is the sum of
-    the L_x column.
+    the L_x column. The one-row case of the block kernel that ``e0_path``
+    uses, so both give the same bits.
     """
     mx = np.asarray(mx, dtype=float)
     if mx.ndim != 1 or len(mx) == 0:
         raise ValueError("mx must be a non-empty 1-d array")
-    if not np.all(np.isfinite(mx)) or np.any(mx <= 0):
-        raise ValueError("all rates must be finite and positive")
+    qx, lx, Lx, e0 = _lifetables(mx[None, :])
     ages = np.arange(len(mx)) if ages is None else np.asarray(ages, dtype=int)
     if ages.shape != mx.shape:
         raise ValueError("ages and mx must have the same length")
-
-    A = len(mx) - 1
-    qx = 1.0 - np.exp(-mx)
-    qx[A] = 1.0
-
-    lx = np.concatenate(([1.0], np.cumprod(1.0 - qx[:A])))
-    dx = lx * qx
-    Lx = lx - 0.5 * dx
-    Lx[A] = lx[A] / mx[A]
-    e0 = float(Lx.sum())
-    return LifeTable(ages=ages, qx=qx, lx=lx, Lx=Lx, e0=e0)
+    return LifeTable(ages=ages, qx=qx[0], lx=lx[0], Lx=Lx[0], e0=float(e0[0]))
 
 
 def e0_from_rates(mx) -> float:
@@ -72,7 +93,7 @@ class E0Path:
 
 
 def e0_path(forecast: ForecastSurface) -> E0Path:
-    """e0 per horizon from a log-rate forecast.
+    """e0 per horizon from a log-rate forecast, every table in one block.
 
     Higher mortality means lower life expectancy, so the upper mortality
     bound yields the lower e0 bound and vice versa.
@@ -82,13 +103,10 @@ def e0_path(forecast: ForecastSurface) -> E0Path:
             f"life expectancy at birth needs ages from 0, got first age "
             f"{int(forecast.ages[0])}"
         )
-    h = len(forecast.years)
-    point = np.empty(h)
-    lower = np.empty(h)
-    upper = np.empty(h)
-    for j in range(h):
-        point[j] = e0_from_rates(np.exp(forecast.point[:, j]))
-        lower[j] = e0_from_rates(np.exp(forecast.upper[:, j]))
-        upper[j] = e0_from_rates(np.exp(forecast.lower[:, j]))
+    # one C-order (3h, ages) block: a row per horizon of the point
+    # forecast, then of the upper and of the lower mortality bound
+    log_rates = np.array([forecast.point.T, forecast.upper.T, forecast.lower.T])
+    e0 = _lifetables(np.exp(log_rates).reshape(-1, len(forecast.ages)))[3]
+    point, lower, upper = e0.reshape(3, len(forecast.years))
     return E0Path(years=forecast.years.copy(), point=point, lower=lower,
                   upper=upper, level=forecast.level)

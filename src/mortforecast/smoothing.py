@@ -127,8 +127,7 @@ def _smooth_columns(xs: np.ndarray, Y: np.ndarray, config: SmoothConfig):
         lambdas, gcvs = np.full(m, lam), np.full(m, np.nan)
     values = B @ theta
     if config.monotone_from is not None:
-        for j in range(m):
-            values[:, j] = enforce_monotone(values[:, j], config.monotone_from, ages=xs)
+        _monotone_tails(values, xs, config.monotone_from)
     return basis, values, theta, lambdas, gcvs
 
 
@@ -226,12 +225,23 @@ def enforce_monotone(
     xs = np.arange(len(values), dtype=float) if ages is None else np.asarray(ages, dtype=float)
     if xs.shape != values.shape:
         raise ValueError("ages and values must have the same length")
-    start = int(np.searchsorted(xs, float(from_age), side="left"))
-    if start >= len(values) - 1:
-        return values.copy()
     out = values.copy()
-    out[start:] = _pava(values[start:])
+    _monotone_tails(out[:, None], xs, from_age)
     return out
+
+
+def _monotone_tails(values: np.ndarray, xs: np.ndarray, from_age: "int | float") -> None:
+    """Project each column of ``values``, at the ascending ``xs`` that are
+    >= from_age, onto the nondecreasing cone, in place.
+
+    One ``np.diff`` over the tail block picks out the columns whose tail
+    falls somewhere; only those go through ``_pava``. That is exact, not
+    an approximation: on a nondecreasing tail no two blocks pool (equal
+    neighbours do not violate), so ``_pava`` would return it unchanged.
+    """
+    tail = values[int(np.searchsorted(xs, float(from_age), side="left")):]
+    for j in np.flatnonzero((np.diff(tail, axis=0) < 0).any(axis=0)):
+        tail[:, j] = _pava(tail[:, j])
 
 
 def _pava(y: np.ndarray) -> np.ndarray:

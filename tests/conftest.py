@@ -106,13 +106,14 @@ def make_surface(log_m, first_age=0, first_year=1950, gender="total"):
     )
 
 
-def synthetic_hmd_text(n_ages=41, first_year=1950, last_year=2005, seed=7):
+def synthetic_hmd_text(n_ages=41, first_year=1950, last_year=2005, seed=7, age_slope=0.06):
     """A small but structurally faithful 1x1 rates file: header lines,
-    five columns, an open '+' terminal age."""
+    five columns, an open '+' terminal age. Log rates rise by
+    ``age_slope`` per year of age."""
     rng = np.random.default_rng(seed)
     ages = np.arange(n_ages)
     years = np.arange(first_year, last_year + 1)
-    alpha = -6.0 + 0.06 * ages
+    alpha = -6.0 + age_slope * ages
     beta = np.full(n_ages, 1.0 / n_ages)
     kappa = np.linspace(8.0, -8.0, len(years))
     kappa = kappa - kappa.mean()

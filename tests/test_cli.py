@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,35 @@ def test_forecast_smooths_the_surface_once(hmd_file, tmp_path, monkeypatch):
                     "--models", "lcs,fdm", "--horizon", "3"])
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["forecast", "--horizon", "5"],
+    ["backtest", "--train", "1950:1979", "--test", "1980:1995"],
+])
+def test_life_tables_and_pava_run_once_per_block(tmp_path, monkeypatch, command):
+    # each of the three forecasts' e0 tables are one block, and so are a
+    # backtest's observed ones; PAVA runs on exactly the years whose
+    # smoothed tail falls, which on these nearly flat curves is some of them
+    data = tmp_path / "Mx_1x1.txt"
+    data.write_text(synthetic_hmd_text(age_slope=0.001), encoding="utf-8")
+    smooth = mortforecast.smooth_surface
+    single = [count_calls(monkeypatch, fn)
+              for fn in (mortforecast.rates_to_lifetable, mortforecast.e0_from_rates)]
+    blocks = count_calls(monkeypatch, mortforecast.lifetable._lifetables)
+    pava = count_calls(monkeypatch, mortforecast.smoothing._pava)
+    surfaces = count_calls(monkeypatch, smooth)
+    code = run_cli([command[0], *base_args(data, tmp_path / "out"), *command[1:],
+                    "--models", "lc,lcs,fdm", "--monotone-from", "20"])
+    assert code == 0
+    assert single == [[], []]
+    assert len(blocks) == 3 + (command[0] == "backtest")
+    falling = n_years = 0
+    for log_rates, ages, years, config in surfaces:
+        raw = smooth(log_rates, ages, years, replace(config, monotone_from=None))
+        falling += (np.diff(raw.log_rates[ages >= 20], axis=0) < 0).any(axis=0).sum()
+        n_years += len(years)
+    assert 0 < len(pava) == falling < n_years
 
 
 def test_backtest_bootstrap_fits_fdm_once(hmd_file, tmp_path, monkeypatch):

@@ -293,14 +293,13 @@ BAD_TOKENS = {
 
 @st.composite
 def hmd_rows(draw):
-    """Token rows of a file, in file order; sometimes gappy or shuffled."""
+    """Token rows of a file, sorted by (year, age) as HMD writes them;
+    sometimes gappy."""
     n_years, n_ages = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     first_year = draw(st.integers(1900, 2000))
     cells = [(y, a) for y in range(first_year, first_year + n_years) for a in range(n_ages)]
     dropped = draw(st.sets(st.sampled_from(cells), max_size=2))
     cells = [c for c in cells if c not in dropped]
-    if draw(st.booleans()):
-        cells = draw(st.permutations(cells))
     rows = []
     for y, a in cells:
         year = draw(st.sampled_from([str(y), f"+{y}", f"0{y}", f"{y // 100}_{y % 100:02d}"]))
@@ -338,10 +337,20 @@ def _build_outcome(build, records, gender, window):
     return getattr(surface, "rates", surface).tolist()
 
 
+def _both_orders(data, rows):
+    """The rows as they are and shuffled: rows in increasing (year, age)
+    order take the parser's one-pass duplicate check, others its sort."""
+    return rows, data.draw(st.permutations(rows))
+
+
 @settings(deadline=None, max_examples=150)
 @given(data=st.data())
 def test_parse_and_build_match_reference(data):
-    text = data.draw(hmd_text(data.draw(hmd_rows())))
+    for rows in _both_orders(data, data.draw(hmd_rows())):
+        _check_parse_and_build(data.draw(hmd_text(rows)))
+
+
+def _check_parse_and_build(text):
     expected = _parse_outcome(_reference_parse, text)
     assert _parse_outcome(parse_hmd_rates, text) == expected
     if isinstance(expected, str):
@@ -362,15 +371,19 @@ def test_parse_faults_match_reference(data):
     for n in range(data.draw(st.integers(1, 3))):
         if n and data.draw(st.booleans()):  # else another fault on the same row
             i = data.draw(st.integers(0, len(rows) - 1))
-        kind = data.draw(st.sampled_from(["columns", "year", "age", "rate", "duplicate"]))
+        kind = data.draw(st.sampled_from(["columns", "year", "age", "rate", "duplicate",
+                                          "repeat"]))
         if kind == "columns":
             rows[i] = rows[i][:4] if data.draw(st.booleans()) else [*rows[i], "0.1"]
         elif kind == "duplicate":
             rows[i][:2] = rows[data.draw(st.integers(0, len(rows) - 1))][:2]
+        elif kind == "repeat":  # the same (year, age) on the next line: still sorted
+            rows.insert(i + 1, [*rows[i][:2], *(data.draw(RATE_TOKENS) for _ in GENDERS)])
         else:
             column = {"year": 0, "age": 1}.get(kind)
             if column is None:
                 column = data.draw(st.integers(2, len(rows[i]) - 1))
             rows[i][column] = data.draw(st.sampled_from(BAD_TOKENS[kind]))
-    text = data.draw(hmd_text(rows))
-    assert _parse_outcome(parse_hmd_rates, text) == _parse_outcome(_reference_parse, text)
+    for rows in _both_orders(data, rows):
+        text = data.draw(hmd_text(rows))
+        assert _parse_outcome(parse_hmd_rates, text) == _parse_outcome(_reference_parse, text)

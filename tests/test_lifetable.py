@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mortforecast.evaluate import run_backtest
 from mortforecast.fdm import ForecastSurface
+from mortforecast.ingest import MortalitySurface
 from mortforecast.lifetable import (E0Path, LifeTable, e0_from_rates, e0_path,
                                     rates_to_lifetable)
 
@@ -151,3 +153,113 @@ def test_e0_path_needs_age_zero():
                               upper=fc.upper, level=fc.level)
     with pytest.raises(ValueError, match="ages from 0"):
         e0_path(shifted)
+
+
+# ---------------------------------------------------------------------------
+# the block kernel against the one-table-per-call code it replaced
+
+
+def _reference_lifetable(mx):
+    """The 1-d life table, one call per table."""
+    mx = np.asarray(mx, dtype=float)
+    if not np.all(np.isfinite(mx)) or np.any(mx <= 0):
+        raise ValueError("all rates must be finite and positive")
+    A = len(mx) - 1
+    qx = 1.0 - np.exp(-mx)
+    qx[A] = 1.0
+    lx = np.concatenate(([1.0], np.cumprod(1.0 - qx[:A])))
+    Lx = lx - 0.5 * (lx * qx)
+    Lx[A] = lx[A] / mx[A]
+    return qx, lx, Lx, float(Lx.sum())
+
+
+def _reference_e0_path(forecast):
+    """e0 per horizon, one life table per column of each surface."""
+    h = len(forecast.years)
+    point, lower, upper = np.empty(h), np.empty(h), np.empty(h)
+    for j in range(h):
+        point[j] = _reference_lifetable(np.exp(forecast.point[:, j]))[3]
+        lower[j] = _reference_lifetable(np.exp(forecast.upper[:, j]))[3]
+        upper[j] = _reference_lifetable(np.exp(forecast.lower[:, j]))[3]
+    return point, lower, upper
+
+
+def _random_forecast(n_ages, h, seed):
+    """Log rates uniform on [-12, 2], with a random nonnegative half-width."""
+    rng = np.random.default_rng(seed)
+    point = rng.uniform(-12.0, 2.0, size=(n_ages, h))
+    half = rng.uniform(0.0, 1.0, size=(n_ages, h))
+    return ForecastSurface(ages=np.arange(n_ages), years=2000 + np.arange(1, h + 1),
+                           point=point, variance=half**2, lower=point - half,
+                           upper=point + half, level=95.0)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(min_value=2, max_value=111), st.integers(min_value=1, max_value=40),
+       st.integers(min_value=0, max_value=2**31))
+def test_e0_path_matches_per_column_reference(n_ages, h, seed):
+    # THEORY: the block keeps ages last and contiguous, so exp, the row's
+    # cumprod and the row sum do the same floating-point operations in the
+    # same order as one 1-d table: equal bits, not just close values.
+    fc = _random_forecast(n_ages, h, seed)
+    path = e0_path(fc)
+    point, lower, upper = _reference_e0_path(fc)
+    assert path.point.tolist() == point.tolist()
+    assert path.lower.tolist() == lower.tolist()
+    assert path.upper.tolist() == upper.tolist()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=111), st.integers(min_value=0, max_value=2**31))
+def test_rates_to_lifetable_matches_reference(n_ages, seed):
+    mx = np.exp(np.random.default_rng(seed).uniform(-12.0, 2.0, size=n_ages))
+    table = rates_to_lifetable(mx)
+    qx, lx, Lx, e0 = _reference_lifetable(mx)
+    for got, want in ((table.qx, qx), (table.lx, lx), (table.Lx, Lx)):
+        assert got.tolist() == want.tolist()
+    assert table.e0 == e0
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(min_value=3, max_value=60), st.integers(min_value=6, max_value=14),
+       st.integers(min_value=0, max_value=2**31))
+def test_backtest_observed_e0_matches_reference(n_ages, n_years, seed):
+    rng = np.random.default_rng(seed)
+    trend = rng.uniform(-9.0, -1.0, size=n_ages)[:, None] - 0.02 * np.arange(n_years)
+    rates = np.exp(trend + 0.05 * rng.standard_normal((n_ages, n_years)))
+    surface = MortalitySurface(ages=np.arange(n_ages), years=1950 + np.arange(n_years),
+                               rates=rates)
+    train_end = 1950 + n_years // 2
+    report = run_backtest(surface, ("lc",), (1950, train_end),
+                          (train_end + 1, 1949 + n_years))
+    test = rates[:, train_end + 1 - 1950:]
+    expected = [_reference_lifetable(test[:, j])[3] for j in range(test.shape[1])]
+    assert report.models["lc"].e0_observed.tolist() == expected
+    point, lower, upper = _reference_e0_path(report.models["lc"].forecast)
+    assert report.models["lc"].e0_forecast.tolist() == point.tolist()
+    assert report.models["lc"].e0_interval.lower.tolist() == lower.tolist()
+    assert report.models["lc"].e0_interval.upper.tolist() == upper.tolist()
+
+
+def _error_text(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("rate,log_rate", [(0.0, -np.inf), (-0.01, np.nan),
+                                           (np.nan, np.nan), (np.inf, np.inf)])
+def test_bad_rate_error_matches_reference(rate, log_rate):
+    mx = _plausible_schedule(21)
+    mx[7] = rate
+    assert (_error_text(rates_to_lifetable, mx)
+            == _error_text(_reference_lifetable, mx)
+            == "all rates must be finite and positive")
+    # the same cell in one horizon of a forecast, as a log rate
+    fc = _random_forecast(21, 3, 1)
+    point = fc.point.copy()
+    point[7, 1] = log_rate
+    bad_fc = ForecastSurface(ages=fc.ages, years=fc.years, point=point,
+                             variance=fc.variance, lower=np.fmin(fc.lower, point),
+                             upper=np.fmax(fc.upper, point), level=fc.level)
+    assert _error_text(e0_path, bad_fc) == _error_text(_reference_e0_path, bad_fc)

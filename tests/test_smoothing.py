@@ -15,6 +15,7 @@ from mortforecast.numerics import (BsplineBasis, bspline_design, difference_matr
                                    solve_penalized_ls)
 from mortforecast.smoothing import (
     SmoothConfig,
+    _pava,
     enforce_monotone,
     smooth_curve,
     smooth_surface,
@@ -267,3 +268,65 @@ def test_smoothed_output_tail_is_monotone(seed):
     curve = smooth_curve(ys, SmoothConfig(monotone_from=25), ages=ages.astype(float))
     tail = curve.values[ages >= 25]
     assert np.all(np.diff(tail) >= -1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the surface's tail block against the per-curve projection it replaced
+
+
+def _reference_enforce_monotone(values, from_age, xs):
+    """PAVA on every curve's tail, whether it falls or not."""
+    start = int(np.searchsorted(xs, float(from_age), side="left"))
+    out = values.copy()
+    if start < len(values) - 1:
+        out[start:] = _pava(values[start:])
+    return out
+
+
+# log rates by (age, year): rising or falling with age in every year, or
+# with a slope that changes sign across the years
+_TAIL_SHAPES = {
+    "rising": lambda xs, t: -9.0 + 0.09 * xs[:, None] - 0.01 * t,
+    "falling": lambda xs, t: -2.0 - 0.05 * xs[:, None] - 0.01 * t,
+    "mixed": lambda xs, t: -6.0 + (0.01 * t - 0.05) * xs[:, None],
+}
+
+
+@pytest.mark.parametrize("shape,repeat,monotone_from,falls", [
+    ("rising", 1, 45, "none"),
+    ("falling", 1, 45, "all"),
+    ("mixed", 1, 45, "some"),
+    # every age twice, so the smoothed values at an age are equal neighbours
+    ("rising", 2, 45, "none"),
+    ("falling", 2, 45, "all"),
+    ("falling", 1, 79, "none"),  # the tail is the last age alone
+    ("falling", 1, 85, "none"),  # beyond the last age: no tail
+    ("falling", 1, None, None),
+])
+def test_smooth_surface_tails_match_per_curve_projection(shape, repeat, monotone_from, falls):
+    rng = np.random.default_rng(11)
+    xs = np.repeat(np.arange(20.0, 80.0), repeat)
+    n_years = 12
+    log_m = (_TAIL_SHAPES[shape](xs, np.arange(n_years))
+             + 0.15 * rng.standard_normal((len(xs), n_years)))
+    years = np.arange(2000, 2000 + n_years)
+    raw = smooth_surface(log_m, xs, years, SmoothConfig(monotone_from=None)).log_rates
+    out = smooth_surface(log_m, xs, years, SmoothConfig(monotone_from=monotone_from))
+    if monotone_from is None:
+        assert out.log_rates.tobytes() == raw.tobytes()
+        return
+    expected = np.column_stack([_reference_enforce_monotone(raw[:, j], monotone_from, xs)
+                                for j in range(n_years)])
+    assert out.log_rates.tobytes() == expected.tobytes()
+    falling = (np.diff(raw[xs >= monotone_from], axis=0) < 0).any(axis=0)
+    assert {"none": not falling.any(), "all": falling.all(),
+            "some": 0 < falling.sum() < n_years}[falls]
+
+
+@pytest.mark.parametrize("tail", [[1.0, 1.0, 1.0], [2.0, 2.0, 1.0, 1.0], [1.0, 2.0, 2.0, 3.0],
+                                  [3.0, 1.0, 1.0, 2.0], [0.0, -0.0, 0.0], [-0.0, 0.0, -1.0]])
+def test_enforce_monotone_equal_neighbours_match_reference(tail):
+    values = np.array([5.0, -3.0, *tail])
+    xs = np.arange(len(values), dtype=float)
+    assert (enforce_monotone(values, 2).tobytes()
+            == _reference_enforce_monotone(values, 2, xs).tobytes())
