@@ -31,7 +31,6 @@ from .evaluate import (
     normality_test,
     run_backtest,
     standardize_residuals,
-    t_test_zero_mean,
 )
 from .ingest import (
     GENDERS,
@@ -48,7 +47,7 @@ from .tsforecast import TsSpec
 __all__ = ["main", "DATA_ENV"]
 
 DATA_ENV = "MORTFORECAST_DATA"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 _DATA_BASENAMES = ("Mx_1x1.txt", "ITA.Mx_1x1.txt")
 _NORMALITY_CAP = 5000
 # Shortest windows a backtest accepts: fit_lc needs three years, and the
@@ -319,12 +318,9 @@ def _commit(output: str, files: dict) -> None:
                 os.remove(partial)
 
 
-def _diagnostics(residuals: np.ndarray, t_test: bool) -> dict:
+def _diagnostics(residuals: np.ndarray) -> dict:
     std = standardize_residuals(residuals)
     out: dict = {"n_residuals": int(std.size)}
-    if t_test:
-        t_stat, t_p = t_test_zero_mean(std)
-        out["t_test"] = {"statistic": t_stat, "p_value": t_p}
     # the normality approximation is calibrated up to n=5000; test a
     # deterministic evenly spaced subsample and say so
     subsampled = std.size > _NORMALITY_CAP
@@ -378,10 +374,10 @@ class _Outputs:
     the first only. fit diagnoses the ``residuals`` attribute; compare
     diagnoses observed minus fitted log rates and writes its averages to
     ``table``. ``bootstraps`` marks the type whose intervals --bootstrap
-    replaces. ``t_test`` marks the type whose diagnostics t-test the
-    residual mean. Lee-Carter's is not tested: alpha is each age's row
-    mean and kappa sums to zero, so the mean is zero by construction and
-    the statistic would be rounding noise.
+    replaces. No type's residual mean is t-tested: Lee-Carter's alpha and
+    fdm's mu are each age's row mean, and kappa and each beta are centred,
+    so fit's residuals sum to zero by construction and compare's to within
+    what smoothing moves the mean, and the statistic would be noise.
     """
 
     params: Callable[[str, object], list]
@@ -389,16 +385,15 @@ class _Outputs:
     residuals: str
     table: str
     bootstraps: bool
-    t_test: bool
 
 
 _LC_OUTPUTS = _Outputs(_lc_params, ("explained_variance", "explained_variance_rss"),
-                       "residuals", table="table1.csv", bootstraps=False, t_test=False)
+                       "residuals", table="table1.csv", bootstraps=False)
 _OUTPUTS = {
     "lc": _LC_OUTPUTS,
     "lcs": _LC_OUTPUTS,
     "fdm": _Outputs(_fdm_params, ("explained_shares", "K"), "model_errors",
-                    table="table2.csv", bootstraps=True, t_test=True),
+                    table="table2.csv", bootstraps=True),
 }
 _ERROR_FIG = {"lc": "fig9", "lcs": "fig10", "fdm": "fig11"}
 
@@ -438,7 +433,7 @@ def cmd_fit(args: argparse.Namespace, surface: MortalitySurface,
     for name, model in fitted.items():
         outputs = _OUTPUTS[name]
         entry = {field: _field(model, field) for field in outputs.fields}
-        entry.update(_diagnostics(getattr(model, outputs.residuals), outputs.t_test))
+        entry.update(_diagnostics(getattr(model, outputs.residuals)))
         files.update(_param_files(name, model))
         summary["models"][name] = entry
     return summary, files
@@ -588,7 +583,7 @@ def cmd_compare(args: argparse.Namespace, surface: MortalitySurface,
             "excluded_cells": rep.excluded_cells,
             outputs.fields[0]: _field(model, outputs.fields[0]),
         }
-        entry.update(_diagnostics(surface.log_rates - fitted_log, outputs.t_test))
+        entry.update(_diagnostics(surface.log_rates - fitted_log))
         summary["models"][name] = entry
         for by, table in (("age", rep.by_age), ("year", rep.by_year)):
             files[f"metrics_{name}_by_{by}.csv"] = _csv(

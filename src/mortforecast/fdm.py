@@ -16,6 +16,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import normal_quantile, svd_thin
 from .smoothing import SmoothedSurface
@@ -251,6 +252,16 @@ def _read_quantile(rows: np.ndarray, q: float, out: np.ndarray) -> None:
 _BLOCK_ROWS = 8
 
 
+def _noise(rng: np.random.Generator, rows: int, horizon: int, B: int) -> np.ndarray:
+    """Standard normal noise for ``rows`` ages, shaped (rows, horizon, B):
+    a read-only window view whose entry [i, j, r] is z[i, j + r] of one
+    (rows, B + horizon - 1) draw z. Cell (i, j) reads the B distinct
+    draws z[i, j:j + B], and replicate r's path at age i the horizon
+    distinct draws z[i, r:r + horizon]."""
+    z = rng.standard_normal((rows, B + horizon - 1))
+    return sliding_window_view(z, B, axis=-1)
+
+
 def bootstrap_intervals(
     model: FdmModel,
     ts_spec: TsSpec = TsSpec(),
@@ -269,6 +280,15 @@ def bootstrap_intervals(
     are split into blocks, and block i draws its noise from its own
     generator, seeded with child i of ``SeedSequence(seed).spawn``, so
     equal seeds give identical bounds.
+
+    Each age's noise is one sequence of B + horizon - 1 normals read
+    through a sliding window (``_noise``). Each (age, horizon) cell thus
+    reads B distinct iid draws, independent of its coefficient paths and
+    model-error columns, so every pointwise bound has the law of fresh
+    per-cell draws; each replicate's path reads distinct draws at every
+    horizon and age, and each horizon's replicates are iid. Only
+    replicates at different horizons share draws, and nothing here
+    combines those.
 
     The noise is drawn, accumulated and sorted block by block, by the
     calling thread and one helper thread; a lock guards only the hand-out
@@ -305,7 +325,9 @@ def bootstrap_intervals(
         # only numpy runs here, no public function of the package: the
         # layer trace in bench/ keeps one span stack, for the caller's
         # thread. On failure the other worker is left no further block.
-        buf = np.empty((-(-n_ages // n_blocks), horizon, B))
+        rows = -(-n_ages // n_blocks)
+        buf = np.empty((rows, horizon, B))
+        row_buf = np.empty((rows, B))
         try:
             while True:
                 with lock:
@@ -314,12 +336,14 @@ def bootstrap_intervals(
                     a, b, child = pending.pop()
                 # replicates on the last axis, so each row sorts over
                 # contiguous memory
-                samples = np.random.default_rng(child).standard_normal(out=buf[:b - a])
-                samples *= sigma[a:b, None, None]
+                samples, row = buf[:b - a], row_buf[:b - a]
+                noise = _noise(np.random.default_rng(child), b - a, horizon, B)
+                np.multiply(noise, sigma[a:b, None, None], out=samples)
                 samples += model.mu[a:b, None, None]
                 for j in range(horizon):
-                    samples[:, j] += model.phi[a:b] @ curves[j]
-                    samples[:, j] += model.model_errors[a:b, error_cols[j]]
+                    samples[:, j] += np.matmul(model.phi[a:b], curves[j], out=row)
+                    samples[:, j] += np.take(model.model_errors[a:b], error_cols[j],
+                                             axis=1, out=row)
                 samples.sort(axis=-1)
                 for bound, q in zip(bounds, probs):
                     _read_quantile(samples, q, out=bound[a:b])

@@ -14,7 +14,7 @@ import pytest
 
 import mortforecast
 from mortforecast import (build_surface, fit_models, normality_test, parse_hmd_rates,
-                          standardize_residuals, t_test_zero_mean)
+                          standardize_residuals)
 from mortforecast.cli import main
 from mortforecast.tsforecast import TsSpec
 
@@ -50,10 +50,10 @@ def test_fit_writes_model_artifacts(hmd_file, tmp_path):
         for part in ("alpha", "beta", "kappa"):
             assert (out / f"{name}_{part}.csv").is_file()
     summary = read_summary(out)
-    assert summary["schema_version"] == 2
+    assert summary["schema_version"] == 3
     assert summary["command"] == "fit"
     assert 0.0 < summary["models"]["lc"]["explained_variance"] <= 1.0
-    # lc residuals have mean zero by construction, so no t-test is reported
+    # residuals have mean zero by construction, so no t-test is reported
     for name in ("lc", "lcs"):
         assert "t_test" not in summary["models"][name]
         assert summary["models"][name]["n_residuals"] > 0
@@ -68,7 +68,7 @@ def test_fit_fdm_artifacts(hmd_file, tmp_path):
     for stem in ("fdm_mu", "fdm_phi", "fdm_beta", "fdm_variances"):
         assert (out / f"{stem}.csv").is_file()
     entry = read_summary(out)["models"]["fdm"]
-    assert set(entry["t_test"]) == {"statistic", "p_value"}
+    assert "t_test" not in entry
     shares = entry["explained_shares"]
     assert len(shares) == 3
     assert shares == sorted(shares, reverse=True)
@@ -393,6 +393,32 @@ def test_forecast_horizon_1_bootstrap_e0(hmd_file, tmp_path):
         assert rows[0] == "year,point,lower,upper" and len(rows) == 2
 
 
+@pytest.mark.parametrize("horizon", ["1", "150"])
+def test_forecast_bootstrap_edge_horizons(hmd_file, tmp_path, horizon):
+    # one forecast year, and more forecast years than replicates: each
+    # age's noise sequence is B + horizon - 1 long either way
+    def args(out):
+        return ["forecast", *base_args(hmd_file, out), "--models", "fdm",
+                "--horizon", horizon, "--bootstrap", "100", "--seed", "5"]
+
+    first, second, one_thread = tmp_path / "a", tmp_path / "b", tmp_path / "blas1"
+    for out in (first, second):
+        assert run_cli(args(out)) == 0
+    for name, columns in (("forecast_fdm.csv", [2, 4, 5]), ("e0_fdm.csv", [1, 2, 3])):
+        point, lower, upper = np.loadtxt(first / name, delimiter=",", skiprows=1,
+                                         usecols=columns, ndmin=2).T
+        assert point.size == int(horizon) * (41 if name == "forecast_fdm.csv" else 1)
+        assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
+        assert np.all(lower <= point) and np.all(point <= upper)
+    assert snapshot(second) == snapshot(first)
+    command, env = console_script_launch()
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run([*command, *map(str, args(one_thread))],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert snapshot(one_thread) == snapshot(first)
+
+
 @pytest.mark.parametrize("ts", ["rwd", "ar:2,1,drift"])
 def test_horizon_past_float_range_exit_2(hmd_file, tmp_path, capsys, ts):
     # the drift, about -0.007 a year in every log rate, carries the lower
@@ -415,14 +441,10 @@ def test_compare_diagnoses_observed_minus_fitted(hmd_file, tmp_path):
         surface = build_surface(parse_hmd_rates(fh), "total", 0, 40, 1950, 2005)
     for name, model in fit_models(surface, ("lc", "lcs", "fdm")).items():
         std = standardize_residuals(surface.log_rates - model.fitted_log_rates())
-        t_stat, t_p = t_test_zero_mean(std)
         w, p = normality_test(std)
         entry = summary[name]
         assert entry["n_residuals"] == std.size
-        if name == "fdm":
-            assert entry["t_test"] == {"statistic": t_stat, "p_value": t_p}
-        else:
-            assert "t_test" not in entry
+        assert "t_test" not in entry
         assert entry["normality"] == {"statistic": w, "p_value": p, "subsampled": False}
 
 
@@ -641,8 +663,8 @@ def test_failed_write_exit_2_changes_no_earlier_file(hmd_file, earlier_run, monk
 
 
 def test_nan_summary_exit_1_under_any_formats(hmd_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(mortforecast.cli, "t_test_zero_mean",
-                        lambda std: (float("nan"), float("nan")))
+    monkeypatch.setattr(mortforecast.cli, "normality_test",
+                        lambda sample: (float("nan"), float("nan")))
     out = tmp_path / "csvonly"
     code = run_cli(["fit", *base_args(hmd_file, out), "--models", "fdm",
                     "--formats", "csv"])

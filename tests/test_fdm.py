@@ -461,11 +461,25 @@ def test_concurrent_bootstraps_match_reference():
     assert mismatched == []
 
 
-def _reference_bootstrap_intervals(model, ts_spec, horizon, level, B, seed):
+def _window_noise(rng, rows, horizon, B):
+    """Each age's one (B + horizon - 1) sequence, replicate r at horizon
+    j reading its entry j + r."""
+    z = rng.standard_normal((rows, B + horizon - 1))
+    return np.stack([z[:, j:j + B] for j in range(horizon)], axis=1)
+
+
+def _per_cell_noise(rng, rows, horizon, B):
+    """A fresh draw for every (age, horizon, replicate) cell, as the
+    bootstrap drew before it read one sequence per age."""
+    return rng.standard_normal((rows, horizon, B))
+
+
+def _reference_bootstrap_intervals(model, ts_spec, horizon, level, B, seed,
+                                   noise=_window_noise):
     """The single-array bootstrap that the age-block version replaced:
     every replicate accumulated in one (ages, horizon, B) array, both
     bounds in one quantile pass over it. The noise is each age block's
-    own stream, concatenated in age order."""
+    own ``noise`` from its own stream, concatenated in age order."""
     analytic = forecast_fdm(model, ts_spec, horizon, level)
     fits = [fit_ts(model.beta_series[:, k], ts_spec) for k in range(model.K)]
     sigma = np.sqrt(np.maximum(model.sigma2, 0.0))
@@ -480,7 +494,7 @@ def _reference_bootstrap_intervals(model, ts_spec, horizon, level, B, seed):
     edges = [i * n_ages // n_blocks for i in range(n_blocks + 1)]
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     samples = np.concatenate([
-        np.random.default_rng(child).standard_normal((b - a, horizon, B))
+        noise(np.random.default_rng(child), b - a, horizon, B)
         for a, b, child in zip(edges, edges[1:], children)])
     samples *= sigma[:, None, None]
     samples += model.mu[:, None, None]
@@ -515,6 +529,55 @@ def test_bootstrap_matches_single_array_reference(n_ages, horizon, K, B, seed, s
     np.testing.assert_array_equal(got.variance, want.variance)
     np.testing.assert_array_equal(got.lower, want.lower)
     np.testing.assert_array_equal(got.upper, want.upper)
+
+
+class _PositionRng:
+    """Draws each position's own index, so every noise entry names the
+    stream position it was read from."""
+
+    def standard_normal(self, shape):
+        return np.arange(np.prod(shape), dtype=float).reshape(shape)
+
+
+@pytest.mark.parametrize("horizon", [1, 7, 150])
+def test_noise_reads_distinct_stream_positions(horizon):
+    rows, B = 3, 100
+    noise = mortforecast.fdm._noise(_PositionRng(), rows, horizon, B)
+    assert noise.shape == (rows, horizon, B)
+    # each (age, horizon) cell reads B distinct positions
+    assert np.all(np.diff(np.sort(noise, axis=2), axis=2) > 0)
+    # each replicate's path at one age reads horizon distinct positions
+    assert np.all(np.diff(np.sort(noise, axis=1), axis=1) > 0)
+    # an age reads its own B + horizon - 1 positions, shared with no other age
+    per_age = [np.unique(noise[i]) for i in range(rows)]
+    assert all(p.size == B + horizon - 1 for p in per_age)
+    assert np.unique(noise).size == rows * (B + horizon - 1)
+
+
+def test_window_noise_keeps_the_per_cell_law():
+    # per-cell draws are the law the window must keep. The schemes run on
+    # disjoint seeds: on equal ones they would share coefficient paths and
+    # even some draws, and their bounds would not be independent. The
+    # observational noise is made a large share of the spread.
+    model = dataclasses.replace(_small_model(n_ages=12, K=1),
+                                sigma2=np.linspace(0.01, 0.09, 12))
+    horizon, B, n = 4, 200, 60
+
+    def bounds(bootstrap, seeds):
+        return np.array([[fc.lower, fc.upper] for fc in map(bootstrap, seeds)])
+
+    window = bounds(lambda seed: bootstrap_intervals(model, TsSpec(), horizon, 95.0, B, seed),
+                    range(n))
+    per_cell = bounds(lambda seed: _reference_bootstrap_intervals(
+        model, TsSpec(), horizon, 95.0, B, seed, _per_cell_noise), range(1000, 1000 + n))
+    z = ((window.mean(axis=0) - per_cell.mean(axis=0))
+         / np.sqrt((window.var(axis=0, ddof=1) + per_cell.var(axis=0, ddof=1)) / n))
+    # 96 cells, each near a standard normal under the same law: |z| over
+    # 4 anywhere has under a 1% chance
+    assert np.abs(z).max() < 4.0
+    assert 0.7 < z.std() < 1.3
+    sd_ratio = window.std(axis=0, ddof=1) / per_cell.std(axis=0, ddof=1)
+    assert 0.85 < np.median(sd_ratio) < 1.15
 
 
 @settings(deadline=None, max_examples=200)
