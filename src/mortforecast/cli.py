@@ -221,6 +221,10 @@ def _check_windows(args: argparse.Namespace, surface: MortalitySurface) -> None:
         if window and (window[0] < lo or window[1] > hi):
             raise UsageError(f"{flag} {window[0]}:{window[1]} outside data years "
                              f"{lo}:{hi}")
+    first_age = int(surface.ages[0])
+    if args.command == "backtest" and first_age != 0:
+        raise UsageError(f"--ages {args.ages[0]}:{args.ages[1]} starts at age {first_age}; "
+                         f"a backtest scores life expectancy at birth, which needs ages from 0")
     year = args.year
     if year is not None and not lo <= year <= hi:
         raise UsageError(f"--year {year} outside data years {lo}:{hi}")

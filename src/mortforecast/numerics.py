@@ -173,15 +173,16 @@ def solve_penalized_ls(B, y, w=None, lam: float = 0.0, d: int = 2) -> np.ndarray
     return cho_solve(cholesky_factor(M), BtW @ y)
 
 
+SINGULAR_SYSTEM = "singular penalized system; increase lambda or use fewer basis functions"
+
+
 def cholesky_factor(M) -> tuple:
     """Cholesky factor of a penalized normal matrix ``B'WB + lam * P``,
     in the form ``scipy.linalg.cho_solve`` takes."""
     try:
         return cho_factor(M, lower=True)
     except LinAlgError as exc:
-        raise ValueError(
-            "singular penalized system; increase lambda or use fewer basis functions"
-        ) from exc
+        raise ValueError(SINGULAR_SYSTEM) from exc
 
 
 def normal_quantile(p):

@@ -3,10 +3,12 @@
 Each year's curve ln m_t(x) is smoothed independently with a cubic
 B-spline basis and a squared difference penalty on the coefficients,
 the penalty weight chosen by generalized cross-validation; the years of
-a surface share one design and are smoothed in one batched pass. Above
-a configurable age the smoothed curve is projected onto the increasing
-cone by pooling adjacent violators, reflecting that adult mortality
-rises with age while infant and accident-hump features below it do not.
+a surface share one design and are smoothed in one batched pass, where
+one generalized eigendecomposition scores every grid penalty for every
+year. Above a configurable age the smoothed curve is projected onto the
+increasing cone by pooling adjacent violators, reflecting that adult
+mortality rises with age while infant and accident-hump features below
+it do not.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import LinAlgError, cho_solve, eigh
 
-from .numerics import (BsplineBasis, bspline_design, cholesky_factor, difference_matrix,
-                       solve_penalized_ls)
+from .numerics import (SINGULAR_SYSTEM, BsplineBasis, bspline_design, cholesky_factor,
+                       difference_matrix, solve_penalized_ls)
 
 __all__ = [
     "SmoothConfig",
@@ -30,6 +32,13 @@ __all__ = [
 ]
 
 _DEFAULT_LAMBDA_GRID = np.logspace(-4.0, 6.0, 25)
+
+# Relative gap within which two GCV scores tie. On the flat top of the
+# grid, where an affine fit has absorbed a curve, scores agree to about
+# 1e-11, and a per-curve LU solve rounds them by up to about 1e-10; the
+# gaps between a minimum and the grid points before it on generated
+# HMD-scale surfaces are above 1e-6.
+_GCV_TIE_RTOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -135,34 +144,55 @@ def _gcv_search(B: np.ndarray, Y: np.ndarray, w: np.ndarray, config: SmoothConfi
     """Per column of ``Y``: the grid lambda minimizing GCV, its score, and
     the coefficients fitted with it.
 
-    All columns share the design B, weights W and penalty P, so each grid
-    lambda costs one Cholesky factorization of A = B'WB + lambda P, one
-    solve for every column's coefficients, and one trace
-    tr(H) = tr(A^{-1} B'WB) common to all of them. The score is
-    n * RSS / (n - tr(H))^2, infinite when n <= tr(H); each column keeps
-    the first grid point attaining its minimum, so ties resolve
-    deterministically.
+    All columns share the design B, weights W and penalty P, so one
+    generalized eigendecomposition scores every grid lambda
+    (Demmler-Reinsch): with G = B'WB and U'(G + P)U = I, U'GU = diag(nu),
+    the system G + lambda P is U^-T diag(nu + lambda (1 - nu)) U^-1. Each
+    lambda's fits are then B U diag(1 / (nu + lambda (1 - nu))) U'B'WY,
+    and tr(H) = sum nu / (nu + lambda (1 - nu)), common to all columns.
+    The score is n * RSS / (n - tr(H))^2, infinite when n <= tr(H) or the
+    system is singular at that lambda. Each column keeps the first grid
+    point scoring within ``_GCV_TIE_RTOL`` of its minimum, so a flat top,
+    where scores differ only by rounding, resolves by grid order.
+
+    The chosen coefficients come from a Cholesky solve of
+    (G + lambda P) theta = B'WY over every column, once per distinct
+    chosen lambda, not from the eigenbasis, which would move the fits by
+    rounding. The reported score is the spectral one the choice used.
     """
     (n, k), m = B.shape, Y.shape[1]
+    grid = np.asarray(config.lambda_grid, dtype=float)
     D = difference_matrix(k, config.difference_order)
     P = D.T @ D
     BtW = B.T * w
     G, R = BtW @ B, BtW @ Y
-    best, lambdas, theta = np.full(m, np.inf), np.full(m, np.nan), np.zeros((k, m))
-    for lam in np.asarray(config.lambda_grid, dtype=float):
-        factor = cholesky_factor(G + lam * P)
-        coef = cho_solve(factor, R)
-        denom = n - np.trace(cho_solve(factor, G))
-        if denom <= 0:
-            continue
-        score = n * (w @ (Y - B @ coef) ** 2) / denom**2
-        better = score < best
-        best[better] = score[better]
-        lambdas[better] = lam
-        theta[:, better] = coef[:, better]
-    if np.isnan(lambdas).any():
+    try:
+        nu, U = eigh(G, G + P, check_finite=False)
+    except LinAlgError as exc:
+        raise ValueError(SINGULAR_SYSTEM) from exc
+    # the d largest nu are exactly 1: their vectors span the polynomials
+    # the order-d penalty leaves free. Left at 1 - eps, they would scale
+    # those fits by about 1 - lambda * eps, 1e-10 at the top of the grid
+    nu[-config.difference_order:] = 1.0
+    BU, C = B @ U, U.T @ R
+    scores = np.empty((len(grid), m))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gain = 1.0 / (nu + grid[:, None] * (1.0 - nu))  # (grid, k)
+        for i, g in enumerate(gain):  # one lambda at a time keeps memory at one (n, m) block
+            resid = Y - BU @ (g[:, None] * C)
+            scores[i] = w @ (resid * resid)
+        denom = n - gain @ nu
+        scores *= n / denom[:, None] ** 2
+    scores[~(np.isfinite(scores) & (denom > 0)[:, None])] = np.inf
+    best = scores.min(axis=0)
+    if np.isinf(best).any():
         raise ValueError("GCV failed at every grid point; basis too rich for the data")
-    return lambdas, best, theta
+    chosen = np.argmax(scores <= best * (1.0 + _GCV_TIE_RTOL), axis=0)
+    theta = np.empty((k, m))
+    for i in np.unique(chosen):
+        cols = chosen == i
+        theta[:, cols] = cho_solve(cholesky_factor(G + grid[i] * P), R)[:, cols]
+    return grid[chosen], scores[chosen, np.arange(m)], theta
 
 
 def smooth_curve(
@@ -235,13 +265,26 @@ def _monotone_tails(values: np.ndarray, xs: np.ndarray, from_age: "int | float")
     >= from_age, onto the nondecreasing cone, in place.
 
     One ``np.diff`` over the tail block picks out the columns whose tail
-    falls somewhere; only those go through ``_pava``. That is exact, not
-    an approximation: on a nondecreasing tail no two blocks pool (equal
-    neighbours do not violate), so ``_pava`` would return it unchanged.
+    falls somewhere; only those go through ``_pava``, each from the end of
+    its longest prefix of values lying more than ``slack`` below every
+    later value. Both skips are exact, not approximations. On a
+    nondecreasing tail no two blocks pool (equal neighbours do not
+    violate). A pool of later values has an exact mean above every prefix
+    value, and ``_pava``'s merges round it by at most about
+    1.5 * len * eps * max|value|, well under ``slack``, so no pool reaches
+    the prefix and the fit equals ``_pava`` on the whole tail bit for bit.
+    Without the slack, a rounded pool can fall below the least value in it.
     """
     tail = values[int(np.searchsorted(xs, float(from_age), side="left")):]
-    for j in np.flatnonzero((np.diff(tail, axis=0) < 0).any(axis=0)):
-        tail[:, j] = _pava(tail[:, j])
+    falling = np.flatnonzero((np.diff(tail, axis=0) < 0).any(axis=0))
+    if not falling.size:
+        return
+    block = tail[:, falling]
+    later_min = np.minimum.accumulate(block[:0:-1], axis=0)[::-1]  # row i: min of rows > i
+    slack = 4 * np.finfo(float).eps * len(block) * np.abs(block).max(axis=0)
+    starts = np.argmin(block[:-1] + slack < later_min, axis=0)
+    for j, start in zip(falling, starts):
+        tail[start:, j] = _pava(tail[start:, j])
 
 
 def _pava(y: np.ndarray) -> np.ndarray:

@@ -335,6 +335,20 @@ def test_short_backtest_window_exit_2(hmd_file, tmp_path, capsys, train, test, m
     assert not out.exists()
 
 
+def test_backtest_ages_not_from_0_exit_2(hmd_file, tmp_path, capsys, monkeypatch):
+    # a backtest scores e0, which needs a life table from birth; the window
+    # is rejected before any model is fitted
+    fits = count_calls(monkeypatch, mortforecast.fit_models)
+    out = tmp_path / "ages"
+    code = run_cli(["backtest", "--data", hmd_file, "--ages", "10:30", "--output", out,
+                    "--models", "lc,lcs,fdm", "--train", "1960:1990", "--test", "1991:2000"])
+    assert code == 2
+    assert ("error: --ages 10:30 starts at age 10; a backtest scores life expectancy at "
+            "birth, which needs ages from 0") in capsys.readouterr().err
+    assert fits == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["fit", "--models", "fdm", "--years", "1950:1953"],
      "-K 4 does not fit a 41 x 4 surface; fdm needs 1 <= K <= 3"),

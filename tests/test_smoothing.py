@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mortforecast import smoothing
 from mortforecast.numerics import (BsplineBasis, bspline_design, difference_matrix,
                                    solve_penalized_ls)
 from mortforecast.smoothing import (
+    _GCV_TIE_RTOL,
     SmoothConfig,
     _pava,
     enforce_monotone,
@@ -42,6 +44,18 @@ def test_affine_curve_is_fixed_point():
     for lam in (0.0, 1.0, 1e6):
         curve = smooth_curve(ys, SmoothConfig(lam=lam, monotone_from=None), ages=xs)
         np.testing.assert_allclose(curve.values, ys, atol=1e-7)
+
+
+def test_gcv_scores_affine_curve_as_exact_fit():
+    # THEORY: an affine curve lies in the penalty's null space, so every
+    # lambda fits it exactly and GCV scores it 0 up to rounding, also at a
+    # lambda where lambda * eps is far above rounding
+    for n, num_basis in ((12, None), (40, 4), (111, 35)):
+        xs = np.arange(n, dtype=float)
+        ys = 1.5 - 0.2 * xs
+        curve = smooth_curve(ys, SmoothConfig(num_basis=num_basis, lambda_grid=np.array([1e12]),
+                                              monotone_from=None), ages=xs)
+        assert curve.gcv < 1e-16 * np.mean(ys**2)
 
 
 def test_huge_lambda_flattens_to_affine():
@@ -111,39 +125,66 @@ def test_smooth_surface_single_year_sigma_zero():
 # batched smoother against the per-curve reference
 
 
-def _reference_smooth_curve(ys, xs, config):
-    """The per-curve smoother the batched kernel replaced: GCV over the
-    grid by two dense LU solves per lambda, the first minimum kept, then
-    one Cholesky solve at the chosen lambda."""
+# Relative rounding of the LU reference's GCV scores. It grows with lambda,
+# as G + lambda P grows worse conditioned; the largest seen over 10,000
+# random surfaces drawn as in the property test below was 1.1e-10.
+_REFERENCE_SCORE_RTOL = 1e-9
+
+
+def _reference_gcv_scores(ys, xs, config):
+    """The per-curve GCV scores the batched kernel replaced, one per grid
+    lambda, each by two dense LU solves."""
     k = config.resolved_num_basis(len(xs))
     B = bspline_design(BsplineBasis.uniform(xs[0], xs[-1], k, degree=config.degree), xs)
     D = difference_matrix(k, config.difference_order)
     w = np.ones(len(ys)) if config.weights is None else config.weights
-    lam = config.lam
-    if lam == "auto":
-        n, BtW = len(ys), B.T * w
-        best_lam, best_score = None, np.inf
-        for grid_lam in config.lambda_grid:
-            A = BtW @ B + grid_lam * (D.T @ D)
-            rss = np.sum(w * (ys - B @ np.linalg.solve(A, BtW @ ys)) ** 2)
-            denom = n - np.sum(np.linalg.solve(A, BtW) * B.T)
-            score = n * rss / denom**2 if denom > 0 else np.inf
-            if score < best_score:
-                best_lam, best_score = float(grid_lam), score
-        lam = best_lam
+    n, BtW = len(ys), B.T * w
+    scores = []
+    for grid_lam in config.lambda_grid:
+        A = BtW @ B + grid_lam * (D.T @ D)
+        rss = np.sum(w * (ys - B @ np.linalg.solve(A, BtW @ ys)) ** 2)
+        denom = n - np.sum(np.linalg.solve(A, BtW) * B.T)
+        scores.append(n * rss / denom**2 if denom > 0 else np.inf)
+    return np.array(scores)
+
+
+def _reference_lambdas(ys, xs, config):
+    """The grid lambdas the tie rule may choose for one curve: the first
+    grid point whose LU score is within _GCV_TIE_RTOL of the minimum.
+    A score within the reference's own rounding of that cut may fall on
+    either side of it, so every such grid point up to the first one
+    surely inside is a valid choice; elsewhere the choice is one point."""
+    scores = _reference_gcv_scores(ys, xs, config)
+    cut = scores.min() * (1 + _GCV_TIE_RTOL)
+    inside = scores <= cut * (1 + 2 * _REFERENCE_SCORE_RTOL)
+    last = int(np.argmax(scores <= cut * (1 - 2 * _REFERENCE_SCORE_RTOL)))
+    return [float(lam) for lam, ok in zip(config.lambda_grid[:last + 1], inside) if ok]
+
+
+def _reference_fit(ys, xs, config, lam):
+    """The per-curve fit at ``lam``: one Cholesky solve, then the
+    monotone projection."""
+    k = config.resolved_num_basis(len(xs))
+    B = bspline_design(BsplineBasis.uniform(xs[0], xs[-1], k, degree=config.degree), xs)
+    w = np.ones(len(ys)) if config.weights is None else config.weights
     values = B @ solve_penalized_ls(B, ys, w=w, lam=lam, d=config.difference_order)
     if config.monotone_from is not None:
         values = enforce_monotone(values, config.monotone_from, ages=xs)
-    return lam, values
+    return values
 
 
 def _assert_matches_reference(log_m, ages, config):
     years = np.arange(2000, 2000 + log_m.shape[1])
     out = smooth_surface(log_m, ages, years, config)
+    xs = ages.astype(float)
     for j in range(log_m.shape[1]):
-        lam, values = _reference_smooth_curve(log_m[:, j], ages.astype(float), config)
-        assert out.lambdas[j] == lam
-        np.testing.assert_allclose(out.log_rates[:, j], values, rtol=0, atol=1e-10)
+        lam = out.lambdas[j]
+        if config.lam == "auto":
+            assert lam in _reference_lambdas(log_m[:, j], xs, config)
+        else:
+            assert lam == config.lam
+        np.testing.assert_allclose(out.log_rates[:, j], _reference_fit(log_m[:, j], xs, config, lam),
+                                   rtol=0, atol=1e-10)
     return out
 
 
@@ -158,19 +199,22 @@ def test_smooth_surface_matches_per_curve_reference(n_ages, n_years, first_age, 
                                                     weighted, basis_share, lam, monotone_from):
     # THEORY: every year shares the design, weights and penalty, so the
     # batched pass must choose the reference's lambda for each year and
-    # agree with its fit up to rounding. The sine keeps curvature in every
-    # window, and the basis has at least 6 functions: a minimum on the
-    # flat top of the grid, where an affine fit has absorbed everything,
-    # scores equal to rounding at several grid points, and there neither
-    # solver's choice is determined. At most half as many basis functions
-    # as ages: an unpenalized fit with one per age is so ill-conditioned
-    # that a different summation order alone moves it by about 1e-10.
+    # agree with its fit up to rounding. Both take the first grid point
+    # scoring within _GCV_TIE_RTOL of the minimum. On a flat top, where a
+    # small basis has made the fit nearly affine, the top grid points score
+    # equal to about 1e-11, so a strict first minimum would be chosen by
+    # each solver's rounding; the tie rule chooses by grid order, so a basis
+    # of 4 functions is allowed. A score within the reference's rounding of
+    # the tie cut is the one case left open (_reference_lambdas). At most
+    # half as many basis functions as ages: an unpenalized fit with one
+    # per age is so ill-conditioned that a different summation order alone
+    # moves it by about 1e-10.
     rng = np.random.default_rng(seed)
     ages = np.arange(first_age, first_age + n_ages)
     trend = -7.0 + 0.07 * ages + 0.5 * np.sin(ages / 4.0)
     log_m = (trend[:, None] - 0.01 * np.arange(n_years)
              + noise * rng.standard_normal((n_ages, n_years)))
-    num_basis = None if basis_share is None else max(6, int(basis_share * n_ages))
+    num_basis = None if basis_share is None else max(4, int(basis_share * n_ages))
     weights = rng.uniform(0.2, 2.0, n_ages) if weighted else None
     _assert_matches_reference(log_m, ages, SmoothConfig(
         num_basis=num_basis, lam=lam, monotone_from=monotone_from, weights=weights))
@@ -188,6 +232,28 @@ def test_smooth_surface_tied_gcv_keeps_first_grid_point():
                                                               monotone_from=None))
     assert out.lambdas[0] == out.lambdas[2] == 1e3
     assert out.lambdas[1] != 1e3
+
+
+def test_gcv_flat_top_takes_first_grid_point_within_tolerance():
+    # a 4-function basis is one cubic; on noisy near-linear ages GCV is
+    # least where the penalty has made the fit nearly affine, and there the
+    # top grid points score equal to about 1e-11, closer than the solvers'
+    # rounding. The tie rule chooses an earlier grid point, and the same
+    # one by the LU scores as by the batched pass.
+    rng = np.random.default_rng(3)
+    ages = np.arange(20, 50)
+    log_m = (-7.0 + 0.07 * ages)[:, None] + 0.1 * rng.standard_normal((30, 8))
+    config = SmoothConfig(num_basis=4, monotone_from=None)
+    out = _assert_matches_reference(log_m, ages, config)
+    flat_tops = 0
+    for j in range(log_m.shape[1]):
+        ys, xs = log_m[:, j], ages.astype(float)
+        assert _reference_lambdas(ys, xs, config) == [out.lambdas[j]]
+        scores = _reference_gcv_scores(ys, xs, config)
+        if np.sort(scores / scores.min() - 1)[1] < 1e-10:
+            flat_tops += 1
+            assert out.lambdas[j] < config.lambda_grid[np.argmin(scores)]
+    assert flat_tops > 0
 
 
 # ---------------------------------------------------------------------------
@@ -330,3 +396,47 @@ def test_enforce_monotone_equal_neighbours_match_reference(tail):
     xs = np.arange(len(values), dtype=float)
     assert (enforce_monotone(values, 2).tobytes()
             == _reference_enforce_monotone(values, 2, xs).tobytes())
+
+
+@pytest.mark.parametrize("tail,reach", [
+    ([3.0, 1.0, 2.0, 4.0], 4),  # a fall at the first tail age: the whole tail
+    ([1.0, 2.0, 5.0, 3.0, 2.0, 6.0], 5),  # the value at the cut equals the later minimum
+    ([-1.0, 0.0, -0.0, 2.0, 1.0], 4),  # signed zeros at the cut
+    ([1.0, 2.0, 3.0, 5.0, 4.0], 2),  # one fall, at the last two ages
+    # a pool whose rounded mean falls below every value in it, and so
+    # reaches a value at the cut equal to the later minimum
+    ([-3.9670670969864856, -3.967067096986485, -3.967067096986485, -3.967067096986485,
+      -3.967067096986485, -3.9670670969864856, -3.967067096986485, -3.9670670969864856], 8),
+])
+def test_pava_runs_on_the_reachable_part_of_a_falling_tail(tail, reach, monkeypatch):
+    seen = []
+    monkeypatch.setattr(smoothing, "_pava", lambda y: seen.append(len(y)) or _pava(y))
+    values = np.array([5.0, -3.0, *tail])
+    xs = np.arange(len(values), dtype=float)
+    assert (enforce_monotone(values, 2).tobytes()
+            == _reference_enforce_monotone(values, 2, xs).tobytes())
+    assert seen == [reach]
+
+
+def test_gcv_surface_factors_once_per_chosen_lambda(monkeypatch):
+    # one eigendecomposition scores every grid lambda for every year, one
+    # Cholesky factorization per distinct chosen lambda gives the
+    # coefficients, and PAVA runs on falling tails past their unreachable
+    # rising prefix
+    rng = np.random.default_rng(0)
+    ages, years = np.arange(100), np.arange(1970, 2000)
+    shape = -9.0 + 0.085 * np.minimum(ages, 60) + 0.004 * np.maximum(ages - 60, 0)
+    log_m = shape[:, None] - 0.01 * np.arange(30) + 0.15 * rng.standard_normal((100, 30))
+    raw = smooth_surface(log_m, ages, years, SmoothConfig(monotone_from=None)).log_rates
+    tail_len = int(np.sum(ages >= 60))
+    n_falling = int((np.diff(raw[ages >= 60], axis=0) < 0).any(axis=0).sum())
+    calls = {name: [] for name in ("eigh", "cholesky_factor", "_pava")}
+    for name, record in calls.items():
+        func = getattr(smoothing, name)
+        monkeypatch.setattr(smoothing, name,
+                            lambda *a, _f=func, _r=record, **k: _r.append(a) or _f(*a, **k))
+    out = smooth_surface(log_m, ages, years, SmoothConfig(monotone_from=60))
+    assert len(calls["eigh"]) == 1
+    assert len(calls["cholesky_factor"]) == len(np.unique(out.lambdas)) > 1
+    assert 0 < len(calls["_pava"]) == n_falling < len(years)
+    assert sum(len(y) for y, in calls["_pava"]) < tail_len * n_falling
