@@ -22,7 +22,7 @@ from .ingest import (
     slice_window,
 )
 from .leecarter import LcModel, fit_lc, fit_lcs, forecast_lc
-from .lifetable import E0Path, LifeTable, e0_from_rates, e0_path, rates_to_lifetable
+from .lifetable import E0Path, LifeTable, e0_path, rates_to_lifetable
 from .smoothing import SmoothConfig, enforce_monotone, smooth_curve, smooth_surface
 from .svgchart import render_line_chart
 from .tsforecast import TsFit, TsSpec, fit_ts, forecast_ts
@@ -37,7 +37,7 @@ __all__ = [
     "MortalitySurface", "RateRecord", "RateTable", "build_surface", "parse_hmd_rates",
     "slice_window",
     "LcModel", "fit_lc", "fit_lcs", "forecast_lc",
-    "E0Path", "LifeTable", "e0_from_rates", "e0_path", "rates_to_lifetable",
+    "E0Path", "LifeTable", "e0_path", "rates_to_lifetable",
     "SmoothConfig", "enforce_monotone", "smooth_curve", "smooth_surface",
     "render_line_chart",
     "TsFit", "TsSpec", "fit_ts", "forecast_ts",

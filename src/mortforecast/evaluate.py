@@ -113,9 +113,10 @@ def error_metrics(observed: MortalitySurface, fitted_log: np.ndarray) -> ErrorRe
 def standardize_residuals(residuals: np.ndarray) -> np.ndarray:
     """Flatten and divide by the overall standard deviation.
 
-    The mean is deliberately not removed: the point of the t-test
-    downstream is whether that mean is zero. A zero-variance matrix is
-    returned unscaled.
+    The mean is not removed: the CLI's normality test, the one use in
+    the package, does not depend on location, and a library caller's
+    test of a zero mean (``t_test_zero_mean``) needs it kept. A
+    zero-variance matrix is returned unscaled.
     """
     flat = np.asarray(residuals, dtype=float).ravel()
     sd = float(flat.std(ddof=1)) if len(flat) > 1 else 0.0

@@ -76,14 +76,6 @@ class ForecastSurface:
                                upper=self.upper[:, j0:j1], level=self.level)
 
 
-def interval_bounds(point: np.ndarray, variance: np.ndarray,
-                    level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric normal-theory bounds at a two-sided percentage level."""
-    z = normal_quantile(0.5 + level / 200.0)
-    half = z * np.sqrt(np.maximum(variance, 0.0))
-    return point - half, point + half
-
-
 @dataclass(frozen=True)
 class FdmModel:
     """Fitted decomposition. ``phi`` is ages-by-K with orthonormal
@@ -112,8 +104,34 @@ class FdmModel:
     def fitted_log_rates(self) -> np.ndarray:
         return self.mu[:, None] + self.phi @ self.beta_series.T
 
-    def reconstruct(self) -> np.ndarray:
-        return self.fitted_log_rates() + self.model_errors
+
+def _decompose(Y: np.ndarray, K: int):
+    """The one SVD step of every model: center ``Y`` on its row means and
+    take the top K singular triples of the centered surface.
+
+    Returns (row mean, centered surface, singular values, U, V, shares,
+    degenerate). U and V hold the top K left and right vectors, each pair
+    flipped so the U column sums positive, or, when |sum| <= 1e-10, so
+    its dominant element is positive. ``shares`` are s[:K]^2 / sum(s^2).
+    ``degenerate`` flags a surface with no year-to-year variation beyond
+    float noise (s_0 <= 1e-12 max(1, ||Y||)); its shares are [1, 0, ...].
+    """
+    mean = Y.mean(axis=1)
+    centered = Y - mean[:, None]
+    svd = svd_thin(centered)
+    s = svd.singular_values
+    U = svd.left_vectors[:, :K]
+    column_sums = np.array([column.sum() for column in U.T])
+    dominant = U[np.argmax(np.abs(U), axis=0), np.arange(K)]
+    flip = np.where(np.abs(column_sums) > 1e-10, column_sums < 0, dominant < 0)
+    signs = np.where(flip, -1.0, 1.0)
+    degenerate = bool(s[0] <= 1e-12 * max(1.0, float(np.linalg.norm(Y))))
+    shares = np.eye(K)[0] if degenerate else s[:K] ** 2 / float(np.sum(s**2))
+    # C order, whatever svd_thin returns: the column means of beta, and so
+    # mu, take their rounding from the layout
+    U = np.ascontiguousarray(U * signs)
+    V = np.ascontiguousarray(svd.right_vectors[:, :K] * signs)
+    return mean, centered, s, U, V, shares, degenerate
 
 
 def fit_fdm(smoothed: SmoothedSurface, K: int = 4) -> FdmModel:
@@ -134,42 +152,19 @@ def fit_fdm(smoothed: SmoothedSurface, K: int = 4) -> FdmModel:
             f"K={K} too large for a {n_ages} x {n_years} surface; "
             f"maximum is {min(n_ages, n_years) - 1}"
         )
-    mu = F.mean(axis=1)
-    C = F - mu[:, None]
-    svd = svd_thin(C)
-    s = svd.singular_values
-    total = float(np.sum(s**2))
-
-    phi = np.empty((n_ages, K))
-    beta = np.empty((n_years, K))
-    for k in range(K):
-        u_k = svd.left_vectors[:, k]
-        b_k = s[k] * svd.right_vectors[:, k]
-        column_sum = float(u_k.sum())
-        if abs(column_sum) > 1e-10:
-            flip = column_sum < 0
-        else:
-            flip = u_k[int(np.argmax(np.abs(u_k)))] < 0
-        if flip:
-            u_k, b_k = -u_k, -b_k
-        phi[:, k] = u_k
-        beta[:, k] = b_k
+    mu, _, s, phi, V, shares, degenerate = _decompose(F, K)
+    beta = s[:K] * V
 
     # absorb any float-level residual mean of each beta into mu so the
     # centering constraint holds tightly
     beta_means = beta.mean(axis=0)
     mu = mu + phi @ beta_means
     beta = beta - beta_means
-
-    if s[0] <= 1e-12 * max(1.0, float(np.linalg.norm(F))):
+    if degenerate:
         # no year-to-year variation beyond float noise: report the whole
         # (empty) variation as the first component instead of dividing
         # noise by noise
         beta = np.zeros_like(beta)
-        shares = np.zeros(K)
-        shares[0] = 1.0
-    else:
-        shares = s[:K] ** 2 / total
 
     fitted = mu[:, None] + phi @ beta.T
     model_errors = F - fitted
@@ -190,27 +185,30 @@ def fit_fdm(smoothed: SmoothedSurface, K: int = 4) -> FdmModel:
     )
 
 
+def _recombine(ages: np.ndarray, years: np.ndarray, center: np.ndarray,
+               basis: np.ndarray, fits, horizon: int, level: float,
+               extra_variance=()) -> ForecastSurface:
+    """The one forecast step of every model: forecast each coefficient
+    series from its fit, then point = center + basis @ points and
+    variance = basis^2 @ variances plus each per-age term of
+    ``extra_variance`` in turn, with symmetric normal-theory bounds at
+    the two-sided percentage ``level``. ``years`` are the fitted years;
+    the forecast years follow the last of them."""
+    forecasts = [forecast_ts(fit, horizon) for fit in fits]
+    points = np.array([point for point, _ in forecasts])
+    variances = np.array([variance for _, variance in forecasts])
+    point = center[:, None] + basis @ points
+    variance = (basis**2) @ variances
+    for term in extra_variance:
+        variance = variance + term[:, None]
+    half = normal_quantile(0.5 + level / 200.0) * np.sqrt(np.maximum(variance, 0.0))
+    return ForecastSurface(ages=ages, years=years[-1] + np.arange(1, horizon + 1),
+                           point=point, variance=variance, lower=point - half,
+                           upper=point + half, level=level)
+
+
 def _coefficient_fits(model: FdmModel, ts_spec: TsSpec):
     return [fit_ts(model.beta_series[:, k], ts_spec) for k in range(model.K)]
-
-
-def _forecast_from_fits(model: FdmModel, fits, horizon: int,
-                        level: float) -> ForecastSurface:
-    forecasts = [forecast_ts(fit, horizon) for fit in fits]
-    beta_points = np.array([point for point, _ in forecasts])
-    beta_vars = np.array([variance for _, variance in forecasts])
-    point = model.mu[:, None] + model.phi @ beta_points
-    variance = (
-        model.sigma2_mu[:, None]
-        + (model.phi**2) @ beta_vars
-        + model.v[:, None]
-        + model.sigma2[:, None]
-    )
-    lower, upper = interval_bounds(point, variance, level)
-    years = model.years[-1] + np.arange(1, horizon + 1)
-    return ForecastSurface(ages=model.ages, years=years, point=point,
-                           variance=variance, lower=lower, upper=upper,
-                           level=level)
 
 
 def forecast_fdm(
@@ -220,9 +218,12 @@ def forecast_fdm(
     level: float = 95.0,
 ) -> ForecastSurface:
     """Forecast each coefficient series, recombine, and attach
-    normal-theory intervals from the summed variance."""
-    return _forecast_from_fits(model, _coefficient_fits(model, ts_spec),
-                               int(horizon), level)
+    normal-theory intervals from the summed variance: mean-curve
+    uncertainty, the coefficient variances through phi^2, model error and
+    observational noise."""
+    return _recombine(model.ages, model.years, model.mu, model.phi,
+                      _coefficient_fits(model, ts_spec), int(horizon), level,
+                      (model.sigma2_mu, model.v, model.sigma2))
 
 
 def _read_quantile(rows: np.ndarray, q: float, out: np.ndarray) -> None:
@@ -300,7 +301,8 @@ def bootstrap_intervals(
     if B < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {B}")
     fits = _coefficient_fits(model, ts_spec)
-    analytic = _forecast_from_fits(model, fits, horizon, level)
+    analytic = _recombine(model.ages, model.years, model.mu, model.phi, fits, horizon,
+                          level, (model.sigma2_mu, model.v, model.sigma2))
     n_ages = len(model.ages)
     n_years = len(model.years)
     sigma = np.sqrt(np.maximum(model.sigma2, 0.0))

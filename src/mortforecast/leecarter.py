@@ -1,8 +1,12 @@
 """Lee-Carter model: ln m_[x,t] = alpha_x + beta_x * kappa_t + eps.
 
-Estimated by SVD of the centered log surface under the usual
-identification constraints (beta sums to one, kappa sums to zero).
-The LCS variant runs the identical fit on smoothed log rates.
+The one-component case of the functional demographic model, with no
+smoothing and no observational-error term: the fit takes the first
+component of the FDM's decomposition (``fdm._decompose``) and the
+forecast goes through its recombination (``fdm._recombine``). Only the
+parametrisation is Lee-Carter's own, under the usual identification
+constraints (beta sums to one, kappa sums to zero). The LCS variant runs
+the identical fit on smoothed log rates.
 """
 
 from __future__ import annotations
@@ -11,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdm import ForecastSurface, interval_bounds
+from .fdm import ForecastSurface, _decompose, _recombine
 from .ingest import MortalitySurface
-from .numerics import svd_thin
 from .smoothing import SmoothedSurface
-from .tsforecast import TsSpec, fit_ts, forecast_ts
+from .tsforecast import TsSpec, fit_ts
 
 __all__ = ["LcModel", "fit_lc", "fit_lcs", "forecast_lc"]
 
@@ -48,9 +51,10 @@ def fit_lc(surface: MortalitySurface) -> LcModel:
 
     alpha is the across-year mean log rate; the first singular triple
     gives beta and kappa after normalizing so beta sums to one, with the
-    sign chosen so beta sums positive before normalization (kappa then
-    falls when mortality improves). kappa is recentered to sum zero with
-    the shift absorbed into alpha.
+    FDM's sign, so beta sums positive before normalization (kappa then
+    falls when mortality improves); a leading age pattern summing to
+    within 1e-10 of zero cannot be normalized and raises. kappa is
+    recentered to sum zero with the shift absorbed into alpha.
     """
     return _fit_log_rates(surface.ages, surface.years, surface.log_rates, "lc")
 
@@ -65,25 +69,16 @@ def _fit_log_rates(ages: np.ndarray, years: np.ndarray, Y: np.ndarray,
     n_ages, n_years = Y.shape
     if n_years < 3 or n_ages < 3:
         raise ValueError(f"need at least 3 ages and 3 years, got {n_ages} x {n_years}")
-    alpha = Y.mean(axis=1)
-    Z = Y - alpha[:, None]
-    total_ss = float(np.sum(Z**2))
-
-    svd = svd_thin(Z)
-    s = svd.singular_values
-    scale = max(1.0, float(np.linalg.norm(Y)))
-    if s[0] <= 1e-12 * scale:
+    alpha, Z, s, U, V, shares, degenerate = _decompose(Y, 1)
+    if degenerate:
         # no temporal signal at all; a perfect fit by the level alone
         return LcModel(ages=ages, years=years, alpha=alpha,
                        beta=np.full(n_ages, 1.0 / n_ages), kappa=np.zeros(n_years),
                        residuals=Z, explained_variance=1.0, explained_variance_rss=1.0,
                        variant=variant)
 
-    u1 = svd.left_vectors[:, 0]
-    v1 = svd.right_vectors[:, 0]
+    u1, v1 = U[:, 0], V[:, 0]
     column_sum = float(u1.sum())
-    if column_sum < 0:
-        u1, v1, column_sum = -u1, -v1, -column_sum
     if column_sum < 1e-10:
         raise ValueError(
             "degenerate fit: the leading age pattern sums to zero, so the "
@@ -97,11 +92,12 @@ def _fit_log_rates(ages: np.ndarray, years: np.ndarray, Y: np.ndarray,
     alpha = alpha + beta * shift
 
     residuals = Y - alpha[:, None] - np.outer(beta, kappa)
-    ev = float(s[0] ** 2 / np.sum(s**2))
+    total_ss = float(np.sum(Z**2))
     ev_rss = 1.0 - float(np.sum(residuals**2)) / total_ss if total_ss > 0 else 1.0
     return LcModel(ages=ages, years=years, alpha=alpha,
                    beta=beta, kappa=kappa, residuals=residuals,
-                   explained_variance=ev, explained_variance_rss=ev_rss, variant=variant)
+                   explained_variance=float(shares[0]), explained_variance_rss=ev_rss,
+                   variant=variant)
 
 
 def forecast_lc(
@@ -116,13 +112,5 @@ def forecast_lc(
     times the kappa variance); estimation error in alpha and beta is
     ignored, the standard simplification for this model.
     """
-    horizon = int(horizon)
-    fit = fit_ts(model.kappa, ts_spec)
-    k_point, k_var = forecast_ts(fit, horizon)
-    point = model.alpha[:, None] + np.outer(model.beta, k_point)
-    variance = np.outer(model.beta**2, k_var)
-    lower, upper = interval_bounds(point, variance, level)
-    years = model.years[-1] + np.arange(1, horizon + 1)
-    return ForecastSurface(ages=model.ages, years=years, point=point,
-                           variance=variance, lower=lower, upper=upper,
-                           level=level)
+    return _recombine(model.ages, model.years, model.alpha, model.beta[:, None],
+                      [fit_ts(model.kappa, ts_spec)], int(horizon), level)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fdm import ForecastSurface
 
-__all__ = ["LifeTable", "E0Path", "rates_to_lifetable", "e0_from_rates", "e0_path"]
+__all__ = ["LifeTable", "E0Path", "rates_to_lifetable", "e0_path"]
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,6 @@ def rates_to_lifetable(mx, ages=None) -> LifeTable:
     if ages.shape != mx.shape:
         raise ValueError("ages and mx must have the same length")
     return LifeTable(ages=ages, qx=qx[0], lx=lx[0], Lx=Lx[0], e0=float(e0[0]))
-
-
-def e0_from_rates(mx) -> float:
-    return rates_to_lifetable(mx).e0
 
 
 @dataclass(frozen=True)

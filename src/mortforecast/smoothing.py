@@ -40,6 +40,13 @@ _DEFAULT_LAMBDA_GRID = np.logspace(-4.0, 6.0, 25)
 # HMD-scale surfaces are above 1e-6.
 _GCV_TIE_RTOL = 1e-7
 
+# Absolute gap, as a share of a curve's Y'WY, within which two GCV scores
+# also tie. A curve the spline fits exactly at every grid lambda scores at
+# the rounding floor, 1e-31 to 1e-25 of its Y'WY, where no relative gap
+# ties; on generated HMD-scale surfaces the gaps before a minimum are
+# above 1e-12 of it.
+_GCV_TIE_FLOOR = 1e-18
+
 
 @dataclass(frozen=True)
 class SmoothConfig:
@@ -152,8 +159,9 @@ def _gcv_search(B: np.ndarray, Y: np.ndarray, w: np.ndarray, config: SmoothConfi
     and tr(H) = sum nu / (nu + lambda (1 - nu)), common to all columns.
     The score is n * RSS / (n - tr(H))^2, infinite when n <= tr(H) or the
     system is singular at that lambda. Each column keeps the first grid
-    point scoring within ``_GCV_TIE_RTOL`` of its minimum, so a flat top,
-    where scores differ only by rounding, resolves by grid order.
+    point scoring within ``_GCV_TIE_RTOL`` of its minimum, or within
+    ``_GCV_TIE_FLOOR`` of its Y'WY, so a flat top, where scores differ only
+    by rounding, resolves by grid order, as does an exact fit.
 
     The chosen coefficients come from a Cholesky solve of
     (G + lambda P) theta = B'WY over every column, once per distinct
@@ -187,7 +195,8 @@ def _gcv_search(B: np.ndarray, Y: np.ndarray, w: np.ndarray, config: SmoothConfi
     best = scores.min(axis=0)
     if np.isinf(best).any():
         raise ValueError("GCV failed at every grid point; basis too rich for the data")
-    chosen = np.argmax(scores <= best * (1.0 + _GCV_TIE_RTOL), axis=0)
+    tie = best * (1.0 + _GCV_TIE_RTOL) + _GCV_TIE_FLOOR * (w @ (Y * Y))
+    chosen = np.argmax(scores <= tie, axis=0)
     theta = np.empty((k, m))
     for i in np.unique(chosen):
         cols = chosen == i

@@ -21,7 +21,7 @@ from mortforecast.evaluate import (error_metrics, normality_test, run_backtest,
                                    standardize_residuals, t_test_zero_mean)
 from mortforecast.fdm import FdmModel, bootstrap_intervals, fit_fdm, forecast_fdm
 from mortforecast.leecarter import fit_lc, fit_lcs
-from mortforecast.lifetable import e0_from_rates
+from mortforecast.lifetable import rates_to_lifetable
 from mortforecast.smoothing import SmoothConfig, enforce_monotone, smooth_curve, smooth_surface
 from mortforecast.tsforecast import TsSpec, fit_ts, forecast_ts
 
@@ -165,7 +165,7 @@ def test_criterion_05_error_tables():
             lc = fit_lc(surface)
             lc_report = error_metrics(surface, lc.fitted_log_rates())
             fdm = fit_fdm(smooth(surface, SmoothConfig()), K=4)
-            fdm_fitted = fdm.reconstruct() - fdm.model_errors
+            fdm_fitted = fdm.fitted_log_rates()
             fdm_report = error_metrics(surface, fdm_fitted)
             for got, ref in zip(lc_report.avg_across_ages, table1[gender]):
                 _close_rel(got, ref)
@@ -183,7 +183,7 @@ def test_criterion_06_residual_diagnostics():
             surface = italy_surface(gender, 1950, 1975)
             lc = fit_lc(surface)
             fdm = fit_fdm(smooth(surface, SmoothConfig()), K=4)
-            fdm_resid = surface.log_rates - (fdm.reconstruct() - fdm.model_errors)
+            fdm_resid = surface.log_rates - fdm.fitted_log_rates()
             for resid in (lc.residuals, fdm_resid):
                 _, p = t_test_zero_mean(standardize_residuals(resid))
                 assert p >= 0.99, f"{gender}: zero-mean test p={p:.4f}"
@@ -311,12 +311,12 @@ def test_criterion_12_lifetable_oracle():
     label = "life table antitone with e0 integration oracle"
     with criterion(12, label):
         mx = np.full(101, 0.01)
-        assert abs(e0_from_rates(mx) - _e0_by_integration(mx)) < 0.01
+        assert abs(rates_to_lifetable(mx).e0 - _e0_by_integration(mx)) < 0.01
         rng = np.random.default_rng(12)
         for _ in range(25):
             schedule = np.exp(rng.uniform(-7.0, 0.0, size=40))
             gamma = rng.uniform(0.2, 0.95)
-            assert e0_from_rates(gamma * schedule) >= e0_from_rates(schedule)
+            assert rates_to_lifetable(gamma * schedule).e0 >= rates_to_lifetable(schedule).e0
 
 
 def test_criterion_13_determinism(hmd_file, tmp_path):

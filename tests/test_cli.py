@@ -295,15 +295,14 @@ def test_life_tables_and_pava_run_once_per_block(tmp_path, monkeypatch, command)
     data = tmp_path / "Mx_1x1.txt"
     data.write_text(synthetic_hmd_text(age_slope=0.001), encoding="utf-8")
     smooth = mortforecast.smooth_surface
-    single = [count_calls(monkeypatch, fn)
-              for fn in (mortforecast.rates_to_lifetable, mortforecast.e0_from_rates)]
+    single = count_calls(monkeypatch, mortforecast.rates_to_lifetable)
     blocks = count_calls(monkeypatch, mortforecast.lifetable._lifetables)
     pava = count_calls(monkeypatch, mortforecast.smoothing._pava)
     surfaces = count_calls(monkeypatch, smooth)
     code = run_cli([command[0], *base_args(data, tmp_path / "out"), *command[1:],
                     "--models", "lc,lcs,fdm", "--monotone-from", "20"])
     assert code == 0
-    assert single == [[], []]
+    assert single == []
     assert len(blocks) == 3 + (command[0] == "backtest")
     falling = n_years = 0
     for log_rates, ages, years, config in surfaces:

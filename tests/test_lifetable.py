@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 from mortforecast.evaluate import run_backtest
 from mortforecast.fdm import ForecastSurface
 from mortforecast.ingest import MortalitySurface
-from mortforecast.lifetable import (E0Path, LifeTable, e0_from_rates, e0_path,
-                                    rates_to_lifetable)
+from mortforecast.lifetable import E0Path, LifeTable, e0_path, rates_to_lifetable
 
 
 def _e0_by_integration(mx, steps_per_year=2000):
@@ -50,7 +49,7 @@ def test_e0_matches_integration_constant_rate():
 
 def test_e0_matches_integration_realistic_schedule():
     mx = _plausible_schedule()
-    assert e0_from_rates(mx) == pytest.approx(_e0_by_integration(mx), abs=0.01)
+    assert rates_to_lifetable(mx).e0 == pytest.approx(_e0_by_integration(mx), abs=0.01)
 
 
 def test_large_rates_limit():
@@ -76,7 +75,7 @@ def test_table_columns():
 
 def test_scaling_down_raises_e0():
     mx = _plausible_schedule(51)
-    assert e0_from_rates(0.7 * mx) > e0_from_rates(mx)
+    assert rates_to_lifetable(0.7 * mx).e0 > rates_to_lifetable(mx).e0
 
 
 @settings(deadline=None, max_examples=60)
@@ -84,7 +83,7 @@ def test_scaling_down_raises_e0():
 def test_antitone_in_rates(seed, gamma):
     rng = np.random.default_rng(seed)
     mx = np.exp(rng.uniform(-7.0, 0.0, size=30))
-    assert e0_from_rates(gamma * mx) >= e0_from_rates(mx)
+    assert rates_to_lifetable(gamma * mx).e0 >= rates_to_lifetable(mx).e0
 
 
 def test_input_validation():
@@ -124,7 +123,7 @@ def test_e0_path_zero_width():
     path = e0_path(fc)
     np.testing.assert_array_equal(path.lower, path.point)
     np.testing.assert_array_equal(path.upper, path.point)
-    expected = e0_from_rates(np.exp(fc.point[:, 0]))
+    expected = rates_to_lifetable(np.exp(fc.point[:, 0])).e0
     np.testing.assert_allclose(path.point, expected, atol=1e-12)
 
 
@@ -141,9 +140,9 @@ def test_e0_path_reverses_mortality_bounds():
     fc = _toy_forecast([0.3, 0.3])
     path = e0_path(fc)
     np.testing.assert_allclose(path.lower[0],
-                               e0_from_rates(np.exp(fc.upper[:, 0])), atol=1e-12)
+                               rates_to_lifetable(np.exp(fc.upper[:, 0])).e0, atol=1e-12)
     np.testing.assert_allclose(path.upper[0],
-                               e0_from_rates(np.exp(fc.lower[:, 0])), atol=1e-12)
+                               rates_to_lifetable(np.exp(fc.lower[:, 0])).e0, atol=1e-12)
 
 
 def test_e0_path_needs_age_zero():

@@ -6,6 +6,7 @@ fit on short inputs.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mortforecast import smoothing
 from mortforecast.numerics import (BsplineBasis, bspline_design, difference_matrix,
                                    solve_penalized_ls)
 from mortforecast.smoothing import (
+    _GCV_TIE_FLOOR,
     _GCV_TIE_RTOL,
     SmoothConfig,
     _pava,
@@ -150,12 +152,14 @@ def _reference_gcv_scores(ys, xs, config):
 
 def _reference_lambdas(ys, xs, config):
     """The grid lambdas the tie rule may choose for one curve: the first
-    grid point whose LU score is within _GCV_TIE_RTOL of the minimum.
+    grid point whose LU score is within _GCV_TIE_RTOL of the minimum, or
+    within _GCV_TIE_FLOOR of the curve's Y'WY.
     A score within the reference's own rounding of that cut may fall on
     either side of it, so every such grid point up to the first one
     surely inside is a valid choice; elsewhere the choice is one point."""
     scores = _reference_gcv_scores(ys, xs, config)
-    cut = scores.min() * (1 + _GCV_TIE_RTOL)
+    w = np.ones(len(ys)) if config.weights is None else config.weights
+    cut = scores.min() * (1 + _GCV_TIE_RTOL) + _GCV_TIE_FLOOR * np.sum(w * ys**2)
     inside = scores <= cut * (1 + 2 * _REFERENCE_SCORE_RTOL)
     last = int(np.argmax(scores <= cut * (1 - 2 * _REFERENCE_SCORE_RTOL)))
     return [float(lam) for lam, ok in zip(config.lambda_grid[:last + 1], inside) if ok]
@@ -254,6 +258,23 @@ def test_gcv_flat_top_takes_first_grid_point_within_tolerance():
             flat_tops += 1
             assert out.lambdas[j] < config.lambda_grid[np.argmin(scores)]
     assert flat_tops > 0
+
+
+def test_gcv_exact_fit_takes_first_grid_point():
+    # THEORY: the spline fits an affine curve at every lambda, and a curve
+    # weighted at only two ages too, so every grid point scores at the
+    # rounding floor, near 1e-31 of Y'WY, where no relative gap ties. The
+    # absolute floor ties them all, and grid order, not rounding, decides
+    weights = np.zeros(20)
+    weights[[3, 9]] = 1.0
+    curves = [(0.5 * np.arange(20) - 3, SmoothConfig(monotone_from=None)),
+              (np.sin(np.arange(20) / 3), SmoothConfig(weights=weights, monotone_from=None))]
+    for ys, config in curves:
+        grid = config.lambda_grid
+        assert smooth_curve(ys, config).lam == grid[0]
+        reversed_grid = replace(config, lambda_grid=grid[::-1])
+        assert smooth_curve(ys, reversed_grid).lam == grid[-1]
+        assert _reference_lambdas(ys, np.arange(20.0), config) == [grid[0]]
 
 
 # ---------------------------------------------------------------------------
