@@ -3,7 +3,8 @@
 Artifacts (CSV, JSON, SVG) land under --output with stable names, and a
 given config + data + seed always produces byte-identical files. Exit
 status 0 means success, 1 a computation failure, 2 a usage or I/O
-problem. Every artifact is computed before any is written, so a failed
+problem, including a --ts AR model whose lag regression the data leave
+singular. Every artifact is computed before any is written, so a failed
 run creates and changes nothing. Files in --output that are not this
 run's artifacts are left alone, each artifact is replaced whole, and a
 failed write exits 2.
@@ -42,7 +43,7 @@ from .ingest import (
 from .lifetable import e0_path, rates_to_lifetable
 from .smoothing import SmoothConfig
 from .svgchart import render_line_chart
-from .tsforecast import TsSpec
+from .tsforecast import SingularLagError, TsSpec
 
 __all__ = ["main", "DATA_ENV"]
 
@@ -255,10 +256,12 @@ def _check_fit_sizes(args: argparse.Namespace, surface: MortalitySurface,
                          f"fdm needs 1 <= K <= {largest_K}")
     ts = args.ts
     if args.command in ("forecast", "backtest") and n_years < ts.min_observations:
-        model = ("a random walk with drift" if ts == TsSpec()
-                 else f"AR({ts.p}) on d={ts.d} differences")
-        raise UsageError(f"--ts: {model} needs at least {ts.min_observations} years; "
+        raise UsageError(f"--ts: {_ts_model(ts)} needs at least {ts.min_observations} years; "
                          f"the fitted surface has {n_years}")
+
+
+def _ts_model(ts: TsSpec) -> str:
+    return "a random walk with drift" if ts == TsSpec() else f"AR({ts.p}) on d={ts.d} differences"
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +633,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SingularLagError as exc:
+        print(f"error: --ts: {_ts_model(args.ts)} cannot be fitted to {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - boundary: report, don't crash
         print(f"computation failed: {exc}", file=sys.stderr)

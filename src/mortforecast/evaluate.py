@@ -22,7 +22,7 @@ from .leecarter import LcModel, fit_lc, fit_lcs, forecast_lc
 from .lifetable import E0Path, _lifetables, e0_path
 from .numerics import normal_quantile
 from .smoothing import SmoothConfig, smooth_surface
-from .tsforecast import TsSpec
+from .tsforecast import SingularLagError, TsSpec
 
 __all__ = [
     "MODELS",
@@ -32,7 +32,6 @@ __all__ = [
     "BacktestReport",
     "error_metrics",
     "standardize_residuals",
-    "t_test_zero_mean",
     "normality_test",
     "fit_models",
     "forecast_model",
@@ -114,32 +113,14 @@ def standardize_residuals(residuals: np.ndarray) -> np.ndarray:
     """Flatten and divide by the overall standard deviation.
 
     The mean is not removed: the CLI's normality test, the one use in
-    the package, does not depend on location, and a library caller's
-    test of a zero mean (``t_test_zero_mean``) needs it kept. A
-    zero-variance matrix is returned unscaled.
+    the package, does not depend on location, and a test of a zero mean
+    needs it kept. A zero-variance matrix is returned unscaled.
     """
     flat = np.asarray(residuals, dtype=float).ravel()
     sd = float(flat.std(ddof=1)) if len(flat) > 1 else 0.0
     if sd == 0.0:
         return flat.copy()
     return flat / sd
-
-
-def t_test_zero_mean(residuals) -> tuple[float, float]:
-    """One-sample two-sided t-test of mean zero."""
-    flat = np.asarray(residuals, dtype=float).ravel()
-    n = len(flat)
-    if n < 2:
-        raise ValueError("t-test needs at least 2 values")
-    mean = float(flat.mean())
-    sd = float(flat.std(ddof=1))
-    if sd == 0.0:
-        if mean == 0.0:
-            return 0.0, 1.0
-        return math.copysign(math.inf, mean), 0.0
-    t = mean / (sd / math.sqrt(n))
-    p = 2.0 * float(special.stdtr(n - 1, -abs(t)))
-    return t, min(p, 1.0)
 
 
 def _shapiro_weights(n: int) -> np.ndarray:
@@ -266,12 +247,18 @@ def forecast_model(
 ) -> ForecastSurface:
     """Forecast one fitted model with analytic intervals, or with
     ``bootstrap`` simulated futures for fdm when that is nonzero (the
-    Lee-Carter variants have analytic intervals only)."""
-    if isinstance(model, LcModel):
-        return forecast_lc(model, ts_spec, horizon, level)
-    if bootstrap:
-        return bootstrap_intervals(model, ts_spec, horizon, level, B=bootstrap, seed=seed)
-    return forecast_fdm(model, ts_spec, horizon, level)
+    Lee-Carter variants have analytic intervals only). A coefficient
+    series the AR model cannot be fitted to raises ``SingularLagError``
+    naming the model."""
+    try:
+        if isinstance(model, LcModel):
+            return forecast_lc(model, ts_spec, horizon, level)
+        if bootstrap:
+            return bootstrap_intervals(model, ts_spec, horizon, level, B=bootstrap, seed=seed)
+        return forecast_fdm(model, ts_spec, horizon, level)
+    except SingularLagError as exc:
+        name = model.variant if isinstance(model, LcModel) else "fdm"
+        raise SingularLagError(f"{name}: {exc}") from None
 
 
 def run_backtest(

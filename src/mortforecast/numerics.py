@@ -1,8 +1,8 @@
 """Numerical kernels shared by the fitting modules.
 
-Thin SVD, uniform B-spline bases with difference-penalized least squares,
-and the standard normal quantile. Everything here is a pure function of
-its inputs.
+Thin SVD, uniform B-spline bases, the difference penalty, the Cholesky
+factor of a penalized normal matrix, and the standard normal quantile.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, svd
+from scipy.linalg import LinAlgError, cho_factor, svd
 
 __all__ = [
     "SvdResult",
@@ -19,7 +19,6 @@ __all__ = [
     "svd_thin",
     "bspline_design",
     "difference_matrix",
-    "solve_penalized_ls",
     "cholesky_factor",
     "normal_quantile",
 ]
@@ -140,44 +139,11 @@ def difference_matrix(n: int, order: int) -> np.ndarray:
     return np.diff(np.eye(n), n=order, axis=0)
 
 
-def solve_penalized_ls(B, y, w=None, lam: float = 0.0, d: int = 2) -> np.ndarray:
-    """Minimize ``(y - B theta)' W (y - B theta) + lam * ||D_d theta||^2``.
-
-    Solved through a dense Cholesky factorization of the normal equations;
-    ``D_d`` is the order-d difference operator, so for d=2 the penalty sums
-    squared second differences of adjacent coefficients. ``y`` may hold one
-    curve per column, solved together.
-    """
-    B = np.asarray(B, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if B.ndim != 2 or B.shape[0] != len(y):
-        raise ValueError("design matrix rows must match observation count")
-    n, k = B.shape
-    if w is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(w, dtype=float)
-        if len(w) != n:
-            raise ValueError("weight vector length must match observation count")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-    if d not in (1, 2, 3):
-        raise ValueError("difference order must be 1, 2 or 3")
-    if lam < 0:
-        raise ValueError("penalty weight must be nonnegative")
-    BtW = B.T * w
-    M = BtW @ B
-    if lam > 0:
-        D = difference_matrix(k, d)
-        M = M + lam * (D.T @ D)
-    return cho_solve(cholesky_factor(M), BtW @ y)
-
-
 SINGULAR_SYSTEM = "singular penalized system; increase lambda or use fewer basis functions"
 
 
 def cholesky_factor(M) -> tuple:
-    """Cholesky factor of a penalized normal matrix ``B'WB + lam * P``,
+    """Cholesky factor of a penalized normal matrix ``B'B + lam * P``,
     in the form ``scipy.linalg.cho_solve`` takes."""
     try:
         return cho_factor(M, lower=True)

@@ -2,10 +2,11 @@
 
 Each year's curve ln m_t(x) is smoothed independently with a cubic
 B-spline basis and a squared difference penalty on the coefficients,
-the penalty weight chosen by generalized cross-validation; the years of
-a surface share one design and are smoothed in one batched pass, where
-one generalized eigendecomposition scores every grid penalty for every
-year. Above a configurable age the smoothed curve is projected onto the
+the penalty weight fixed or chosen by generalized cross-validation; the
+years of a surface share one design and are smoothed in one batched
+pass, where one generalized eigendecomposition scores every grid penalty
+for every year, and one Cholesky solve per distinct penalty fits them.
+Above a configurable age the smoothed curve is projected onto the
 increasing cone by pooling adjacent violators, reflecting that adult
 mortality rises with age while infant and accident-hump features below
 it do not.
@@ -13,25 +14,26 @@ it do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, eigh
 
 from .numerics import (SINGULAR_SYSTEM, BsplineBasis, bspline_design, cholesky_factor,
-                       difference_matrix, solve_penalized_ls)
+                       difference_matrix)
 
 __all__ = [
     "SmoothConfig",
-    "SmoothedCurve",
     "SmoothedSurface",
-    "smooth_curve",
     "smooth_surface",
-    "enforce_monotone",
 ]
 
-_DEFAULT_LAMBDA_GRID = np.logspace(-4.0, 6.0, 25)
+# Cubic B-splines under a squared second-difference penalty on their
+# coefficients, and the grid GCV searches, in the order its ties resolve
+_DEGREE = 3
+_DIFFERENCE_ORDER = 2
+_LAMBDA_GRID = np.logspace(-4.0, 6.0, 25)
 
 # Relative gap within which two GCV scores tie. On the flat top of the
 # grid, where an affine fit has absorbed a curve, scores agree to about
@@ -40,38 +42,34 @@ _DEFAULT_LAMBDA_GRID = np.logspace(-4.0, 6.0, 25)
 # HMD-scale surfaces are above 1e-6.
 _GCV_TIE_RTOL = 1e-7
 
-# Absolute gap, as a share of a curve's Y'WY, within which two GCV scores
-# also tie. A curve the spline fits exactly at every grid lambda scores at
-# the rounding floor, 1e-31 to 1e-25 of its Y'WY, where no relative gap
-# ties; on generated HMD-scale surfaces the gaps before a minimum are
-# above 1e-12 of it.
+# Absolute gap, as a share of a curve's Y'Y, within which two GCV scores
+# also tie. A curve the spline fits exactly at every grid lambda, such as
+# an affine one, scores at the rounding floor, 1e-31 to 1e-25 of its Y'Y,
+# where no relative gap ties; on generated HMD-scale surfaces the gaps
+# before a minimum are above 1e-12 of it.
 _GCV_TIE_FLOOR = 1e-18
 
 
 @dataclass(frozen=True)
 class SmoothConfig:
-    """Knobs for the smoother.
+    """The smoother's three settings, the CLI's ``--num-basis``, ``--lam``
+    and ``--monotone-from``.
 
     ``num_basis=None`` resolves to roughly one basis function per 2.5
-    observations, capped at 35 and raised to the smallest basis that the
-    degree and difference order allow; an explicit ``num_basis`` below
-    that is an error. ``lam="auto"`` picks the penalty weight by GCV over
-    ``lambda_grid``; a fixed ``lam`` must be finite and nonnegative.
-    ``monotone_from=None`` disables the monotone projection entirely.
+    observations, capped at 35 and raised to 4, the fewest a cubic spline
+    has; an explicit ``num_basis`` below 4 is an error. ``lam="auto"``
+    picks each year's penalty weight by GCV over 25 points from 1e-4 to
+    1e6, evenly spaced in log; a fixed ``lam`` must be finite and
+    nonnegative, and every year takes it. ``monotone_from=None`` disables
+    the monotone projection entirely.
     """
 
     num_basis: Optional[int] = None
-    degree: int = 3
-    difference_order: int = 2
     lam: "float | str" = "auto"
-    lambda_grid: np.ndarray = field(default_factory=lambda: _DEFAULT_LAMBDA_GRID.copy())
     monotone_from: Optional[int] = 65
-    weights: Optional[np.ndarray] = None
 
     def resolved_num_basis(self, n_points: int) -> int:
-        if self.difference_order not in (1, 2, 3):
-            raise ValueError("difference order must be 1, 2 or 3")
-        least = max(self.degree + 1, self.difference_order + 1)
+        least = _DEGREE + 1
         if self.num_basis is None:
             k = max(min(int(n_points / 2.5), 35), least)
         else:
@@ -86,16 +84,6 @@ class SmoothConfig:
 
 
 @dataclass(frozen=True)
-class SmoothedCurve:
-    xs: np.ndarray
-    values: np.ndarray
-    coefficients: np.ndarray
-    basis: BsplineBasis
-    lam: float
-    gcv: float
-
-
-@dataclass(frozen=True)
 class SmoothedSurface:
     """Smoothed log rates plus the across-year noise variance at each age."""
 
@@ -106,122 +94,6 @@ class SmoothedSurface:
     lambdas: np.ndarray  # chosen penalty per year
 
 
-def _resolve_weights(weights, n: int) -> np.ndarray:
-    if weights is None:
-        return np.ones(n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"weights shape {w.shape} does not match {n} observations")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and nonnegative")
-    return w
-
-
-def _smooth_columns(xs: np.ndarray, Y: np.ndarray, config: SmoothConfig):
-    """Smooth every column of ``Y``, each a curve observed at ``xs``.
-
-    Returns (basis, values, coefficients, lambdas, GCV scores), one
-    column or entry per curve; the scores are NaN at a fixed lambda.
-    """
-    n, m = Y.shape
-    if n < 4:
-        raise ValueError("need a 1-d curve with at least 4 points")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("curve contains non-finite values")
-    auto = config.lam == "auto"
-    if not auto and not 0.0 <= float(config.lam) < np.inf:
-        raise ValueError("lam must be finite and nonnegative")
-    k = config.resolved_num_basis(n)
-    basis = BsplineBasis.uniform(float(xs[0]), float(xs[-1]), k, degree=config.degree)
-    B = bspline_design(basis, xs)
-    w = _resolve_weights(config.weights, n)
-    if auto:
-        lambdas, gcvs, theta = _gcv_search(B, Y, w, config)
-    else:
-        lam = float(config.lam)
-        theta = solve_penalized_ls(B, Y, w=w, lam=lam, d=config.difference_order)
-        lambdas, gcvs = np.full(m, lam), np.full(m, np.nan)
-    values = B @ theta
-    if config.monotone_from is not None:
-        _monotone_tails(values, xs, config.monotone_from)
-    return basis, values, theta, lambdas, gcvs
-
-
-def _gcv_search(B: np.ndarray, Y: np.ndarray, w: np.ndarray, config: SmoothConfig):
-    """Per column of ``Y``: the grid lambda minimizing GCV, its score, and
-    the coefficients fitted with it.
-
-    All columns share the design B, weights W and penalty P, so one
-    generalized eigendecomposition scores every grid lambda
-    (Demmler-Reinsch): with G = B'WB and U'(G + P)U = I, U'GU = diag(nu),
-    the system G + lambda P is U^-T diag(nu + lambda (1 - nu)) U^-1. Each
-    lambda's fits are then B U diag(1 / (nu + lambda (1 - nu))) U'B'WY,
-    and tr(H) = sum nu / (nu + lambda (1 - nu)), common to all columns.
-    The score is n * RSS / (n - tr(H))^2, infinite when n <= tr(H) or the
-    system is singular at that lambda. Each column keeps the first grid
-    point scoring within ``_GCV_TIE_RTOL`` of its minimum, or within
-    ``_GCV_TIE_FLOOR`` of its Y'WY, so a flat top, where scores differ only
-    by rounding, resolves by grid order, as does an exact fit.
-
-    The chosen coefficients come from a Cholesky solve of
-    (G + lambda P) theta = B'WY over every column, once per distinct
-    chosen lambda, not from the eigenbasis, which would move the fits by
-    rounding. The reported score is the spectral one the choice used.
-    """
-    (n, k), m = B.shape, Y.shape[1]
-    grid = np.asarray(config.lambda_grid, dtype=float)
-    D = difference_matrix(k, config.difference_order)
-    P = D.T @ D
-    BtW = B.T * w
-    G, R = BtW @ B, BtW @ Y
-    try:
-        nu, U = eigh(G, G + P, check_finite=False)
-    except LinAlgError as exc:
-        raise ValueError(SINGULAR_SYSTEM) from exc
-    # the d largest nu are exactly 1: their vectors span the polynomials
-    # the order-d penalty leaves free. Left at 1 - eps, they would scale
-    # those fits by about 1 - lambda * eps, 1e-10 at the top of the grid
-    nu[-config.difference_order:] = 1.0
-    BU, C = B @ U, U.T @ R
-    scores = np.empty((len(grid), m))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gain = 1.0 / (nu + grid[:, None] * (1.0 - nu))  # (grid, k)
-        for i, g in enumerate(gain):  # one lambda at a time keeps memory at one (n, m) block
-            resid = Y - BU @ (g[:, None] * C)
-            scores[i] = w @ (resid * resid)
-        denom = n - gain @ nu
-        scores *= n / denom[:, None] ** 2
-    scores[~(np.isfinite(scores) & (denom > 0)[:, None])] = np.inf
-    best = scores.min(axis=0)
-    if np.isinf(best).any():
-        raise ValueError("GCV failed at every grid point; basis too rich for the data")
-    tie = best * (1.0 + _GCV_TIE_RTOL) + _GCV_TIE_FLOOR * (w @ (Y * Y))
-    chosen = np.argmax(scores <= tie, axis=0)
-    theta = np.empty((k, m))
-    for i in np.unique(chosen):
-        cols = chosen == i
-        theta[:, cols] = cho_solve(cholesky_factor(G + grid[i] * P), R)[:, cols]
-    return grid[chosen], scores[chosen, np.arange(m)], theta
-
-
-def smooth_curve(
-    ys: np.ndarray,
-    config: SmoothConfig = SmoothConfig(),
-    ages: Optional[np.ndarray] = None,
-) -> SmoothedCurve:
-    """Smooth one curve of log rates observed at ``ages`` (default 0..n-1);
-    the one-column case of ``smooth_surface``."""
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 1:
-        raise ValueError("need a 1-d curve with at least 4 points")
-    xs = np.arange(len(ys), dtype=float) if ages is None else np.asarray(ages, dtype=float)
-    if xs.shape != ys.shape:
-        raise ValueError("ages and values must have the same length")
-    basis, values, theta, lambdas, gcvs = _smooth_columns(xs, ys[:, None], config)
-    return SmoothedCurve(xs=xs, values=values[:, 0], coefficients=theta[:, 0],
-                         basis=basis, lam=float(lambdas[0]), gcv=float(gcvs[0]))
-
-
 def smooth_surface(
     log_rates: np.ndarray,
     ages: np.ndarray,
@@ -230,43 +102,98 @@ def smooth_surface(
 ) -> SmoothedSurface:
     """Smooth each year's log-rate curve, all years in one batched pass.
 
+    The years share the design B, so G = B'B, the penalty P = D'D and
+    R = B'Y are built once. Each year's lambda is ``config.lam``, or its
+    GCV choice (``_gcv_lambdas``); G + lambda P is then factored once per
+    distinct lambda, and its Cholesky solve gives the coefficients of the
+    years that took it. Above ``config.monotone_from`` each curve is
+    projected onto the nondecreasing cone (``_monotone_tails``).
+
     ``sigma2[i]`` is the sample variance across years of the smoothing
     residual at age i, the estimate of observational noise used in the
     forecast variance; zero when there are fewer than two years.
     """
-    log_rates = np.asarray(log_rates, dtype=float)
+    Y = np.asarray(log_rates, dtype=float)
     ages = np.asarray(ages, dtype=float)
     years = np.asarray(years)
-    if log_rates.shape != (len(ages), len(years)):
+    if Y.shape != (len(ages), len(years)):
         raise ValueError(
-            f"log_rates shape {log_rates.shape} does not match "
+            f"log_rates shape {Y.shape} does not match "
             f"{len(ages)} ages x {len(years)} years"
         )
-    _, smoothed, _, lambdas, _ = _smooth_columns(ages, log_rates, config)
-    resid = log_rates - smoothed
+    if len(ages) < 4:
+        raise ValueError("need at least 4 ages to smooth a curve")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("log rates contain non-finite values")
+    auto = config.lam == "auto"
+    if not auto and not 0.0 <= float(config.lam) < np.inf:
+        raise ValueError("lam must be finite and nonnegative")
+    k = config.resolved_num_basis(len(ages))
+    B = bspline_design(BsplineBasis.uniform(float(ages[0]), float(ages[-1]), k,
+                                            degree=_DEGREE), ages)
+    D = difference_matrix(k, _DIFFERENCE_ORDER)
+    P = D.T @ D
+    # B' in F order, in a buffer of its own: G and R round differently
+    # from a C-order copy or from the view B.T
+    Bt = B.T.copy(order="F")
+    G, R = Bt @ B, Bt @ Y
+    lambdas = _gcv_lambdas(B, Y, G, P, R) if auto else np.full(len(years), float(config.lam))
+    # theta in C order: B @ theta rounds differently for an F-order theta
+    theta = np.empty((k, len(years)))
+    for lam in np.unique(lambdas):
+        cols = lambdas == lam
+        theta[:, cols] = cho_solve(cholesky_factor(G + lam * P), R)[:, cols]
+    smoothed = B @ theta
+    if config.monotone_from is not None:
+        _monotone_tails(smoothed, ages, config.monotone_from)
+    resid = Y - smoothed
     sigma2 = resid.var(axis=1, ddof=1) if len(years) >= 2 else np.zeros(len(ages))
     return SmoothedSurface(ages=ages.astype(int), years=years,
                            log_rates=smoothed, sigma2=sigma2, lambdas=lambdas)
 
 
-def enforce_monotone(
-    values: np.ndarray,
-    from_age: "int | float",
-    ages: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Project the tail of ``values`` at ages >= from_age onto the
-    nondecreasing cone (least-squares, via pooling adjacent violators).
+def _gcv_lambdas(B: np.ndarray, Y: np.ndarray, G: np.ndarray, P: np.ndarray,
+                 R: np.ndarray) -> np.ndarray:
+    """Per column of ``Y``, the grid lambda minimizing GCV.
 
-    Entries below ``from_age`` pass through untouched. If no age reaches
-    the threshold the input is returned as is.
+    All columns share the design B and penalty P, so one generalized
+    eigendecomposition scores every grid lambda (Demmler-Reinsch): with
+    G = B'B and U'(G + P)U = I, U'GU = diag(nu), the system G + lambda P
+    is U^-T diag(nu + lambda (1 - nu)) U^-1. Each lambda's fits are then
+    B U diag(1 / (nu + lambda (1 - nu))) U'R, and
+    tr(H) = sum nu / (nu + lambda (1 - nu)), common to all columns. The
+    score is n * RSS / (n - tr(H))^2, infinite when n <= tr(H) or the
+    system is singular at that lambda. Each column keeps the first grid
+    point scoring within ``_GCV_TIE_RTOL`` of its minimum, or within
+    ``_GCV_TIE_FLOOR`` of its Y'Y, so a flat top, where scores differ only
+    by rounding, resolves by grid order, as does an exact fit.
     """
-    values = np.asarray(values, dtype=float)
-    xs = np.arange(len(values), dtype=float) if ages is None else np.asarray(ages, dtype=float)
-    if xs.shape != values.shape:
-        raise ValueError("ages and values must have the same length")
-    out = values.copy()
-    _monotone_tails(out[:, None], xs, from_age)
-    return out
+    n, m = Y.shape
+    grid = _LAMBDA_GRID
+    try:
+        nu, U = eigh(G, G + P, check_finite=False)
+    except LinAlgError as exc:
+        raise ValueError(SINGULAR_SYSTEM) from exc
+    # the d largest nu are exactly 1: their vectors span the polynomials
+    # the order-d penalty leaves free. Left at 1 - eps, they would scale
+    # those fits by about 1 - lambda * eps, 1e-10 at the top of the grid
+    nu[-_DIFFERENCE_ORDER:] = 1.0
+    BU, C = B @ U, U.T @ R
+    ones = np.ones(n)  # column sums as matrix-vector products; np.sum rounds otherwise
+    scores = np.empty((len(grid), m))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gain = 1.0 / (nu + grid[:, None] * (1.0 - nu))  # (grid, k)
+        for i, g in enumerate(gain):  # one lambda at a time keeps memory at one (n, m) block
+            resid = Y - BU @ (g[:, None] * C)
+            scores[i] = ones @ (resid * resid)
+        denom = n - gain @ nu
+        scores *= n / denom[:, None] ** 2
+    scores[~(np.isfinite(scores) & (denom > 0)[:, None])] = np.inf
+    best = scores.min(axis=0)
+    if np.isinf(best).any():
+        raise ValueError("GCV failed at every grid point; basis too rich for the data")
+    tie = best * (1.0 + _GCV_TIE_RTOL) + _GCV_TIE_FLOOR * (ones @ (Y * Y))
+    return grid[np.argmax(scores <= tie, axis=0)]
 
 
 def _monotone_tails(values: np.ndarray, xs: np.ndarray, from_age: "int | float") -> None:

@@ -9,7 +9,7 @@ a little faster than the pure innovation variance would suggest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "TsSpec",
     "TsFit",
+    "SingularLagError",
     "fit_ts",
     "forecast_ts",
     "simulate_path",
@@ -91,6 +92,11 @@ class TsFit:
     stationary: bool
 
 
+class SingularLagError(ValueError):
+    """An AR lag regression with no usable variation: the series, or its
+    differences, are constant, so its AR coefficients are undefined."""
+
+
 def _check_series(series) -> np.ndarray:
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 1:
@@ -144,7 +150,7 @@ def fit_ts(series, spec: TsSpec) -> TsFit:
         rows = len(y)
         coeffs, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
         if rank < p:
-            raise ValueError("singular lag regression; series has no usable variation")
+            raise SingularLagError("singular lag regression; series has no usable variation")
         residuals = y - X @ coeffs
 
     dof = rows - p - (1 if spec.include_drift else 0)

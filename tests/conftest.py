@@ -8,13 +8,15 @@ then ./data and tests/data, accepting either `ITA.Mx_1x1.txt` or
 """
 
 import functools
+import importlib.util
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mortforecast import MortalitySurface, build_surface, parse_hmd_rates, smooth_surface
+from mortforecast import build_surface, parse_hmd_rates, smooth_surface
+from mortforecast.ingest import MortalitySurface
 
 _DATA_NAMES = ("ITA.Mx_1x1.txt", "Mx_1x1.txt")
 
@@ -66,6 +68,24 @@ def smooth(surface, config):
     """A surface's log rates smoothed year by year, the input of fit_lcs
     and fit_fdm."""
     return smooth_surface(surface.log_rates, surface.ages, surface.years, config)
+
+
+@functools.lru_cache(maxsize=None)
+def hmdgen():
+    """The benchmark's seeded ``Mx_1x1`` generator, loaded from
+    ``bench/hmdgen.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "hmdgen.py"
+    spec = importlib.util.spec_from_file_location("hmdgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.lru_cache(maxsize=None)
+def hmdgen_surface(seed, gender, ages, years):
+    """One window of the generated surface for ``seed``: ``ages`` and
+    ``years`` are inclusive (first, last) pairs."""
+    return build_surface(parse_hmd_rates(hmdgen().generate(seed)), gender, *ages, *years)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import mortforecast
-from mortforecast import (build_surface, fit_models, normality_test, parse_hmd_rates,
-                          standardize_residuals)
+from mortforecast import build_surface, fit_models, parse_hmd_rates
+from mortforecast.evaluate import normality_test, standardize_residuals
 from mortforecast.cli import main
 from mortforecast.tsforecast import TsSpec
 
@@ -295,7 +295,7 @@ def test_life_tables_and_pava_run_once_per_block(tmp_path, monkeypatch, command)
     data = tmp_path / "Mx_1x1.txt"
     data.write_text(synthetic_hmd_text(age_slope=0.001), encoding="utf-8")
     smooth = mortforecast.smooth_surface
-    single = count_calls(monkeypatch, mortforecast.rates_to_lifetable)
+    single = count_calls(monkeypatch, mortforecast.lifetable.rates_to_lifetable)
     blocks = count_calls(monkeypatch, mortforecast.lifetable._lifetables)
     pava = count_calls(monkeypatch, mortforecast.smoothing._pava)
     surfaces = count_calls(monkeypatch, smooth)
@@ -584,6 +584,31 @@ def test_edge_surfaces_fit_and_forecast(tmp_path, command, kind):
     with open(out / "summary.json", encoding="utf-8") as fh:
         summary = json.load(fh, parse_constant=reject)
     assert set(summary["models"]) == {"lc", "lcs", "fdm"}
+
+
+@pytest.mark.parametrize("command", [
+    ["forecast", "--horizon", "5"],
+    ["forecast", "--horizon", "5", "--bootstrap", "100"],
+    ["backtest", "--train", "1950:1964", "--test", "1965:1969"],
+])
+@pytest.mark.parametrize("ts,described", [("ar:1,1", "AR(1) on d=1 differences"),
+                                          ("ar:1,0", "AR(1) on d=0 differences"),
+                                          ("ar:2,1,drift", "AR(2) on d=1 differences")])
+@pytest.mark.parametrize("model", ["lc", "lcs", "fdm"])
+def test_edge_surface_flat_series_ar_ts_exit_2(tmp_path, capsys, command, ts, described, model):
+    # the same curve every year leaves every kappa and beta series flat,
+    # so an AR lag regression has nothing to regress on; the random walk
+    # with drift, which has none, runs (test_edge_surfaces_fit_and_forecast)
+    data = tmp_path / "Mx_1x1.txt"
+    _write_rates(data, _edge_log_rates("flat_kappa"))
+    out = tmp_path / "out"
+    code = run_cli([*command, "--data", data, "--ages", "0:11", "--models", model,
+                    "--ts", ts, "--output", out])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: --ts: {described} cannot be fitted to {model}: "
+                                       "singular lag regression; series has no usable "
+                                       "variation\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

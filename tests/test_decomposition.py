@@ -9,21 +9,16 @@ bits, compared as int64 so that -0.0 counts. The cross-model tests check
 the K = 1 identity itself, to a stated tolerance.
 """
 
-import functools
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from mortforecast.fdm import FdmModel, ForecastSurface, fit_fdm, forecast_fdm
-from mortforecast.ingest import build_surface, parse_hmd_rates
 from mortforecast.leecarter import LcModel, fit_lc, fit_lcs, forecast_lc
 from mortforecast.numerics import normal_quantile, svd_thin
 from mortforecast.smoothing import SmoothConfig, SmoothedSurface
 from mortforecast.tsforecast import TsSpec, fit_ts, forecast_ts
 
-from conftest import make_surface, smooth
+from conftest import hmdgen_surface, make_surface, smooth
 
 # Relative agreement of LC and the K = 1 FDM on one surface. The two
 # recenter in different orders (LC normalizes beta first), which moves the
@@ -205,15 +200,6 @@ def _check_fdm(smoothed, K, specs=SPECS):
     _check_forecasts(model, forecast_fdm, _oracle_forecast_fdm, specs)
 
 
-@functools.lru_cache(maxsize=None)
-def _hmdgen_surface(seed, gender, ages, years):
-    path = Path(__file__).resolve().parents[1] / "bench" / "hmdgen.py"
-    spec = importlib.util.spec_from_file_location("hmdgen", path)
-    hmdgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(hmdgen)
-    return build_surface(parse_hmd_rates(hmdgen.generate(seed)), gender, *ages, *years)
-
-
 HMDGEN_CASES = [
     (20110803, "female", (0, 110), (1922, 2006)),
     (7, "male", (0, 110), (1950, 1989)),
@@ -237,7 +223,7 @@ def _unsmoothed(surface, sigma2=None):
 
 @pytest.mark.parametrize("seed, gender, ages, years", HMDGEN_CASES)
 def test_lc_and_fdm_match_the_per_model_code_on_generated_surfaces(seed, gender, ages, years):
-    surface = _hmdgen_surface(seed, gender, ages, years)
+    surface = hmdgen_surface(seed, gender, ages, years)
     smoothed = smooth(surface, SmoothConfig())
     _check_lc(surface.ages, surface.years, surface.log_rates, "lc", fit_lc(surface))
     _check_lc(smoothed.ages, smoothed.years, smoothed.log_rates, "lcs", fit_lcs(smoothed))
@@ -299,7 +285,7 @@ def test_zero_sum_age_pattern_raises_the_same_lc_error():
 
 @pytest.mark.parametrize("seed, gender, ages, years", HMDGEN_CASES)
 def test_lee_carter_is_the_one_component_fdm(seed, gender, ages, years):
-    surface = _hmdgen_surface(seed, gender, ages, years)
+    surface = hmdgen_surface(seed, gender, ages, years)
     lc = fit_lc(surface)
     fdm = fit_fdm(_unsmoothed(surface), K=1)
     phi = fdm.phi[:, 0]

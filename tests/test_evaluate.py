@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from mortforecast import tsforecast
 from mortforecast.evaluate import (error_metrics, fit_models, forecast_model, normality_test,
-                                   run_backtest, standardize_residuals, t_test_zero_mean)
+                                   run_backtest, standardize_residuals)
 from mortforecast.smoothing import SmoothConfig
 from mortforecast.tsforecast import TsSpec
 
@@ -116,29 +115,6 @@ def test_standardize_scales_to_unit_sd():
 def test_standardize_constant_input():
     z = standardize_residuals(np.full((3, 3), 2.0))
     np.testing.assert_array_equal(z, np.full(9, 2.0))
-
-
-def test_t_test_symmetric_pair():
-    t, p = t_test_zero_mean(np.array([-1.0, 1.0]))
-    assert t == 0.0 and p == 1.0
-
-
-def test_t_test_small_sample_closed_form():
-    # mean 2, sd 1, n 3: t = 2*sqrt(3); p from the regularized
-    # incomplete beta identity for the t distribution
-    t, p = t_test_zero_mean(np.array([1.0, 2.0, 3.0]))
-    assert t == pytest.approx(2.0 * np.sqrt(3.0), abs=1e-12)
-    nu = 2.0
-    expected_p = scipy.special.betainc(nu / 2.0, 0.5, nu / (nu + t * t))
-    assert p == pytest.approx(expected_p, abs=1e-12)
-
-
-def test_t_test_degenerate_inputs():
-    assert t_test_zero_mean(np.zeros(5)) == (0.0, 1.0)
-    t, p = t_test_zero_mean(np.full(5, 3.0))
-    assert np.isinf(t) and t > 0 and p == 0.0
-    with pytest.raises(ValueError, match="at least 2"):
-        t_test_zero_mean(np.array([1.0]))
 
 
 def test_normality_calibration_under_the_null():

@@ -1,7 +1,8 @@
 """Numerical kernels checked against independent routes: the SVD against
 a Gram-matrix eigendecomposition and numpy's own SVD, the B-spline
 design against a scalar Cox-de Boor recursion written here, the
-penalized solver against a stacked least-squares formulation, and the
+penalized normal equations' Cholesky solve against a stacked
+least-squares formulation, and the
 normal quantile against bisection on the CDF."""
 
 import math
@@ -10,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.linalg import cho_solve
+
 from mortforecast.numerics import (
     BsplineBasis,
     bspline_design,
+    cholesky_factor,
     difference_matrix,
     normal_quantile,
-    solve_penalized_ls,
     svd_thin,
 )
 
@@ -178,28 +181,18 @@ def test_penalized_solve_matches_stacked_least_squares():
     rng = np.random.default_rng(5)
     B = rng.standard_normal((20, 6))
     y = rng.standard_normal(20)
+    D = difference_matrix(6, 2)
     for lam in (0.0, 0.3, 10.0):
-        theta = solve_penalized_ls(B, y, lam=lam, d=2)
-        D = difference_matrix(6, 2)
+        theta = cho_solve(cholesky_factor(B.T @ B + lam * (D.T @ D)), B.T @ y)
         stacked_A = np.vstack([B, math.sqrt(lam) * D])
         stacked_y = np.concatenate([y, np.zeros(D.shape[0])])
         expected, *_ = np.linalg.lstsq(stacked_A, stacked_y, rcond=None)
         np.testing.assert_allclose(theta, expected, atol=1e-8)
 
 
-def test_penalized_solve_weights():
-    # zero weight removes an observation
-    B = np.array([[1.0], [1.0], [1.0]])
-    y = np.array([0.0, 10.0, 2.0])
-    w = np.array([1.0, 0.0, 1.0])
-    theta = solve_penalized_ls(B, y, w=w, lam=0.0, d=1)
-    assert theta[0] == pytest.approx(1.0)
-
-
 def test_penalized_solve_singular_message():
-    B = np.zeros((4, 3))
     with pytest.raises(ValueError, match="singular penalized system"):
-        solve_penalized_ls(B, np.zeros(4), lam=0.0, d=2)
+        cholesky_factor(np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------------------

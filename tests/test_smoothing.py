@@ -2,28 +2,47 @@
 
 The projection is checked against a brute-force search over the lattice
 of block partitions, which is the honest way to validate an isotonic
-fit on short inputs.
+fit on short inputs. The smoother is checked against per-curve
+references: LU-solved GCV scores, and the separate fixed-lambda solve
+that its one penalized solve replaced.
 """
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_solve
 
 from mortforecast import smoothing
-from mortforecast.numerics import (BsplineBasis, bspline_design, difference_matrix,
-                                   solve_penalized_ls)
+from mortforecast.numerics import (BsplineBasis, bspline_design, cholesky_factor,
+                                   difference_matrix)
 from mortforecast.smoothing import (
     _GCV_TIE_FLOOR,
     _GCV_TIE_RTOL,
     SmoothConfig,
+    _monotone_tails,
     _pava,
-    enforce_monotone,
-    smooth_curve,
     smooth_surface,
 )
+
+from conftest import hmdgen_surface
+
+
+def _smooth_one(ys, config=SmoothConfig(), ages=None):
+    """One curve smoothed as a one-column surface: its values and lambda."""
+    ys = np.asarray(ys, dtype=float)
+    xs = np.arange(len(ys), dtype=float) if ages is None else ages
+    out = smooth_surface(ys[:, None], xs, np.array([2000]), config)
+    return out.log_rates[:, 0], float(out.lambdas[0])
+
+
+def _monotone_curve(values, from_age, ages=None):
+    """``_monotone_tails`` on a copy of one curve."""
+    out = np.array(values, dtype=float)[:, None]
+    xs = np.arange(len(out), dtype=float) if ages is None else np.asarray(ages, dtype=float)
+    _monotone_tails(out, xs, from_age)
+    return out[:, 0]
 
 
 def test_smooth_recovers_smooth_function():
@@ -31,8 +50,8 @@ def test_smooth_recovers_smooth_function():
     truth = -5.0 + 0.03 * xs + 0.0008 * xs**2
     rng = np.random.default_rng(1)
     noisy = truth + 0.05 * rng.standard_normal(len(xs))
-    curve = smooth_curve(noisy, SmoothConfig(monotone_from=None), ages=xs)
-    rmse_fit = np.sqrt(np.mean((curve.values - truth) ** 2))
+    values, _ = _smooth_one(noisy, SmoothConfig(monotone_from=None), ages=xs)
+    rmse_fit = np.sqrt(np.mean((values - truth) ** 2))
     rmse_raw = np.sqrt(np.mean((noisy - truth) ** 2))
     assert rmse_fit < 0.6 * rmse_raw
 
@@ -44,63 +63,73 @@ def test_affine_curve_is_fixed_point():
     xs = np.arange(30, dtype=float)
     ys = 1.5 - 0.2 * xs
     for lam in (0.0, 1.0, 1e6):
-        curve = smooth_curve(ys, SmoothConfig(lam=lam, monotone_from=None), ages=xs)
-        np.testing.assert_allclose(curve.values, ys, atol=1e-7)
+        values, _ = _smooth_one(ys, SmoothConfig(lam=lam, monotone_from=None), ages=xs)
+        np.testing.assert_allclose(values, ys, atol=1e-7)
 
 
-def test_gcv_scores_affine_curve_as_exact_fit():
+def test_gcv_scores_affine_curve_as_exact_fit(monkeypatch):
     # THEORY: an affine curve lies in the penalty's null space, so every
     # lambda fits it exactly and GCV scores it 0 up to rounding, also at a
-    # lambda where lambda * eps is far above rounding
+    # lambda where lambda * eps is far above rounding. Both grid points
+    # then tie at the floor and the first, 1e12, wins; a score at 1e12
+    # scaled by 1 - lambda * eps would lose to 1e-4
+    monkeypatch.setattr(smoothing, "_LAMBDA_GRID", np.array([1e12, 1e-4]))
     for n, num_basis in ((12, None), (40, 4), (111, 35)):
         xs = np.arange(n, dtype=float)
         ys = 1.5 - 0.2 * xs
-        curve = smooth_curve(ys, SmoothConfig(num_basis=num_basis, lambda_grid=np.array([1e12]),
-                                              monotone_from=None), ages=xs)
-        assert curve.gcv < 1e-16 * np.mean(ys**2)
+        _, lam = _smooth_one(ys, SmoothConfig(num_basis=num_basis, monotone_from=None), ages=xs)
+        assert lam == 1e12
 
 
 def test_huge_lambda_flattens_to_affine():
     rng = np.random.default_rng(4)
     ys = rng.standard_normal(50)
-    curve = smooth_curve(ys, SmoothConfig(lam=1e12, monotone_from=None))
+    values, _ = _smooth_one(ys, SmoothConfig(lam=1e12, monotone_from=None))
     # second differences of the limit are numerically zero
-    second = np.diff(curve.values, n=2)
+    second = np.diff(values, n=2)
     assert np.max(np.abs(second)) < 1e-6
 
 
 def test_choose_lambda_prefers_rough_fit_for_smooth_data():
     xs = np.arange(40, dtype=float)
-    smooth_lam = smooth_curve(0.01 * xs, SmoothConfig(), ages=xs).lam
+    _, smooth_lam = _smooth_one(0.01 * xs, SmoothConfig(), ages=xs)
     assert smooth_lam > 0
 
 
-def test_choose_lambda_single_point_grid():
+def test_choose_lambda_single_point_grid(monkeypatch):
+    monkeypatch.setattr(smoothing, "_LAMBDA_GRID", np.array([2.5]))
     xs = np.arange(20, dtype=float)
-    lam = smooth_curve(np.sin(xs / 3.0), SmoothConfig(lambda_grid=np.array([2.5])),
-                       ages=xs).lam
+    _, lam = _smooth_one(np.sin(xs / 3.0), ages=xs)
     assert lam == 2.5
 
 
 def test_choose_lambda_deterministic():
     xs = np.arange(25, dtype=float)
     ys = np.cos(xs / 4.0)
-    a, b = smooth_curve(ys, ages=xs), smooth_curve(ys, ages=xs)
-    assert (a.lam, a.gcv) == (b.lam, b.gcv)
+    (a, lam_a), (b, lam_b) = _smooth_one(ys, ages=xs), _smooth_one(ys, ages=xs)
+    assert lam_a == lam_b and a.tobytes() == b.tobytes()
 
 
 def test_smooth_curve_validation():
     with pytest.raises(ValueError, match="at least 4"):
-        smooth_curve(np.array([1.0, 2.0, 3.0]))
+        _smooth_one(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="non-finite"):
-        smooth_curve(np.array([1.0, np.nan, 2.0, 3.0, 4.0]))
+        _smooth_one(np.array([1.0, np.nan, 2.0, 3.0, 4.0]))
     with pytest.raises(ValueError):
-        smooth_curve(np.ones(5), SmoothConfig(num_basis=10))
+        _smooth_one(np.ones(5), SmoothConfig(num_basis=10))
     with pytest.raises(ValueError, match="num_basis 3 is below the minimum of 4"):
-        smooth_curve(np.ones(12), SmoothConfig(num_basis=3))
-    for lam in (np.nan, np.inf):
+        _smooth_one(np.ones(12), SmoothConfig(num_basis=3))
+    for lam in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
-            smooth_curve(np.ones(12), SmoothConfig(lam=lam))
+            _smooth_one(np.ones(12), SmoothConfig(lam=lam))
+    with pytest.raises(ValueError, match="does not match 4 ages x 2 years"):
+        smooth_surface(np.ones((4, 3)), np.arange(4), np.arange(2))
+
+
+def test_smooth_config_has_the_cli_settings_only():
+    # --num-basis, --lam and --monotone-from; degree, difference order and
+    # the GCV grid are fixed
+    assert list(SmoothConfig.__dataclass_fields__) == ["num_basis", "lam", "monotone_from"]
 
 
 def test_smooth_surface_shapes_and_sigma():
@@ -133,19 +162,22 @@ def test_smooth_surface_single_year_sigma_zero():
 _REFERENCE_SCORE_RTOL = 1e-9
 
 
+def _reference_design(xs, config):
+    k = config.resolved_num_basis(len(xs))
+    return bspline_design(BsplineBasis.uniform(xs[0], xs[-1], k, degree=3), xs)
+
+
 def _reference_gcv_scores(ys, xs, config):
     """The per-curve GCV scores the batched kernel replaced, one per grid
     lambda, each by two dense LU solves."""
-    k = config.resolved_num_basis(len(xs))
-    B = bspline_design(BsplineBasis.uniform(xs[0], xs[-1], k, degree=config.degree), xs)
-    D = difference_matrix(k, config.difference_order)
-    w = np.ones(len(ys)) if config.weights is None else config.weights
-    n, BtW = len(ys), B.T * w
+    B = _reference_design(xs, config)
+    D = difference_matrix(B.shape[1], 2)
+    n = len(ys)
     scores = []
-    for grid_lam in config.lambda_grid:
-        A = BtW @ B + grid_lam * (D.T @ D)
-        rss = np.sum(w * (ys - B @ np.linalg.solve(A, BtW @ ys)) ** 2)
-        denom = n - np.sum(np.linalg.solve(A, BtW) * B.T)
+    for grid_lam in smoothing._LAMBDA_GRID:
+        A = B.T @ B + grid_lam * (D.T @ D)
+        rss = np.sum((ys - B @ np.linalg.solve(A, B.T @ ys)) ** 2)
+        denom = n - np.sum(np.linalg.solve(A, B.T) * B.T)
         scores.append(n * rss / denom**2 if denom > 0 else np.inf)
     return np.array(scores)
 
@@ -153,27 +185,36 @@ def _reference_gcv_scores(ys, xs, config):
 def _reference_lambdas(ys, xs, config):
     """The grid lambdas the tie rule may choose for one curve: the first
     grid point whose LU score is within _GCV_TIE_RTOL of the minimum, or
-    within _GCV_TIE_FLOOR of the curve's Y'WY.
+    within _GCV_TIE_FLOOR of the curve's Y'Y.
     A score within the reference's own rounding of that cut may fall on
     either side of it, so every such grid point up to the first one
     surely inside is a valid choice; elsewhere the choice is one point."""
     scores = _reference_gcv_scores(ys, xs, config)
-    w = np.ones(len(ys)) if config.weights is None else config.weights
-    cut = scores.min() * (1 + _GCV_TIE_RTOL) + _GCV_TIE_FLOOR * np.sum(w * ys**2)
+    cut = scores.min() * (1 + _GCV_TIE_RTOL) + _GCV_TIE_FLOOR * np.sum(ys**2)
     inside = scores <= cut * (1 + 2 * _REFERENCE_SCORE_RTOL)
     last = int(np.argmax(scores <= cut * (1 - 2 * _REFERENCE_SCORE_RTOL)))
-    return [float(lam) for lam, ok in zip(config.lambda_grid[:last + 1], inside) if ok]
+    return [float(lam) for lam, ok in zip(smoothing._LAMBDA_GRID[:last + 1], inside) if ok]
+
+
+def _solve_penalized_ls(B, y, lam):
+    """The separate fixed-lambda solve that the one penalized solve
+    replaced, kept as its oracle: minimize |y - B theta|^2 +
+    lam |D_2 theta|^2 by a Cholesky factor of the normal equations."""
+    BtW = B.T * np.ones(len(B))
+    M = BtW @ B
+    if lam > 0:
+        D = difference_matrix(B.shape[1], 2)
+        M = M + lam * (D.T @ D)
+    return cho_solve(cholesky_factor(M), BtW @ y)
 
 
 def _reference_fit(ys, xs, config, lam):
     """The per-curve fit at ``lam``: one Cholesky solve, then the
     monotone projection."""
-    k = config.resolved_num_basis(len(xs))
-    B = bspline_design(BsplineBasis.uniform(xs[0], xs[-1], k, degree=config.degree), xs)
-    w = np.ones(len(ys)) if config.weights is None else config.weights
-    values = B @ solve_penalized_ls(B, ys, w=w, lam=lam, d=config.difference_order)
+    B = _reference_design(xs, config)
+    values = B @ _solve_penalized_ls(B, ys, lam)
     if config.monotone_from is not None:
-        values = enforce_monotone(values, config.monotone_from, ages=xs)
+        values = _reference_enforce_monotone(values, config.monotone_from, xs)
     return values
 
 
@@ -195,17 +236,17 @@ def _assert_matches_reference(log_m, ages, config):
 @settings(deadline=None, max_examples=40)
 @given(st.integers(min_value=15, max_value=70), st.integers(min_value=1, max_value=6),
        st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**31),
-       st.floats(min_value=0.01, max_value=0.5), st.booleans(),
+       st.floats(min_value=0.01, max_value=0.5),
        st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.5)),
        st.one_of(st.just("auto"), st.sampled_from([0.0, 0.003, 1.0, 1e3])),
        st.one_of(st.none(), st.integers(min_value=0, max_value=110)))
 def test_smooth_surface_matches_per_curve_reference(n_ages, n_years, first_age, seed, noise,
-                                                    weighted, basis_share, lam, monotone_from):
-    # THEORY: every year shares the design, weights and penalty, so the
-    # batched pass must choose the reference's lambda for each year and
-    # agree with its fit up to rounding. Both take the first grid point
-    # scoring within _GCV_TIE_RTOL of the minimum. On a flat top, where a
-    # small basis has made the fit nearly affine, the top grid points score
+                                                    basis_share, lam, monotone_from):
+    # THEORY: every year shares the design and penalty, so the batched
+    # pass must choose the reference's lambda for each year and agree with
+    # its fit up to rounding. Both take the first grid point scoring
+    # within _GCV_TIE_RTOL of the minimum. On a flat top, where a small
+    # basis has made the fit nearly affine, the top grid points score
     # equal to about 1e-11, so a strict first minimum would be chosen by
     # each solver's rounding; the tie rule chooses by grid order, so a basis
     # of 4 functions is allowed. A score within the reference's rounding of
@@ -219,21 +260,51 @@ def test_smooth_surface_matches_per_curve_reference(n_ages, n_years, first_age, 
     log_m = (trend[:, None] - 0.01 * np.arange(n_years)
              + noise * rng.standard_normal((n_ages, n_years)))
     num_basis = None if basis_share is None else max(4, int(basis_share * n_ages))
-    weights = rng.uniform(0.2, 2.0, n_ages) if weighted else None
     _assert_matches_reference(log_m, ages, SmoothConfig(
-        num_basis=num_basis, lam=lam, monotone_from=monotone_from, weights=weights))
+        num_basis=num_basis, lam=lam, monotone_from=monotone_from))
 
 
-def test_smooth_surface_tied_gcv_keeps_first_grid_point():
+# Absolute agreement, at a fixed lambda, with the separate solve above.
+# Both factor the same G + lambda P and solve for the same coefficients
+# bit for bit, but the one solve assembles them in C order, as GCV always
+# has, where the separate solve returned them in F order, and B @ theta
+# can round differently for the two layouts. On OpenBLAS it did so for
+# 59 years (the second surface below), by up to 1.8e-15; carried through
+# the fits, forecasts and life tables of fixed-lambda backtests, the
+# largest gap in any artifact was 1.3e-13.
+_FIXED_LAM_ATOL = 1e-12
+
+
+@pytest.mark.parametrize("seed,gender,ages,years,num_basis", [
+    (20110803, "total", (0, 110), (1922, 2006), None),
+    (7, "male", (0, 100), (1922, 1980), None),
+    (301, "female", (10, 60), (1950, 2006), 12),
+])
+@pytest.mark.parametrize("lam", [0.0, 0.003, 1.0, 1e6])
+@pytest.mark.parametrize("monotone_from", [65, None])
+def test_fixed_lambda_matches_separate_solve(seed, gender, ages, years, num_basis, lam,
+                                             monotone_from):
+    surface = hmdgen_surface(seed, gender, ages, years)
+    config = SmoothConfig(num_basis=num_basis, lam=lam, monotone_from=monotone_from)
+    out = smooth_surface(surface.log_rates, surface.ages, surface.years, config)
+    xs = surface.ages.astype(float)
+    B = _reference_design(xs, config)
+    expected = B @ _solve_penalized_ls(B, surface.log_rates, lam)
+    if monotone_from is not None:
+        _monotone_tails(expected, xs, monotone_from)
+    assert np.all(out.lambdas == lam)
+    assert np.max(np.abs(out.log_rates - expected)) <= _FIXED_LAM_ATOL
+
+
+def test_smooth_surface_tied_gcv_keeps_first_grid_point(monkeypatch):
     # an all-zero year fits exactly at every lambda, so every grid point
     # scores 0; the first one listed wins, here the largest
+    monkeypatch.setattr(smoothing, "_LAMBDA_GRID", np.array([1e3, 1.0, 1e-3]))
     rng = np.random.default_rng(5)
     ages = np.arange(30)
     log_m = np.zeros((30, 3))
     log_m[:, 1] = np.sin(ages / 3.0) + 0.05 * rng.standard_normal(30)
-    grid = np.array([1e3, 1.0, 1e-3])
-    out = _assert_matches_reference(log_m, ages, SmoothConfig(lambda_grid=grid,
-                                                              monotone_from=None))
+    out = _assert_matches_reference(log_m, ages, SmoothConfig(monotone_from=None))
     assert out.lambdas[0] == out.lambdas[2] == 1e3
     assert out.lambdas[1] != 1e3
 
@@ -256,25 +327,23 @@ def test_gcv_flat_top_takes_first_grid_point_within_tolerance():
         scores = _reference_gcv_scores(ys, xs, config)
         if np.sort(scores / scores.min() - 1)[1] < 1e-10:
             flat_tops += 1
-            assert out.lambdas[j] < config.lambda_grid[np.argmin(scores)]
+            assert out.lambdas[j] < smoothing._LAMBDA_GRID[np.argmin(scores)]
     assert flat_tops > 0
 
 
-def test_gcv_exact_fit_takes_first_grid_point():
-    # THEORY: the spline fits an affine curve at every lambda, and a curve
-    # weighted at only two ages too, so every grid point scores at the
-    # rounding floor, near 1e-31 of Y'WY, where no relative gap ties. The
-    # absolute floor ties them all, and grid order, not rounding, decides
-    weights = np.zeros(20)
-    weights[[3, 9]] = 1.0
-    curves = [(0.5 * np.arange(20) - 3, SmoothConfig(monotone_from=None)),
-              (np.sin(np.arange(20) / 3), SmoothConfig(weights=weights, monotone_from=None))]
-    for ys, config in curves:
-        grid = config.lambda_grid
-        assert smooth_curve(ys, config).lam == grid[0]
-        reversed_grid = replace(config, lambda_grid=grid[::-1])
-        assert smooth_curve(ys, reversed_grid).lam == grid[-1]
+def test_gcv_exact_fit_takes_first_grid_point(monkeypatch):
+    # THEORY: the spline fits an affine curve, a constant one included, at
+    # every lambda, so every grid point scores at the rounding floor, near
+    # 1e-31 of Y'Y, where no relative gap ties. The absolute floor ties
+    # them all, and grid order, not rounding, decides
+    config = SmoothConfig(monotone_from=None)
+    grid = smoothing._LAMBDA_GRID
+    for ys in (0.5 * np.arange(20) - 3, np.full(20, -4.2)):
+        assert _smooth_one(ys, config)[1] == grid[0]
         assert _reference_lambdas(ys, np.arange(20.0), config) == [grid[0]]
+        with monkeypatch.context() as patch:
+            patch.setattr(smoothing, "_LAMBDA_GRID", grid[::-1])
+            assert _smooth_one(ys, config)[1] == grid[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +376,7 @@ def _brute_force_isotonic(y):
                 min_size=2, max_size=6))
 def test_pava_matches_brute_force(values):
     y = np.array(values)
-    fit = enforce_monotone(y, from_age=0)
+    fit = _monotone_curve(y, from_age=0)
     brute, brute_obj = _brute_force_isotonic(y)
     obj = float(np.sum((fit - y) ** 2))
     assert np.all(np.diff(fit) >= -1e-9)
@@ -318,22 +387,22 @@ def test_pava_matches_brute_force(values):
 
 def test_enforce_monotone_leaves_head_alone():
     y = np.array([5.0, 1.0, 4.0, 3.0, 2.0, 6.0])
-    out = enforce_monotone(y, from_age=2)
+    out = _monotone_curve(y, from_age=2)
     np.testing.assert_array_equal(out[:2], y[:2])
     assert np.all(np.diff(out[2:]) >= 0)
 
 
 def test_enforce_monotone_noop_cases():
     y = np.array([3.0, 1.0, 2.0])
-    np.testing.assert_array_equal(enforce_monotone(y, from_age=5), y)
+    np.testing.assert_array_equal(_monotone_curve(y, from_age=5), y)
     sorted_y = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(enforce_monotone(sorted_y, from_age=0), sorted_y)
+    np.testing.assert_array_equal(_monotone_curve(sorted_y, from_age=0), sorted_y)
 
 
 def test_enforce_monotone_with_age_grid():
     ages = np.array([60, 61, 62, 63])
     y = np.array([1.0, 5.0, 4.0, 6.0])
-    out = enforce_monotone(y, from_age=61, ages=ages)
+    out = _monotone_curve(y, from_age=61, ages=ages)
     assert out[0] == 1.0
     np.testing.assert_allclose(out[1:3], 4.5)
 
@@ -341,8 +410,8 @@ def test_enforce_monotone_with_age_grid():
 def test_enforce_monotone_idempotent():
     rng = np.random.default_rng(8)
     y = rng.standard_normal(15)
-    once = enforce_monotone(y, from_age=4)
-    twice = enforce_monotone(once, from_age=4)
+    once = _monotone_curve(y, from_age=4)
+    twice = _monotone_curve(once, from_age=4)
     np.testing.assert_allclose(once, twice, atol=1e-12)
 
 
@@ -352,8 +421,8 @@ def test_smoothed_output_tail_is_monotone(seed):
     rng = np.random.default_rng(seed)
     ages = np.arange(0, 40)
     ys = -6.0 + 0.05 * ages + 0.3 * rng.standard_normal(len(ages))
-    curve = smooth_curve(ys, SmoothConfig(monotone_from=25), ages=ages.astype(float))
-    tail = curve.values[ages >= 25]
+    values, _ = _smooth_one(ys, SmoothConfig(monotone_from=25), ages=ages.astype(float))
+    tail = values[ages >= 25]
     assert np.all(np.diff(tail) >= -1e-9)
 
 
@@ -415,7 +484,7 @@ def test_smooth_surface_tails_match_per_curve_projection(shape, repeat, monotone
 def test_enforce_monotone_equal_neighbours_match_reference(tail):
     values = np.array([5.0, -3.0, *tail])
     xs = np.arange(len(values), dtype=float)
-    assert (enforce_monotone(values, 2).tobytes()
+    assert (_monotone_curve(values, 2).tobytes()
             == _reference_enforce_monotone(values, 2, xs).tobytes())
 
 
@@ -434,7 +503,7 @@ def test_pava_runs_on_the_reachable_part_of_a_falling_tail(tail, reach, monkeypa
     monkeypatch.setattr(smoothing, "_pava", lambda y: seen.append(len(y)) or _pava(y))
     values = np.array([5.0, -3.0, *tail])
     xs = np.arange(len(values), dtype=float)
-    assert (enforce_monotone(values, 2).tobytes()
+    assert (_monotone_curve(values, 2).tobytes()
             == _reference_enforce_monotone(values, 2, xs).tobytes())
     assert seen == [reach]
 
@@ -443,7 +512,7 @@ def test_gcv_surface_factors_once_per_chosen_lambda(monkeypatch):
     # one eigendecomposition scores every grid lambda for every year, one
     # Cholesky factorization per distinct chosen lambda gives the
     # coefficients, and PAVA runs on falling tails past their unreachable
-    # rising prefix
+    # rising prefix; a fixed lambda is one distinct lambda, with no scores
     rng = np.random.default_rng(0)
     ages, years = np.arange(100), np.arange(1970, 2000)
     shape = -9.0 + 0.085 * np.minimum(ages, 60) + 0.004 * np.maximum(ages - 60, 0)
@@ -461,3 +530,9 @@ def test_gcv_surface_factors_once_per_chosen_lambda(monkeypatch):
     assert len(calls["cholesky_factor"]) == len(np.unique(out.lambdas)) > 1
     assert 0 < len(calls["_pava"]) == n_falling < len(years)
     assert sum(len(y) for y, in calls["_pava"]) < tail_len * n_falling
+    for record in calls.values():
+        record.clear()
+    fixed = smooth_surface(log_m, ages, years, SmoothConfig(lam=0.003, monotone_from=None))
+    assert np.all(fixed.lambdas == 0.003)
+    assert len(calls["eigh"]) == 0
+    assert len(calls["cholesky_factor"]) == 1
