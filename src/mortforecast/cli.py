@@ -18,12 +18,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .evaluate import (
+    BOOTSTRAPPED_MODELS,
     MODELS,
     ErrorReport,
     error_metrics,
@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="age from which smoothed curves are forced "
                         "nondecreasing, or 'none'")
     common.add_argument("--bootstrap", type=_bootstrap, default=0,
-                        help="bootstrap replicates for fdm intervals (0 = analytic)")
+                        help=f"bootstrap replicates for {','.join(BOOTSTRAPPED_MODELS)} "
+                        "intervals (0 = analytic)")
     common.add_argument("--seed", type=_seed, default=0)
     common.add_argument("--output", default=".", help="artifact directory")
     common.add_argument("--formats", type=_formats,
@@ -223,9 +224,11 @@ def _check_windows(args: argparse.Namespace, surface: MortalitySurface) -> None:
             raise UsageError(f"{flag} {window[0]}:{window[1]} outside data years "
                              f"{lo}:{hi}")
     first_age = int(surface.ages[0])
-    if args.command == "backtest" and first_age != 0:
+    needs_e0 = {"backtest": "a backtest scores", "lifetable": "a life table reports"}
+    if args.command in needs_e0 and first_age != 0:
         raise UsageError(f"--ages {args.ages[0]}:{args.ages[1]} starts at age {first_age}; "
-                         f"a backtest scores life expectancy at birth, which needs ages from 0")
+                         f"{needs_e0[args.command]} life expectancy at birth, which needs "
+                         "ages from 0")
     year = args.year
     if year is not None and not lo <= year <= hi:
         raise UsageError(f"--year {year} outside data years {lo}:{hi}")
@@ -352,17 +355,17 @@ def _lc_params(name: str, m) -> list:
     return [(f"{name}_{part}.csv", index_name, index, [("value", part, values)],
              (f"fig3_{name}_{part}.svg", ylabel, f"{name}: {title}"))
             for part, index_name, index, values, ylabel, title in (
-                ("alpha", "age", m.ages, m.alpha, "log rate", "level by age"),
-                ("beta", "age", m.ages, m.beta, "sensitivity",
+                ("alpha", "age", m.ages, m.center, "log rate", "level by age"),
+                ("beta", "age", m.ages, m.basis[:, 0], "sensitivity",
                  "age response to the period index"),
-                ("kappa", "year", m.years, m.kappa, "index", "period index"))]
+                ("kappa", "year", m.years, m.coefficients[:, 0], "index", "period index"))]
 
 
 def _fdm_params(name: str, m) -> list:
-    phi = [(f"phi{k + 1}", f"phi{k + 1}", m.phi[:, k]) for k in range(m.K)]
-    beta = [(f"beta{k + 1}", f"beta{k + 1}", m.beta_series[:, k]) for k in range(m.K)]
+    phi = [(f"phi{k + 1}", f"phi{k + 1}", m.basis[:, k]) for k in range(m.K)]
+    beta = [(f"beta{k + 1}", f"beta{k + 1}", m.coefficients[:, k]) for k in range(m.K)]
     return [
-        (f"{name}_mu.csv", "age", m.ages, [("value", "mu", m.mu)],
+        (f"{name}_mu.csv", "age", m.ages, [("value", "mu", m.center)],
          (f"fig4_{name}_mu.svg", "log rate", f"{name}: mean curve")),
         (f"{name}_phi.csv", "age", m.ages, phi,
          (f"fig4_{name}_phi.svg", "basis value", f"{name}: age basis functions")),
@@ -373,46 +376,33 @@ def _fdm_params(name: str, m) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class _Outputs:
-    """How one model type reports itself.
-
-    ``fields`` are the model attributes in fit's summary; compare reports
-    the first only. fit diagnoses the ``residuals`` attribute; compare
-    diagnoses observed minus fitted log rates and writes its averages to
-    ``table``. ``bootstraps`` marks the type whose intervals --bootstrap
-    replaces. No type's residual mean is t-tested: Lee-Carter's alpha and
-    fdm's mu are each age's row mean, and kappa and each beta are centred,
-    so fit's residuals sum to zero by construction and compare's to within
-    what smoothing moves the mean, and the statistic would be noise.
-    """
-
-    params: Callable[[str, object], list]
-    fields: tuple
-    residuals: str
-    table: str
-    bootstraps: bool
+def _lc_fields(m) -> dict:
+    return {"explained_variance": float(m.explained_shares[0]),
+            "explained_variance_rss": m.explained_rss}
 
 
-_LC_OUTPUTS = _Outputs(_lc_params, ("explained_variance", "explained_variance_rss"),
-                       "residuals", table="table1.csv", bootstraps=False)
-_OUTPUTS = {
-    "lc": _LC_OUTPUTS,
-    "lcs": _LC_OUTPUTS,
-    "fdm": _Outputs(_fdm_params, ("explained_shares", "K"), "model_errors",
-                    table="table2.csv", bootstraps=True),
+def _fdm_fields(m) -> dict:
+    return {"explained_shares": m.explained_shares.tolist(), "K": m.K}
+
+
+# Model name -> (parameter writer, fit's summary fields, compare's average
+# table); compare reports the first summary field only. fit diagnoses
+# each model's residuals, compare observed minus fitted log rates. No
+# model's residual mean is t-tested: Lee-Carter's alpha and fdm's mu are
+# each age's row mean, and kappa and each beta are centred, so fit's
+# residuals sum to zero by construction and compare's to within what
+# smoothing moves the mean, and the statistic would be noise.
+_ARTIFACTS = {
+    "lc": (_lc_params, _lc_fields, "table1.csv"),
+    "lcs": (_lc_params, _lc_fields, "table1.csv"),
+    "fdm": (_fdm_params, _fdm_fields, "table2.csv"),
 }
 _ERROR_FIG = {"lc": "fig9", "lcs": "fig10", "fdm": "fig11"}
 
 
-def _field(model, name: str):
-    value = getattr(model, name)
-    return value.tolist() if isinstance(value, np.ndarray) else value
-
-
-def _param_files(name: str, model) -> dict:
+def _param_files(params: list) -> dict:
     files = {}
-    for csv, index_name, index, columns, chart in _OUTPUTS[name].params(name, model):
+    for csv, index_name, index, columns, chart in params:
         files[csv] = _csv(",".join([index_name, *(c[0] for c in columns)]),
                           index, *(c[2] for c in columns))
         if chart is not None:
@@ -438,11 +428,9 @@ def cmd_fit(args: argparse.Namespace, surface: MortalitySurface,
     files: dict = {}
     fitted = fit_models(surface, args.models, smooth, args.components)
     for name, model in fitted.items():
-        outputs = _OUTPUTS[name]
-        entry = {field: _field(model, field) for field in outputs.fields}
-        entry.update(_diagnostics(getattr(model, outputs.residuals)))
-        files.update(_param_files(name, model))
-        summary["models"][name] = entry
+        params, fields, _ = _ARTIFACTS[name]
+        summary["models"][name] = {**fields(model), **_diagnostics(model.residuals)}
+        files.update(_param_files(params(name, model)))
     return summary, files
 
 
@@ -479,7 +467,7 @@ def cmd_forecast(args: argparse.Namespace, surface: MortalitySurface,
             files[f"fig_e0_{name}.svg"] = render_line_chart(
                 [(part, path.years, getattr(path, part)) for part in parts],
                 "year", "life expectancy at birth", title=f"{name}: projected e0")
-        if args.bootstrap and _OUTPUTS[name].bootstraps:
+        if args.bootstrap and name in BOOTSTRAPPED_MODELS:
             entry["bootstrap"] = {"B": args.bootstrap, "seed": args.seed}
         summary["models"][name] = entry
     return summary, files
@@ -541,7 +529,7 @@ def cmd_backtest(args: argparse.Namespace, surface: MortalitySurface,
     fan_series = [("observed", years, observed)]
     for name in args.models:
         entry = report.models[name]
-        for part, values in (("point", entry.e0_forecast),
+        for part, values in (("point", entry.e0_interval.point),
                              ("lower", entry.e0_interval.lower),
                              ("upper", entry.e0_interval.upper)):
             fan_series.append((f"{name} {part}", years, values))
@@ -581,14 +569,15 @@ def cmd_compare(args: argparse.Namespace, surface: MortalitySurface,
     reports: dict[str, ErrorReport] = {}
     fitted = fit_models(surface, args.models, smooth, args.components)
     for name, model in fitted.items():
-        outputs = _OUTPUTS[name]
         fitted_log = model.fitted_log_rates()
         rep = reports[name] = error_metrics(surface, fitted_log)
+        _, fields, _ = _ARTIFACTS[name]
+        field, value = next(iter(fields(model).items()))
         entry = {
             "avg_across_ages": dict(zip(metrics, rep.avg_across_ages)),
             "avg_across_years": dict(zip(metrics, rep.avg_across_years)),
             "excluded_cells": rep.excluded_cells,
-            outputs.fields[0]: _field(model, outputs.fields[0]),
+            field: value,
         }
         entry.update(_diagnostics(surface.log_rates - fitted_log))
         summary["models"][name] = entry
@@ -599,7 +588,7 @@ def cmd_compare(args: argparse.Namespace, surface: MortalitySurface,
 
     for table in ("table1.csv", "table2.csv"):
         rows = [(name, f"across_{by}", *avg)
-                for name in MODELS if name in reports and _OUTPUTS[name].table == table
+                for name in MODELS if name in reports and _ARTIFACTS[name][2] == table
                 for by, avg in (("ages", reports[name].avg_across_ages),
                                 ("years", reports[name].avg_across_years))]
         if rows:

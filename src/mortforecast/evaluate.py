@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import special
 
-from .fdm import FdmModel, ForecastSurface, bootstrap_intervals, fit_fdm, forecast_fdm
+from .fdm import FittedModel, ForecastSurface, bootstrap_intervals, fit_fdm, forecast_fdm
 from .ingest import MortalitySurface, slice_window
-from .leecarter import LcModel, fit_lc, fit_lcs, forecast_lc
+from .leecarter import fit_lc, fit_lcs
 from .lifetable import E0Path, _lifetables, e0_path
 from .numerics import normal_quantile
 from .smoothing import SmoothConfig, smooth_surface
@@ -26,6 +26,7 @@ from .tsforecast import SingularLagError, TsSpec
 
 __all__ = [
     "MODELS",
+    "BOOTSTRAPPED_MODELS",
     "MetricTable",
     "ErrorReport",
     "ModelBacktest",
@@ -39,8 +40,9 @@ __all__ = [
 ]
 
 MODELS = ("lc", "lcs", "fdm")
-
-Model = Union[LcModel, FdmModel]
+# The models whose intervals a nonzero bootstrap replaces; the Lee-Carter
+# variants keep their analytic intervals.
+BOOTSTRAPPED_MODELS = ("fdm",)
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class ErrorReport:
     avg_across_ages: tuple
     avg_across_years: tuple
     excluded_cells: int
-    scale: str = "log_rate"
 
 
 def _metrics_along(e: np.ndarray, ratio: np.ndarray, valid: np.ndarray,
@@ -193,13 +194,11 @@ def normality_test(residuals) -> tuple[float, float]:
 class ModelBacktest:
     """Out-of-sample results for one model over the test window."""
 
-    name: str
     forecast: ForecastSurface
     errors: np.ndarray  # observed minus forecast log rate, ages x test years
     mean_error_by_age: np.ndarray
     sd_error_by_age: np.ndarray
     e0_observed: np.ndarray
-    e0_forecast: np.ndarray
     e0_interval: E0Path
     e0_error_mean: float
     e0_error_variance: float
@@ -219,7 +218,7 @@ def fit_models(
     models: Sequence[str] = MODELS,
     smooth_config: SmoothConfig = SmoothConfig(),
     K: int = 4,
-) -> dict[str, Model]:
+) -> dict[str, FittedModel]:
     """Fit each named model to one surface, in the order given.
 
     lcs and fdm share one smoothing of the surface, so it runs once
@@ -238,7 +237,7 @@ def fit_models(
 
 
 def forecast_model(
-    model: Model,
+    model: FittedModel,
     ts_spec: TsSpec = TsSpec(),
     horizon: int = 20,
     level: float = 95.0,
@@ -246,19 +245,15 @@ def forecast_model(
     seed: int = 0,
 ) -> ForecastSurface:
     """Forecast one fitted model with analytic intervals, or with
-    ``bootstrap`` simulated futures for fdm when that is nonzero (the
-    Lee-Carter variants have analytic intervals only). A coefficient
-    series the AR model cannot be fitted to raises ``SingularLagError``
-    naming the model."""
+    ``bootstrap`` simulated futures when that is nonzero and the model is
+    one of ``BOOTSTRAPPED_MODELS``. A coefficient series the AR model
+    cannot be fitted to raises ``SingularLagError`` naming the model."""
     try:
-        if isinstance(model, LcModel):
-            return forecast_lc(model, ts_spec, horizon, level)
-        if bootstrap:
+        if bootstrap and model.name in BOOTSTRAPPED_MODELS:
             return bootstrap_intervals(model, ts_spec, horizon, level, B=bootstrap, seed=seed)
         return forecast_fdm(model, ts_spec, horizon, level)
     except SingularLagError as exc:
-        name = model.variant if isinstance(model, LcModel) else "fdm"
-        raise SingularLagError(f"{name}: {exc}") from None
+        raise SingularLagError(f"{model.name}: {exc}") from None
 
 
 def run_backtest(
@@ -279,8 +274,8 @@ def run_backtest(
     Fitting never sees test-window rates: each model receives the
     train-window slice and nothing else. Life-expectancy errors use
     point mortality forecasts; the interval path is carried separately
-    for fan charts, from ``bootstrap`` simulated futures for fdm when
-    that is nonzero (see ``forecast_model``).
+    for fan charts, from ``bootstrap`` simulated futures when that is
+    nonzero (see ``forecast_model``).
     """
     train_start, train_end = int(train[0]), int(train[1])
     test_start, test_end = int(test[0]), int(test[1])
@@ -307,13 +302,11 @@ def run_backtest(
         e0_interval = e0_path(forecast)
         e0_errors = e0_observed - e0_interval.point
         results[name] = ModelBacktest(
-            name=name,
             forecast=forecast,
             errors=errors,
             mean_error_by_age=errors.mean(axis=1),
             sd_error_by_age=errors.std(axis=1, ddof=1),
             e0_observed=e0_observed,
-            e0_forecast=e0_interval.point,
             e0_interval=e0_interval,
             e0_error_mean=float(e0_errors.mean()),
             e0_error_variance=float(e0_errors.var(ddof=1)),

@@ -7,6 +7,9 @@ coefficient time series beta_{t,k}. Forecasting the coefficients and
 recombining gives point forecasts; the forecast variance adds four
 pieces: mean-curve uncertainty, coefficient forecast variance through
 phi_k^2, leftover model error v(x), and observational noise sigma2(x).
+
+Every model of the package is a ``FittedModel``, Lee-Carter included as
+the one-component case, and is forecast by ``forecast_fdm``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .smoothing import SmoothedSurface
 from .tsforecast import TsSpec, fit_ts, forecast_ts, simulate_path
 
 __all__ = [
-    "FdmModel",
+    "FittedModel",
     "ForecastSurface",
     "fit_fdm",
     "forecast_fdm",
@@ -77,32 +80,40 @@ class ForecastSurface:
 
 
 @dataclass(frozen=True)
-class FdmModel:
-    """Fitted decomposition. ``phi`` is ages-by-K with orthonormal
-    columns; ``beta_series`` is years-by-K. ``model_errors`` is what the
-    K components leave unexplained of the smoothed surface, and
-    ``smoothed_log`` the smoothed surface itself."""
+class FittedModel:
+    """Any fitted model: log rates = center + basis @ coefficients.T +
+    residuals, with ``basis`` ages-by-K and ``coefficients`` years-by-K.
 
+    ``name`` is the model: lc and lcs are Lee-Carter on raw and on
+    smoothed log rates, the K = 1 case with center alpha, basis beta and
+    coefficients kappa, and no model-error or observational-noise term
+    (``v`` and ``sigma2`` are zero). fdm holds the mean curve mu, the
+    orthonormal age patterns phi and their beta series; its residuals are
+    the model errors on the smoothed surface, ``v`` their per-age mean
+    square and ``sigma2`` the smoother's observational variance.
+    ``explained_shares`` are the top K components' shares of the
+    centered surface's squared singular values, and ``explained_rss`` is
+    1 - RSS/TSS of the residuals against the centered surface.
+    """
+
+    name: str
     ages: np.ndarray
     years: np.ndarray
-    mu: np.ndarray
-    phi: np.ndarray
-    beta_series: np.ndarray
+    center: np.ndarray
+    basis: np.ndarray
+    coefficients: np.ndarray
+    residuals: np.ndarray
     v: np.ndarray
     sigma2: np.ndarray
     explained_shares: np.ndarray
-    K: int
-    model_errors: np.ndarray
-    smoothed_log: np.ndarray
+    explained_rss: float
 
     @property
-    def sigma2_mu(self) -> np.ndarray:
-        """Variance of the estimated mean curve: v(x) over the number of
-        years averaged, the variance of a mean of n curve errors."""
-        return self.v / len(self.years)
+    def K(self) -> int:
+        return self.basis.shape[1]
 
     def fitted_log_rates(self) -> np.ndarray:
-        return self.mu[:, None] + self.phi @ self.beta_series.T
+        return self.center[:, None] + self.basis @ self.coefficients.T
 
 
 def _decompose(Y: np.ndarray, K: int):
@@ -134,7 +145,15 @@ def _decompose(Y: np.ndarray, K: int):
     return mean, centered, s, U, V, shares, degenerate
 
 
-def fit_fdm(smoothed: SmoothedSurface, K: int = 4) -> FdmModel:
+def _explained_rss(residuals: np.ndarray, centered: np.ndarray, degenerate: bool) -> float:
+    """1 - RSS/TSS of ``residuals`` against the ``centered`` surface; 1
+    on a degenerate surface, whose whole (empty) variation a fit explains."""
+    if degenerate:
+        return 1.0
+    return 1.0 - float(np.sum(residuals**2)) / float(np.sum(centered**2))
+
+
+def fit_fdm(smoothed: SmoothedSurface, K: int = 4) -> FittedModel:
     """Extract the top K components of a smoothed surface by SVD.
 
     Sign convention: each phi_k is flipped so it sums positive (falling
@@ -152,7 +171,7 @@ def fit_fdm(smoothed: SmoothedSurface, K: int = 4) -> FdmModel:
             f"K={K} too large for a {n_ages} x {n_years} surface; "
             f"maximum is {min(n_ages, n_years) - 1}"
         )
-    mu, _, s, phi, V, shares, degenerate = _decompose(F, K)
+    mu, centered, s, phi, V, shares, degenerate = _decompose(F, K)
     beta = s[:K] * V
 
     # absorb any float-level residual mean of each beta into mu so the
@@ -166,64 +185,59 @@ def fit_fdm(smoothed: SmoothedSurface, K: int = 4) -> FdmModel:
         # noise by noise
         beta = np.zeros_like(beta)
 
-    fitted = mu[:, None] + phi @ beta.T
-    model_errors = F - fitted
-    v = (model_errors**2).mean(axis=1)
-
-    return FdmModel(
+    model_errors = F - (mu[:, None] + phi @ beta.T)
+    return FittedModel(
+        name="fdm",
         ages=smoothed.ages,
         years=smoothed.years,
-        mu=mu,
-        phi=phi,
-        beta_series=beta,
-        v=v,
+        center=mu,
+        basis=phi,
+        coefficients=beta,
+        residuals=model_errors,
+        v=(model_errors**2).mean(axis=1),
         sigma2=smoothed.sigma2,
         explained_shares=shares,
-        K=K,
-        model_errors=model_errors,
-        smoothed_log=F,
+        explained_rss=_explained_rss(model_errors, centered, degenerate),
     )
 
 
-def _recombine(ages: np.ndarray, years: np.ndarray, center: np.ndarray,
-               basis: np.ndarray, fits, horizon: int, level: float,
-               extra_variance=()) -> ForecastSurface:
+def _recombine(model: FittedModel, fits, horizon: int, level: float) -> ForecastSurface:
     """The one forecast step of every model: forecast each coefficient
     series from its fit, then point = center + basis @ points and
-    variance = basis^2 @ variances plus each per-age term of
-    ``extra_variance`` in turn, with symmetric normal-theory bounds at
-    the two-sided percentage ``level``. ``years`` are the fitted years;
-    the forecast years follow the last of them."""
+    variance = basis^2 @ variances plus, in turn, the mean-curve variance
+    v/n (v over the number of years averaged, the variance of a mean of
+    n curve errors), the model error v and the observational noise
+    sigma2, with symmetric normal-theory bounds at the two-sided
+    percentage ``level``. The forecast years follow the fitted ones."""
     forecasts = [forecast_ts(fit, horizon) for fit in fits]
     points = np.array([point for point, _ in forecasts])
     variances = np.array([variance for _, variance in forecasts])
-    point = center[:, None] + basis @ points
-    variance = (basis**2) @ variances
-    for term in extra_variance:
+    point = model.center[:, None] + model.basis @ points
+    variance = (model.basis**2) @ variances
+    for term in (model.v / len(model.years), model.v, model.sigma2):
         variance = variance + term[:, None]
     half = normal_quantile(0.5 + level / 200.0) * np.sqrt(np.maximum(variance, 0.0))
-    return ForecastSurface(ages=ages, years=years[-1] + np.arange(1, horizon + 1),
+    return ForecastSurface(ages=model.ages, years=model.years[-1] + np.arange(1, horizon + 1),
                            point=point, variance=variance, lower=point - half,
                            upper=point + half, level=level)
 
 
-def _coefficient_fits(model: FdmModel, ts_spec: TsSpec):
-    return [fit_ts(model.beta_series[:, k], ts_spec) for k in range(model.K)]
+def _coefficient_fits(model: FittedModel, ts_spec: TsSpec):
+    return [fit_ts(model.coefficients[:, k], ts_spec) for k in range(model.K)]
 
 
 def forecast_fdm(
-    model: FdmModel,
+    model: FittedModel,
     ts_spec: TsSpec = TsSpec(),
     horizon: int = 20,
     level: float = 95.0,
 ) -> ForecastSurface:
     """Forecast each coefficient series, recombine, and attach
-    normal-theory intervals from the summed variance: mean-curve
-    uncertainty, the coefficient variances through phi^2, model error and
-    observational noise."""
-    return _recombine(model.ages, model.years, model.mu, model.phi,
-                      _coefficient_fits(model, ts_spec), int(horizon), level,
-                      (model.sigma2_mu, model.v, model.sigma2))
+    normal-theory intervals from the summed variance (``_recombine``).
+    Serves every model: Lee-Carter's zero v and sigma2 leave kappa's
+    forecast variance through beta^2 alone, the standard simplification
+    that ignores estimation error in alpha and beta."""
+    return _recombine(model, _coefficient_fits(model, ts_spec), int(horizon), level)
 
 
 def _read_quantile(rows: np.ndarray, q: float, out: np.ndarray) -> None:
@@ -264,7 +278,7 @@ def _noise(rng: np.random.Generator, rows: int, horizon: int, B: int) -> np.ndar
 
 
 def bootstrap_intervals(
-    model: FdmModel,
+    model: FittedModel,
     ts_spec: TsSpec = TsSpec(),
     horizon: int = 20,
     level: float = 95.0,
@@ -301,8 +315,7 @@ def bootstrap_intervals(
     if B < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {B}")
     fits = _coefficient_fits(model, ts_spec)
-    analytic = _recombine(model.ages, model.years, model.mu, model.phi, fits, horizon,
-                          level, (model.sigma2_mu, model.v, model.sigma2))
+    analytic = _recombine(model, fits, horizon, level)
     n_ages = len(model.ages)
     n_years = len(model.years)
     sigma = np.sqrt(np.maximum(model.sigma2, 0.0))
@@ -341,10 +354,10 @@ def bootstrap_intervals(
                 samples, row = buf[:b - a], row_buf[:b - a]
                 noise = _noise(np.random.default_rng(child), b - a, horizon, B)
                 np.multiply(noise, sigma[a:b, None, None], out=samples)
-                samples += model.mu[a:b, None, None]
+                samples += model.center[a:b, None, None]
                 for j in range(horizon):
-                    samples[:, j] += np.matmul(model.phi[a:b], curves[j], out=row)
-                    samples[:, j] += np.take(model.model_errors[a:b], error_cols[j],
+                    samples[:, j] += np.matmul(model.basis[a:b], curves[j], out=row)
+                    samples[:, j] += np.take(model.residuals[a:b], error_cols[j],
                                              axis=1, out=row)
                 samples.sort(axis=-1)
                 for bound, q in zip(bounds, probs):

@@ -32,9 +32,6 @@ class SvdResult:
     left_vectors: np.ndarray
     right_vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.T
-
 
 def svd_thin(A) -> SvdResult:
     """Thin singular value decomposition of a real matrix.

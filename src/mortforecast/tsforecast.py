@@ -84,7 +84,6 @@ class TsFit:
     drift: float
     ar_coeffs: np.ndarray
     innovation_variance: float
-    n: int
     residuals: np.ndarray
     last_level: float
     diff_tail: np.ndarray
@@ -169,7 +168,6 @@ def fit_ts(series, spec: TsSpec) -> TsFit:
         drift=drift,
         ar_coeffs=np.asarray(coeffs, dtype=float),
         innovation_variance=sigma2,
-        n=n,
         residuals=residuals,
         last_level=float(arr[-1]),
         diff_tail=zc[len(zc) - p:].copy() if p else np.empty(0),

@@ -20,7 +20,7 @@ import scipy.stats
 from mortforecast.cli import main as cli_main
 from mortforecast.evaluate import (error_metrics, normality_test, run_backtest,
                                    standardize_residuals)
-from mortforecast.fdm import FdmModel, bootstrap_intervals, fit_fdm, forecast_fdm
+from mortforecast.fdm import FittedModel, bootstrap_intervals, fit_fdm, forecast_fdm
 from mortforecast.leecarter import fit_lc, fit_lcs
 from mortforecast.lifetable import rates_to_lifetable
 from mortforecast.smoothing import SmoothConfig, smooth_surface
@@ -90,9 +90,9 @@ def test_criterion_01_lc_explained_variance():
         male = fit_lc(italy_surface("male"))
         female = fit_lc(italy_surface("female"))
         elapsed = time.perf_counter() - start
-        _close_pp(male.explained_variance, 0.916)
-        _close_pp(female.explained_variance, 0.957)
-        assert female.explained_variance > male.explained_variance
+        _close_pp(male.explained_shares[0], 0.916)
+        _close_pp(female.explained_shares[0], 0.957)
+        assert female.explained_shares[0] > male.explained_shares[0]
         assert elapsed < 5.0, f"fit took {elapsed:.2f}s"
 
 
@@ -116,8 +116,8 @@ def test_criterion_03_lcs_explained_variance():
         for gender, want in (("male", 0.934), ("female", 0.975)):
             lc = fit_lc(italy_surface(gender))
             lcs = fit_lcs(smooth(italy_surface(gender), SmoothConfig()))
-            _close_pp(lcs.explained_variance, want)
-            assert lcs.explained_variance > lc.explained_variance
+            _close_pp(lcs.explained_shares[0], want)
+            assert lcs.explained_shares[0] > lc.explained_shares[0]
 
 
 def test_criterion_04_backtest_e0_errors():
@@ -204,10 +204,10 @@ def test_criterion_07_rank1_recovery():
             surface, alpha, beta, kappa = rank1_surface(n_ages=14, n_years=22,
                                                         seed=seed)
             model = fit_lc(surface)
-            assert np.abs(model.alpha - alpha).max() < 1e-10
-            assert np.abs(model.beta - beta).max() < 1e-10
-            assert np.abs(model.kappa - kappa).max() < 1e-10
-            assert abs(model.explained_variance - 1.0) < 1e-10
+            assert np.abs(model.center - alpha).max() < 1e-10
+            assert np.abs(model.basis[:, 0] - beta).max() < 1e-10
+            assert np.abs(model.coefficients[:, 0] - kappa).max() < 1e-10
+            assert abs(model.explained_shares[0] - 1.0) < 1e-10
 
 
 def test_criterion_08_constraint_invariants():
@@ -219,13 +219,14 @@ def test_criterion_08_constraint_invariants():
             n_years = int(rng.integers(3, 16))
             log_m = rng.standard_normal((n_ages, n_years)) - 4.0
             model = fit_lc(make_surface(log_m))
-            assert abs(model.beta.sum() - 1.0) < 1e-12
-            assert abs(model.kappa.sum()) < 1e-12 * max(1.0, np.abs(model.kappa).sum())
+            kappa = model.coefficients[:, 0]
+            assert abs(model.basis.sum() - 1.0) < 1e-12
+            assert abs(kappa.sum()) < 1e-12 * max(1.0, np.abs(kappa).sum())
         for seed in (5, 6):
             log_m = np.random.default_rng(seed).standard_normal((12, 16)) - 4.0
             fdm = fit_fdm(smooth(make_surface(log_m),
                                  SmoothConfig(monotone_from=None)), K=4)
-            gram = fdm.phi.T @ fdm.phi
+            gram = fdm.basis.T @ fdm.basis
             assert np.abs(gram - np.eye(4)).max() < 1e-10
 
 
@@ -237,9 +238,10 @@ def test_criterion_09_reconstruction_and_variance_sum():
         surface = make_surface(log_m)
         lc = fit_lc(surface)
         assert np.abs(lc.fitted_log_rates() + lc.residuals - log_m).max() < 1e-12
-        fdm = fit_fdm(smooth(surface, SmoothConfig(monotone_from=None)), K=3)
-        recon = fdm.mu[:, None] + fdm.phi @ fdm.beta_series.T + fdm.model_errors
-        assert np.abs(recon - fdm.smoothed_log).max() < 1e-12
+        smoothed = smooth(surface, SmoothConfig(monotone_from=None))
+        fdm = fit_fdm(smoothed, K=3)
+        recon = fdm.center[:, None] + fdm.basis @ fdm.coefficients.T + fdm.residuals
+        assert np.abs(recon - smoothed.log_rates).max() < 1e-12
 
         # three-age fixture with every variance ingredient hand-computed:
         # beta1 (0,2,1,3,2,4): drift 0.8, rss 10.8, sigma2 10.8/4 = 2.7
@@ -252,11 +254,10 @@ def test_criterion_09_reconstruction_and_variance_sum():
         v = np.array([0.01, 0.02, 0.03])
         sigma2 = np.array([0.001, 0.002, 0.003])
         mu = np.array([-4.0, -4.5, -5.0])
-        model = FdmModel(ages=np.arange(3), years=np.arange(2000, 2006),
-                         mu=mu, phi=phi, beta_series=beta, v=v, sigma2=sigma2,
-                         explained_shares=np.array([0.9, 0.1]), K=2,
-                         model_errors=np.zeros((3, 6)),
-                         smoothed_log=mu[:, None] + phi @ beta.T)
+        model = FittedModel(name="fdm", ages=np.arange(3), years=np.arange(2000, 2006),
+                            center=mu, basis=phi, coefficients=beta,
+                            residuals=np.zeros((3, 6)), v=v, sigma2=sigma2,
+                            explained_shares=np.array([0.9, 0.1]), explained_rss=1.0)
         fc = forecast_fdm(model, TsSpec(), horizon=3)
         phi2 = phi**2
         for h in (1, 2, 3):

@@ -198,6 +198,25 @@ def test_random_walk_spellings_write_identical_artifacts(hmd_file, tmp_path):
         assert len(match) == len(names)
 
 
+@pytest.mark.parametrize("command", [
+    ["forecast"],
+    ["backtest", "--train", "1950:1979", "--test", "1980:1995"],
+])
+def test_lee_carter_models_ignore_bootstrap(hmd_file, tmp_path, command):
+    # only fdm bootstraps its intervals; lc and lcs keep their analytic
+    # ones, and their summary names no bootstrap
+    outs = []
+    for tag, extra in (("analytic", []), ("boot", ["--bootstrap", "100", "--seed", "3"])):
+        out = tmp_path / tag
+        code = run_cli([command[0], *base_args(hmd_file, out), "--models", "lc,lcs",
+                        *command[1:], *extra])
+        assert code == 0
+        outs.append(out)
+    assert snapshot(outs[1]) == snapshot(outs[0])
+    for name in ("lc", "lcs"):
+        assert "bootstrap" not in read_summary(outs[1])["models"][name]
+
+
 @pytest.mark.parametrize("command", [[], ["fit"], ["forecast"], ["backtest"],
                                      ["lifetable"], ["compare"]],
                          ids=lambda command: "_".join(command) or "top")
@@ -334,17 +353,23 @@ def test_short_backtest_window_exit_2(hmd_file, tmp_path, capsys, train, test, m
     assert not out.exists()
 
 
-def test_backtest_ages_not_from_0_exit_2(hmd_file, tmp_path, capsys, monkeypatch):
-    # a backtest scores e0, which needs a life table from birth; the window
-    # is rejected before any model is fitted
+@pytest.mark.parametrize("argv,reason", [
+    (["backtest", "--models", "lc,lcs,fdm", "--train", "1960:1990", "--test", "1991:2000"],
+     "a backtest scores"),
+    (["lifetable", "--year", "1990"], "a life table reports"),
+], ids=["backtest", "lifetable"])
+def test_ages_not_from_0_exit_2(hmd_file, tmp_path, capsys, monkeypatch, argv, reason):
+    # a backtest and a life table report e0, which needs a life table from
+    # birth; the window is rejected before any model or table is computed
     fits = count_calls(monkeypatch, mortforecast.fit_models)
+    tables = count_calls(monkeypatch, mortforecast.lifetable.rates_to_lifetable)
     out = tmp_path / "ages"
-    code = run_cli(["backtest", "--data", hmd_file, "--ages", "10:30", "--output", out,
-                    "--models", "lc,lcs,fdm", "--train", "1960:1990", "--test", "1991:2000"])
+    code = run_cli([argv[0], "--data", hmd_file, "--ages", "10:30", "--output", out,
+                    *argv[1:]])
     assert code == 2
-    assert ("error: --ages 10:30 starts at age 10; a backtest scores life expectancy at "
+    assert (f"error: --ages 10:30 starts at age 10; {reason} life expectancy at "
             "birth, which needs ages from 0") in capsys.readouterr().err
-    assert fits == []
+    assert fits == [] and tables == []
     assert not out.exists()
 
 

@@ -1,19 +1,23 @@
-"""One decomposition and one recombination for Lee-Carter and the FDM.
+"""One model type, one decomposition and one recombination for
+Lee-Carter and the FDM.
 
 Lee-Carter is the functional demographic model's one-component case,
 with no smoothing and no observational-error term (Hyndman & Ullah
-2007), so both models fit through ``fdm._decompose`` and forecast
-through ``fdm._recombine``. The per-model code that the shared path
-replaced is kept below as the oracle, and the shared path must give its
-bits, compared as int64 so that -0.0 counts. The cross-model tests check
-the K = 1 identity itself, to a stated tolerance.
+2007), so every model is one ``FittedModel``, fits through
+``fdm._decompose`` and forecasts through ``fdm._recombine``. The
+per-model code that the shared path replaced is kept below as the
+oracle, returning plain arrays, and the shared path must give its bits,
+compared as int64 so that -0.0 counts: the fitted parameters, the
+fitted log rates, the residuals and the explained shares, and each
+forecast, Lee-Carter's through the zero variance terms included. The
+cross-model tests check the K = 1 identity itself, to a stated tolerance.
 """
 
 import numpy as np
 import pytest
 
-from mortforecast.fdm import FdmModel, ForecastSurface, fit_fdm, forecast_fdm
-from mortforecast.leecarter import LcModel, fit_lc, fit_lcs, forecast_lc
+from mortforecast.fdm import fit_fdm, forecast_fdm
+from mortforecast.leecarter import fit_lc, fit_lcs
 from mortforecast.numerics import normal_quantile, svd_thin
 from mortforecast.smoothing import SmoothConfig, SmoothedSurface
 from mortforecast.tsforecast import TsSpec, fit_ts, forecast_ts
@@ -33,7 +37,9 @@ SPECS = (TsSpec(), TsSpec(p=1, d=1))
 # the per-model code the shared path replaced, kept as the oracle
 
 
-def _oracle_fit_log_rates(ages, years, Y, variant):
+def _oracle_fit_log_rates(Y):
+    """Lee-Carter's alpha, beta, kappa, residuals, singular-value share
+    and 1 - RSS/TSS."""
     n_ages, n_years = Y.shape
     if n_years < 3 or n_ages < 3:
         raise ValueError(f"need at least 3 ages and 3 years, got {n_ages} x {n_years}")
@@ -45,10 +51,8 @@ def _oracle_fit_log_rates(ages, years, Y, variant):
     s = svd.singular_values
     scale = max(1.0, float(np.linalg.norm(Y)))
     if s[0] <= 1e-12 * scale:
-        return LcModel(ages=ages, years=years, alpha=alpha,
-                       beta=np.full(n_ages, 1.0 / n_ages), kappa=np.zeros(n_years),
-                       residuals=Z, explained_variance=1.0, explained_variance_rss=1.0,
-                       variant=variant)
+        return dict(alpha=alpha, beta=np.full(n_ages, 1.0 / n_ages), kappa=np.zeros(n_years),
+                    residuals=Z, explained_variance=1.0, explained_variance_rss=1.0)
 
     u1 = svd.left_vectors[:, 0]
     v1 = svd.right_vectors[:, 0]
@@ -70,12 +74,13 @@ def _oracle_fit_log_rates(ages, years, Y, variant):
     residuals = Y - alpha[:, None] - np.outer(beta, kappa)
     ev = float(s[0] ** 2 / np.sum(s**2))
     ev_rss = 1.0 - float(np.sum(residuals**2)) / total_ss if total_ss > 0 else 1.0
-    return LcModel(ages=ages, years=years, alpha=alpha,
-                   beta=beta, kappa=kappa, residuals=residuals,
-                   explained_variance=ev, explained_variance_rss=ev_rss, variant=variant)
+    return dict(alpha=alpha, beta=beta, kappa=kappa, residuals=residuals,
+                explained_variance=ev, explained_variance_rss=ev_rss)
 
 
 def _oracle_fit_fdm(smoothed, K):
+    """The FDM's mu, phi, beta series, model errors, v, sigma2, shares
+    and 1 - RSS/TSS of the model errors."""
     F = smoothed.log_rates
     n_ages, n_years = F.shape
     mu = F.mean(axis=1)
@@ -103,7 +108,8 @@ def _oracle_fit_fdm(smoothed, K):
     mu = mu + phi @ beta_means
     beta = beta - beta_means
 
-    if s[0] <= 1e-12 * max(1.0, float(np.linalg.norm(F))):
+    degenerate = s[0] <= 1e-12 * max(1.0, float(np.linalg.norm(F)))
+    if degenerate:
         beta = np.zeros_like(beta)
         shares = np.zeros(K)
         shares[0] = 1.0
@@ -113,10 +119,9 @@ def _oracle_fit_fdm(smoothed, K):
     fitted = mu[:, None] + phi @ beta.T
     model_errors = F - fitted
     v = (model_errors**2).mean(axis=1)
-    return FdmModel(ages=smoothed.ages, years=smoothed.years, mu=mu, phi=phi,
-                    beta_series=beta, v=v, sigma2=smoothed.sigma2,
-                    explained_shares=shares, K=K, model_errors=model_errors,
-                    smoothed_log=F)
+    rss = 1.0 if degenerate else 1.0 - float(np.sum(model_errors**2)) / float(np.sum(C**2))
+    return dict(mu=mu, phi=phi, beta=beta, v=v, sigma2=smoothed.sigma2,
+                explained_shares=shares, model_errors=model_errors, explained_rss=rss)
 
 
 def _oracle_interval_bounds(point, variance, level):
@@ -125,33 +130,30 @@ def _oracle_interval_bounds(point, variance, level):
     return point - half, point + half
 
 
-def _oracle_forecast_lc(model, ts_spec, horizon, level):
-    fit = fit_ts(model.kappa, ts_spec)
+def _oracle_forecast_lc(lc, ts_spec, horizon, level):
+    """The old forecast_lc: kappa's forecast through beta, with no other
+    variance term. Returns point, variance, lower and upper."""
+    fit = fit_ts(lc["kappa"], ts_spec)
     k_point, k_var = forecast_ts(fit, horizon)
-    point = model.alpha[:, None] + np.outer(model.beta, k_point)
-    variance = np.outer(model.beta**2, k_var)
-    lower, upper = _oracle_interval_bounds(point, variance, level)
-    years = model.years[-1] + np.arange(1, horizon + 1)
-    return ForecastSurface(ages=model.ages, years=years, point=point,
-                           variance=variance, lower=lower, upper=upper, level=level)
+    point = lc["alpha"][:, None] + np.outer(lc["beta"], k_point)
+    variance = np.outer(lc["beta"] ** 2, k_var)
+    return (point, variance, *_oracle_interval_bounds(point, variance, level))
 
 
-def _oracle_forecast_fdm(model, ts_spec, horizon, level):
-    fits = [fit_ts(model.beta_series[:, k], ts_spec) for k in range(model.K)]
+def _oracle_forecast_fdm(fdm, ts_spec, horizon, level):
+    n_years = fdm["beta"].shape[0]
+    fits = [fit_ts(fdm["beta"][:, k], ts_spec) for k in range(fdm["beta"].shape[1])]
     forecasts = [forecast_ts(fit, horizon) for fit in fits]
     beta_points = np.array([point for point, _ in forecasts])
     beta_vars = np.array([variance for _, variance in forecasts])
-    point = model.mu[:, None] + model.phi @ beta_points
+    point = fdm["mu"][:, None] + fdm["phi"] @ beta_points
     variance = (
-        model.sigma2_mu[:, None]
-        + (model.phi**2) @ beta_vars
-        + model.v[:, None]
-        + model.sigma2[:, None]
+        (fdm["v"] / n_years)[:, None]
+        + (fdm["phi"] ** 2) @ beta_vars
+        + fdm["v"][:, None]
+        + fdm["sigma2"][:, None]
     )
-    lower, upper = _oracle_interval_bounds(point, variance, level)
-    years = model.years[-1] + np.arange(1, horizon + 1)
-    return ForecastSurface(ages=model.ages, years=years, point=point,
-                           variance=variance, lower=lower, upper=upper, level=level)
+    return (point, variance, *_oracle_interval_bounds(point, variance, level))
 
 
 # ---------------------------------------------------------------------------
@@ -165,39 +167,49 @@ def _assert_bits(got, want):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _assert_same_fields(got, want, floats, others=()):
-    for name in floats:
-        _assert_bits(getattr(got, name), getattr(want, name))
-    for name in others:
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-
-
-LC_FIELDS = ("alpha", "beta", "kappa", "residuals", "explained_variance",
-             "explained_variance_rss")
-FDM_FIELDS = ("mu", "phi", "beta_series", "v", "sigma2", "explained_shares",
-              "model_errors", "smoothed_log")
-FORECAST_FIELDS = ("point", "variance", "lower", "upper", "level")
-
-
-def _check_forecasts(model, forecast, oracle, specs=SPECS):
+def _check_forecasts(model, oracle_fit, oracle, specs=SPECS):
     for spec in specs:
         for horizon, level in ((1, 80.0), (20, 95.0)):
-            _assert_same_fields(forecast(model, spec, horizon, level),
-                                oracle(model, spec, horizon, level),
-                                FORECAST_FIELDS, ("ages", "years"))
+            got = forecast_fdm(model, spec, horizon, level)
+            want = oracle(oracle_fit, spec, horizon, level)
+            for name, values in zip(("point", "variance", "lower", "upper"), want):
+                _assert_bits(getattr(got, name), values)
+            assert got.level == level
+            np.testing.assert_array_equal(got.ages, model.ages)
+            np.testing.assert_array_equal(got.years, model.years[-1] + np.arange(1, horizon + 1))
 
 
-def _check_lc(ages, years, Y, variant, fitted, specs=SPECS):
-    _assert_same_fields(fitted, _oracle_fit_log_rates(ages, years, Y, variant),
-                        LC_FIELDS, ("ages", "years", "variant"))
-    _check_forecasts(fitted, forecast_lc, _oracle_forecast_lc, specs)
+def _check_lc(Y, name, model, specs=SPECS):
+    want = _oracle_fit_log_rates(Y)
+    assert model.name == name
+    assert model.K == 1
+    _assert_bits(model.center, want["alpha"])
+    _assert_bits(model.basis, want["beta"][:, None])
+    _assert_bits(model.coefficients, want["kappa"][:, None])
+    _assert_bits(model.residuals, want["residuals"])
+    _assert_bits(model.explained_shares, [want["explained_variance"]])
+    _assert_bits(model.explained_rss, want["explained_variance_rss"])
+    _assert_bits(model.fitted_log_rates(),
+                 want["alpha"][:, None] + np.outer(want["beta"], want["kappa"]))
+    # no model-error or observational term: the forecast adds zeros
+    _assert_bits(model.v, np.zeros(len(Y)))
+    _assert_bits(model.sigma2, np.zeros(len(Y)))
+    _check_forecasts(model, want, _oracle_forecast_lc, specs)
 
 
 def _check_fdm(smoothed, K, specs=SPECS):
     model = fit_fdm(smoothed, K)
-    _assert_same_fields(model, _oracle_fit_fdm(smoothed, K), FDM_FIELDS,
-                        ("ages", "years", "K"))
-    _check_forecasts(model, forecast_fdm, _oracle_forecast_fdm, specs)
+    want = _oracle_fit_fdm(smoothed, K)
+    assert model.name == "fdm"
+    assert model.K == K
+    for field, key in (("center", "mu"), ("basis", "phi"), ("coefficients", "beta"),
+                       ("residuals", "model_errors"), ("v", "v"), ("sigma2", "sigma2"),
+                       ("explained_shares", "explained_shares"),
+                       ("explained_rss", "explained_rss")):
+        _assert_bits(getattr(model, field), want[key])
+    _assert_bits(model.fitted_log_rates(), want["mu"][:, None] + want["phi"] @ want["beta"].T)
+    _check_forecasts(model, want, _oracle_forecast_fdm, specs)
+    return model
 
 
 HMDGEN_CASES = [
@@ -205,6 +217,12 @@ HMDGEN_CASES = [
     (7, "male", (0, 110), (1950, 1989)),
     (301, "total", (0, 90), (1970, 2006)),
 ]
+# every seed, gender and age window, over all generated years
+ORACLE_CASES = [pytest.param(seed, gender, ages, (1922, 2006),
+                             id=f"{seed}-{gender}-{ages[0]}:{ages[1]}")
+                for seed in (20110803, 7, 301)
+                for gender in ("female", "male", "total")
+                for ages in ((0, 110), (0, 100), (10, 60))]
 
 
 def _unsmoothed(surface, sigma2=None):
@@ -221,12 +239,12 @@ def _unsmoothed(surface, sigma2=None):
 # the shared path gives the replaced code's bits
 
 
-@pytest.mark.parametrize("seed, gender, ages, years", HMDGEN_CASES)
+@pytest.mark.parametrize("seed, gender, ages, years", ORACLE_CASES)
 def test_lc_and_fdm_match_the_per_model_code_on_generated_surfaces(seed, gender, ages, years):
     surface = hmdgen_surface(seed, gender, ages, years)
     smoothed = smooth(surface, SmoothConfig())
-    _check_lc(surface.ages, surface.years, surface.log_rates, "lc", fit_lc(surface))
-    _check_lc(smoothed.ages, smoothed.years, smoothed.log_rates, "lcs", fit_lcs(smoothed))
+    _check_lc(surface.log_rates, "lc", fit_lc(surface))
+    _check_lc(smoothed.log_rates, "lcs", fit_lcs(smoothed))
     for K in (1, 2, 4):
         _check_fdm(smoothed, K)
 
@@ -238,7 +256,7 @@ def test_lc_and_fdm_match_the_per_model_code_on_random_surfaces():
     for _ in range(40):
         n_ages, n_years = int(rng.integers(3, 14)), int(rng.integers(5, 16))
         surface = make_surface(rng.standard_normal((n_ages, n_years)) - 4.0)
-        _check_lc(surface.ages, surface.years, surface.log_rates, "lc", fit_lc(surface))
+        _check_lc(surface.log_rates, "lc", fit_lc(surface))
         noisy = _unsmoothed(surface, sigma2=rng.uniform(0.0, 0.1, n_ages))
         for K in range(1, min(n_ages, n_years)):
             _check_fdm(noisy, K)
@@ -251,13 +269,18 @@ def test_constant_years_take_both_degenerate_branches_as_before():
     ages = np.arange(9)
     surface = make_surface(np.tile((-4.0 + 0.1 * ages)[:, None], (1, 7)))
     lc = fit_lc(surface)
-    assert lc.explained_variance == 1.0
-    np.testing.assert_array_equal(lc.kappa, 0.0)
-    _check_lc(surface.ages, surface.years, surface.log_rates, "lc", lc, rwd)
+    assert lc.explained_shares.tolist() == [1.0]
+    assert lc.explained_rss == 1.0
+    np.testing.assert_array_equal(lc.coefficients, 0.0)
+    _check_lc(surface.log_rates, "lc", lc, rwd)
+    smoothed = smooth(surface, SmoothConfig(monotone_from=None))
+    _check_lc(smoothed.log_rates, "lcs", fit_lcs(smoothed), rwd)
     for K in (1, 3):
         _check_fdm(_unsmoothed(surface), K, rwd)
-        _check_fdm(smooth(surface, SmoothConfig(monotone_from=None)), K, rwd)
-    assert fit_fdm(_unsmoothed(surface), 3).explained_shares.tolist() == [1.0, 0.0, 0.0]
+        _check_fdm(smoothed, K, rwd)
+    fdm = fit_fdm(_unsmoothed(surface), 3)
+    assert fdm.explained_shares.tolist() == [1.0, 0.0, 0.0]
+    assert fdm.explained_rss == 1.0
 
 
 def test_zero_sum_age_pattern_raises_the_same_lc_error():
@@ -266,17 +289,15 @@ def test_zero_sum_age_pattern_raises_the_same_lc_error():
     # the dominant element's sign, both as before
     u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
     surface = make_surface(-4.0 + np.outer(u, [2.0, -1.0, -1.0, 0.0]))
-    Y = surface.log_rates
     with pytest.raises(ValueError) as oracle:
-        _oracle_fit_log_rates(surface.ages, surface.years, Y, "lc")
+        _oracle_fit_log_rates(surface.log_rates)
     with pytest.raises(ValueError) as shared:
         fit_lc(surface)
     assert str(shared.value) == str(oracle.value)
     assert str(shared.value).startswith("degenerate fit")
     for K in (1, 2):
-        model = fit_fdm(_unsmoothed(surface), K)
-        _assert_same_fields(model, _oracle_fit_fdm(_unsmoothed(surface), K), FDM_FIELDS)
-        assert model.phi[0, 0] > 0
+        model = _check_fdm(_unsmoothed(surface), K)
+        assert model.basis[0, 0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +309,21 @@ def test_lee_carter_is_the_one_component_fdm(seed, gender, ages, years):
     surface = hmdgen_surface(seed, gender, ages, years)
     lc = fit_lc(surface)
     fdm = fit_fdm(_unsmoothed(surface), K=1)
-    phi = fdm.phi[:, 0]
-    np.testing.assert_allclose(phi / phi.sum(), lc.beta, rtol=_CROSS_RTOL, atol=0)
+    phi = fdm.basis[:, 0]
+    np.testing.assert_allclose(phi / phi.sum(), lc.basis[:, 0], rtol=_CROSS_RTOL, atol=0)
     np.testing.assert_allclose(fdm.fitted_log_rates(), lc.fitted_log_rates(),
                                rtol=_CROSS_RTOL, atol=0)
 
     horizon = 20
-    lc_fc = forecast_lc(lc, TsSpec(), horizon)
+    lc_fc = forecast_fdm(lc, TsSpec(), horizon)
     fdm_fc = forecast_fdm(fdm, TsSpec(), horizon)
     np.testing.assert_allclose(fdm_fc.point, lc_fc.point, rtol=_CROSS_RTOL, atol=0)
     # LC's variance is the FDM's coefficient term alone: no mean-curve,
     # model-error or observational-noise term
-    _, beta_var = forecast_ts(fit_ts(fdm.beta_series[:, 0], TsSpec()), horizon)
+    _, beta_var = forecast_ts(fit_ts(fdm.coefficients[:, 0], TsSpec()), horizon)
     np.testing.assert_allclose(np.outer(phi**2, beta_var), lc_fc.variance,
                                rtol=_CROSS_RTOL, atol=0)
-    fdm_extra = fdm.sigma2_mu + fdm.v + fdm.sigma2
+    fdm_extra = fdm.v / len(fdm.years) + fdm.v + fdm.sigma2
     np.testing.assert_allclose(fdm_fc.variance - lc_fc.variance,
                                np.tile(fdm_extra[:, None], (1, horizon)),
                                rtol=_CROSS_RTOL, atol=0)

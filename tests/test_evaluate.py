@@ -26,7 +26,6 @@ def test_perfect_fit_is_all_zero():
         np.testing.assert_array_equal(table.mape, 0.0)
     assert report.avg_across_ages == (0.0, 0.0, 0.0, 0.0)
     assert report.excluded_cells == 0
-    assert report.scale == "log_rate"
 
 
 def test_two_by_two_by_hand():
@@ -215,7 +214,7 @@ def test_backtest_e0_summaries_consistent():
     report = run_backtest(surface, models=["lc"], train=(1960, 1975),
                           test=(1976, 1984))
     lc = report.models["lc"]
-    e0_err = lc.e0_observed - lc.e0_forecast
+    e0_err = lc.e0_observed - lc.e0_interval.point
     assert lc.e0_error_mean == pytest.approx(e0_err.mean(), abs=1e-12)
     assert lc.e0_error_variance == pytest.approx(e0_err.var(ddof=1), abs=1e-12)
     np.testing.assert_allclose(lc.sd_error_by_age,

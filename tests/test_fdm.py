@@ -51,10 +51,10 @@ def _assert_same_up_to_sign(got_phi, got_beta, want_phi, want_beta, atol):
 def test_two_component_recovery():
     surface, mu, (phi1, phi2), (b1, b2) = _two_component_surface()
     model = fit_fdm(smooth(surface, NO_MONOTONE), K=2)
-    np.testing.assert_allclose(model.mu, mu, atol=1e-8)
-    _assert_same_up_to_sign(model.phi[:, 0], model.beta_series[:, 0], phi1, b1, 1e-8)
-    _assert_same_up_to_sign(model.phi[:, 1], model.beta_series[:, 1], phi2, b2, 1e-8)
-    np.testing.assert_allclose(model.model_errors, 0.0, atol=1e-8)
+    np.testing.assert_allclose(model.center, mu, atol=1e-8)
+    _assert_same_up_to_sign(model.basis[:, 0], model.coefficients[:, 0], phi1, b1, 1e-8)
+    _assert_same_up_to_sign(model.basis[:, 1], model.coefficients[:, 1], phi2, b2, 1e-8)
+    np.testing.assert_allclose(model.residuals, 0.0, atol=1e-8)
 
     want_shares = np.array([b1 @ b1, b2 @ b2])
     want_shares = want_shares / want_shares.sum()
@@ -65,14 +65,14 @@ def test_two_component_recovery():
 def test_first_component_sums_positive():
     surface, _, _, _ = _two_component_surface()
     model = fit_fdm(smooth(surface, NO_MONOTONE), K=2)
-    assert model.phi[:, 0].sum() > 0.0
+    assert model.basis[:, 0].sum() > 0.0
 
 
 def test_phi_orthonormal():
     rng = np.random.default_rng(42)
     log_m = rng.standard_normal((15, 20)) - 4.0
     model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=3)
-    gram = model.phi.T @ model.phi
+    gram = model.basis.T @ model.basis
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
 
 
@@ -80,26 +80,26 @@ def test_beta_columns_centered():
     rng = np.random.default_rng(8)
     log_m = rng.standard_normal((12, 18)) - 4.0
     model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=4)
-    assert np.abs(model.beta_series.mean(axis=0)).max() < 1e-10
+    assert np.abs(model.coefficients.mean(axis=0)).max() < 1e-10
 
 
 def test_reconstruction_identity():
     rng = np.random.default_rng(3)
     log_m = rng.standard_normal((10, 14)) - 4.0
-    model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=2)
-    np.testing.assert_allclose(model.fitted_log_rates() + model.model_errors,
-                               model.smoothed_log, atol=1e-12)
-    by_hand = model.mu[:, None] + model.phi @ model.beta_series.T + model.model_errors
-    np.testing.assert_allclose(by_hand, model.smoothed_log, atol=1e-12)
+    smoothed = smooth(make_surface(log_m), NO_MONOTONE)
+    model = fit_fdm(smoothed, K=2)
+    np.testing.assert_allclose(model.fitted_log_rates() + model.residuals,
+                               smoothed.log_rates, atol=1e-12)
+    by_hand = model.center[:, None] + model.basis @ model.coefficients.T + model.residuals
+    np.testing.assert_allclose(by_hand, smoothed.log_rates, atol=1e-12)
 
 
 def test_v_is_mean_squared_model_error():
     rng = np.random.default_rng(5)
     log_m = rng.standard_normal((9, 11)) - 4.0
     model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=1)
-    np.testing.assert_allclose(model.v, (model.model_errors**2).mean(axis=1),
+    np.testing.assert_allclose(model.v, (model.residuals**2).mean(axis=1),
                                atol=1e-14)
-    np.testing.assert_allclose(model.sigma2_mu, model.v / 11, atol=1e-14)
 
 
 def test_leading_share_stable_in_K():
@@ -124,10 +124,10 @@ def test_constant_years_degenerate():
     x = np.arange(8, dtype=float)
     log_m = np.tile((-4.0 - 0.05 * x)[:, None], (1, 9))
     model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=2)
-    np.testing.assert_array_equal(model.beta_series, 0.0)
+    np.testing.assert_array_equal(model.coefficients, 0.0)
     np.testing.assert_allclose(model.explained_shares, [1.0, 0.0], atol=1e-12)
     fc = forecast_fdm(model, TsSpec(), horizon=3)
-    np.testing.assert_allclose(fc.point, np.tile(model.mu[:, None], (1, 3)),
+    np.testing.assert_allclose(fc.point, np.tile(model.center[:, None], (1, 3)),
                                atol=1e-10)
 
 
@@ -145,12 +145,12 @@ def test_forecast_variance_term_sum():
 
     # reassemble the four variance pieces one by one
     coeff_var = np.zeros((len(model.ages), horizon))
-    point = np.tile(model.mu[:, None], (1, horizon))
+    point = np.tile(model.center[:, None], (1, horizon))
     for k in range(model.K):
-        fit = fit_ts(model.beta_series[:, k], spec)
+        fit = fit_ts(model.coefficients[:, k], spec)
         mean_k, var_k = forecast_ts(fit, horizon)
-        coeff_var += np.outer(model.phi[:, k] ** 2, var_k)
-        point += np.outer(model.phi[:, k], mean_k)
+        coeff_var += np.outer(model.basis[:, k] ** 2, var_k)
+        point += np.outer(model.basis[:, k], mean_k)
     expected = (model.v[:, None] / len(model.years)  # mean-curve estimate
                 + coeff_var                          # coefficient forecasts
                 + model.v[:, None]                   # model error
@@ -200,11 +200,11 @@ def test_forecast_invariant_under_component_sign_flip():
     rng = np.random.default_rng(37)
     log_m = rng.standard_normal((8, 12)) * 0.3 - 4.0
     model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=2)
-    phi = model.phi.copy()
-    beta = model.beta_series.copy()
+    phi = model.basis.copy()
+    beta = model.coefficients.copy()
     phi[:, 1] *= -1.0
     beta[:, 1] *= -1.0
-    flipped = dataclasses.replace(model, phi=phi, beta_series=beta)
+    flipped = dataclasses.replace(model, basis=phi, coefficients=beta)
     a = forecast_fdm(model, TsSpec(), horizon=5)
     b = forecast_fdm(flipped, TsSpec(), horizon=5)
     np.testing.assert_allclose(a.point, b.point, atol=1e-12)
@@ -400,10 +400,10 @@ def _identical_ages_model(n_ages=24, n_years=14):
     model = _small_model(n_ages=n_ages, n_years=n_years, K=1)
     trend = np.linspace(1.0, -1.0, n_years)
     return dataclasses.replace(
-        model, mu=np.full(n_ages, -4.0), phi=np.full((n_ages, 1), n_ages ** -0.5),
-        beta_series=(trend + 0.1 * np.sin(np.arange(n_years)))[:, None],
+        model, center=np.full(n_ages, -4.0), basis=np.full((n_ages, 1), n_ages ** -0.5),
+        coefficients=(trend + 0.1 * np.sin(np.arange(n_years)))[:, None],
         v=np.zeros(n_ages), sigma2=np.full(n_ages, 0.01),
-        model_errors=np.zeros((n_ages, n_years)))
+        residuals=np.zeros((n_ages, n_years)))
 
 
 class _IdleThread(threading.Thread):
@@ -482,7 +482,7 @@ def _reference_bootstrap_intervals(model, ts_spec, horizon, level, B, seed,
     bounds in one quantile pass over it. The noise is each age block's
     own ``noise`` from its own stream, concatenated in age order."""
     analytic = forecast_fdm(model, ts_spec, horizon, level)
-    fits = [fit_ts(model.beta_series[:, k], ts_spec) for k in range(model.K)]
+    fits = [fit_ts(model.coefficients[:, k], ts_spec) for k in range(model.K)]
     sigma = np.sqrt(np.maximum(model.sigma2, 0.0))
     rng = np.random.default_rng(seed)
     curves = np.empty((horizon, model.K, B))
@@ -498,10 +498,10 @@ def _reference_bootstrap_intervals(model, ts_spec, horizon, level, B, seed,
         noise(np.random.default_rng(child), b - a, horizon, B)
         for a, b, child in zip(edges, edges[1:], children)])
     samples *= sigma[:, None, None]
-    samples += model.mu[:, None, None]
+    samples += model.center[:, None, None]
     for j in range(horizon):
-        samples[:, j] += model.phi @ curves[j]
-        samples[:, j] += model.model_errors[:, error_cols[j]]
+        samples[:, j] += model.basis @ curves[j]
+        samples[:, j] += model.residuals[:, error_cols[j]]
     alpha = 1.0 - level / 100.0
     lower, upper = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0],
                                axis=-1, overwrite_input=True)
@@ -616,7 +616,7 @@ def test_bootstrap_explosive_ar_fit_stays_finite():
              + 0.01 * rng.standard_normal((8, 16)))
     model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=1)
     spec = TsSpec(p=1, d=0)
-    assert not fit_ts(model.beta_series[:, 0], spec).stationary
+    assert not fit_ts(model.coefficients[:, 0], spec).stationary
     fc = bootstrap_intervals(model, spec, horizon=6, B=200, seed=5)
     assert np.all(np.isfinite(fc.lower)) and np.all(np.isfinite(fc.upper))
     assert np.all(fc.lower <= fc.point) and np.all(fc.point <= fc.upper)

@@ -235,7 +235,7 @@ def test_backtest_observed_e0_matches_reference(n_ages, n_years, seed):
     expected = [_reference_lifetable(test[:, j])[3] for j in range(test.shape[1])]
     assert report.models["lc"].e0_observed.tolist() == expected
     point, lower, upper = _reference_e0_path(report.models["lc"].forecast)
-    assert report.models["lc"].e0_forecast.tolist() == point.tolist()
+    assert report.models["lc"].e0_interval.point.tolist() == point.tolist()
     assert report.models["lc"].e0_interval.lower.tolist() == lower.tolist()
     assert report.models["lc"].e0_interval.upper.tolist() == upper.tolist()
 

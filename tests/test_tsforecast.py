@@ -114,7 +114,7 @@ def _reference_fit_rwd(series) -> TsFit:
     residuals = diffs - drift
     sigma2 = float(np.sum(residuals**2) / (n - 2))
     return TsFit(spec=TsSpec(), drift=drift, ar_coeffs=np.empty(0),
-                 innovation_variance=sigma2, n=n, residuals=residuals,
+                 innovation_variance=sigma2, residuals=residuals,
                  last_level=float(arr[-1]), diff_tail=np.empty(0), n_diff=n - 1,
                  stationary=True)
 
