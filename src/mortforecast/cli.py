@@ -385,17 +385,17 @@ def _fdm_fields(m) -> dict:
     return {"explained_shares": m.explained_shares.tolist(), "K": m.K}
 
 
-# Model name -> (parameter writer, fit's summary fields, compare's average
-# table); compare reports the first summary field only. fit diagnoses
+# Model name -> (parameter writer, fit's summary fields, the one of those
+# fields that compare reports, compare's average table). fit diagnoses
 # each model's residuals, compare observed minus fitted log rates. No
 # model's residual mean is t-tested: Lee-Carter's alpha and fdm's mu are
 # each age's row mean, and kappa and each beta are centred, so fit's
 # residuals sum to zero by construction and compare's to within what
 # smoothing moves the mean, and the statistic would be noise.
 _ARTIFACTS = {
-    "lc": (_lc_params, _lc_fields, "table1.csv"),
-    "lcs": (_lc_params, _lc_fields, "table1.csv"),
-    "fdm": (_fdm_params, _fdm_fields, "table2.csv"),
+    "lc": (_lc_params, _lc_fields, "explained_variance", "table1.csv"),
+    "lcs": (_lc_params, _lc_fields, "explained_variance", "table1.csv"),
+    "fdm": (_fdm_params, _fdm_fields, "explained_shares", "table2.csv"),
 }
 _ERROR_FIG = {"lc": "fig9", "lcs": "fig10", "fdm": "fig11"}
 
@@ -428,7 +428,7 @@ def cmd_fit(args: argparse.Namespace, surface: MortalitySurface,
     files: dict = {}
     fitted = fit_models(surface, args.models, smooth, args.components)
     for name, model in fitted.items():
-        params, fields, _ = _ARTIFACTS[name]
+        params, fields, _, _ = _ARTIFACTS[name]
         summary["models"][name] = {**fields(model), **_diagnostics(model.residuals)}
         files.update(_param_files(params(name, model)))
     return summary, files
@@ -571,13 +571,12 @@ def cmd_compare(args: argparse.Namespace, surface: MortalitySurface,
     for name, model in fitted.items():
         fitted_log = model.fitted_log_rates()
         rep = reports[name] = error_metrics(surface, fitted_log)
-        _, fields, _ = _ARTIFACTS[name]
-        field, value = next(iter(fields(model).items()))
+        _, fields, field, _ = _ARTIFACTS[name]
         entry = {
             "avg_across_ages": dict(zip(metrics, rep.avg_across_ages)),
             "avg_across_years": dict(zip(metrics, rep.avg_across_years)),
             "excluded_cells": rep.excluded_cells,
-            field: value,
+            field: fields(model)[field],
         }
         entry.update(_diagnostics(surface.log_rates - fitted_log))
         summary["models"][name] = entry
@@ -588,7 +587,8 @@ def cmd_compare(args: argparse.Namespace, surface: MortalitySurface,
 
     for table in ("table1.csv", "table2.csv"):
         rows = [(name, f"across_{by}", *avg)
-                for name in MODELS if name in reports and _ARTIFACTS[name][2] == table
+                for name, (_, _, _, model_table) in _ARTIFACTS.items()
+                if name in reports and model_table == table
                 for by, avg in (("ages", reports[name].avg_across_ages),
                                 ("years", reports[name].avg_across_years))]
         if rows:

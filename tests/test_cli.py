@@ -138,6 +138,14 @@ def test_compare_tables(hmd_file, tmp_path):
     for name in ("lc", "lcs", "fdm"):
         assert (out / f"metrics_{name}_by_age.csv").is_file()
         assert (out / f"metrics_{name}_by_year.csv").is_file()
+    # each model reports its one headline fit statistic
+    summary = read_summary(out)["models"]
+    for name, field in (("lc", "explained_variance"), ("lcs", "explained_variance"),
+                        ("fdm", "explained_shares")):
+        assert list(summary[name])[:4] == ["avg_across_ages", "avg_across_years",
+                                           "excluded_cells", field]
+    assert "explained_variance_rss" not in summary["lc"]
+    assert "K" not in summary["fdm"]
 
 
 @pytest.mark.parametrize("command,models", [

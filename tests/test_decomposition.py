@@ -217,12 +217,16 @@ HMDGEN_CASES = [
     (7, "male", (0, 110), (1950, 1989)),
     (301, "total", (0, 90), (1970, 2006)),
 ]
-# every seed, gender and age window, over all generated years
-ORACLE_CASES = [pytest.param(seed, gender, ages, (1922, 2006),
-                             id=f"{seed}-{gender}-{ages[0]}:{ages[1]}")
-                for seed in (20110803, 7, 301)
-                for gender in ("female", "male", "total")
-                for ages in ((0, 110), (0, 100), (10, 60))]
+# every seed, gender and age window over all generated years, plus the
+# shorter year windows and the 0:90 ages above: rounding can depend on
+# the number of years
+ORACLE_CASES = [pytest.param(seed, gender, ages, years,
+                             id=f"{seed}-{gender}-{ages[0]}:{ages[1]}-{years[0]}:{years[1]}")
+                for seed, gender, ages, years in
+                [(seed, gender, ages, (1922, 2006))
+                 for seed in (20110803, 7, 301)
+                 for gender in ("female", "male", "total")
+                 for ages in ((0, 110), (0, 100), (10, 60))] + HMDGEN_CASES[1:]]
 
 
 def _unsmoothed(surface, sigma2=None):
