@@ -626,6 +626,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SingularLagError as exc:
         print(f"error: --ts: {_ts_model(args.ts)} cannot be fitted to {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory ({exc}); lower --bootstrap or --horizon",
+              file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - boundary: report, don't crash
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1

@@ -305,11 +305,14 @@ def bootstrap_intervals(
     replicates at different horizons share draws, and nothing here
     combines those.
 
-    The noise is drawn, accumulated and sorted block by block, by the
-    calling thread and one helper thread; a lock guards only the hand-out
-    of blocks. Each bound is read straight off the sorted replicates,
-    interpolated as ``np.quantile``'s default linear method does, so the
-    bounds do not depend on which thread took which block.
+    The calling thread and one helper thread take the age blocks in
+    turn; a lock guards only the hand-out of blocks. Within a block the
+    replicates are accumulated and sorted one horizon at a time, so each
+    worker holds O(rows * B) memory whatever the horizon, beside the
+    shared O(horizon * K * B) coefficient paths. Each bound is read
+    straight off the sorted replicates, interpolated as ``np.quantile``'s
+    default linear method does, so the bounds do not depend on which
+    thread took which block.
     """
     horizon = int(horizon)
     if B < 100:
@@ -341,27 +344,26 @@ def bootstrap_intervals(
         # layer trace in bench/ keeps one span stack, for the caller's
         # thread. On failure the other worker is left no further block.
         rows = -(-n_ages // n_blocks)
-        buf = np.empty((rows, horizon, B))
-        row_buf = np.empty((rows, B))
+        sample_buf = np.empty((rows, B))
+        term_buf = np.empty((rows, B))
         try:
             while True:
                 with lock:
                     if not pending:
                         return
                     a, b, child = pending.pop()
-                # replicates on the last axis, so each row sorts over
-                # contiguous memory
-                samples, row = buf[:b - a], row_buf[:b - a]
+                # one horizon at a time, replicates on the last axis, so
+                # each row sorts over contiguous memory
+                samples, term = sample_buf[:b - a], term_buf[:b - a]
                 noise = _noise(np.random.default_rng(child), b - a, horizon, B)
-                np.multiply(noise, sigma[a:b, None, None], out=samples)
-                samples += model.center[a:b, None, None]
                 for j in range(horizon):
-                    samples[:, j] += np.matmul(model.basis[a:b], curves[j], out=row)
-                    samples[:, j] += np.take(model.residuals[a:b], error_cols[j],
-                                             axis=1, out=row)
-                samples.sort(axis=-1)
-                for bound, q in zip(bounds, probs):
-                    _read_quantile(samples, q, out=bound[a:b])
+                    np.multiply(noise[:, j], sigma[a:b, None], out=samples)
+                    samples += model.center[a:b, None]
+                    samples += np.matmul(model.basis[a:b], curves[j], out=term)
+                    samples += np.take(model.residuals[a:b], error_cols[j], axis=1, out=term)
+                    samples.sort(axis=-1)
+                    for bound, q in zip(bounds, probs):
+                        _read_quantile(samples, q, out=bound[a:b, j])
         except BaseException:
             with lock:
                 pending.clear()

@@ -478,6 +478,23 @@ def test_horizon_past_float_range_exit_2(hmd_file, tmp_path, capsys, ts):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["forecast", "--models", "fdm", "--bootstrap", 10**13],
+    ["backtest", "--models", "lc,fdm", "--train", "1950:1979", "--test", "1980:1995",
+     "--bootstrap", 10**13],
+    ["forecast", "--models", "lc", "--horizon", 10**15],
+])
+def test_replicates_or_horizon_past_memory_exit_2(hmd_file, tmp_path, capsys, argv):
+    # the first array each run asks for is petabytes, past the 128 TiB
+    # x86-64 address space, so it fails at once and touches nothing
+    out = tmp_path / "huge"
+    assert run_cli([*argv, *base_args(hmd_file, out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory (Unable to allocate ")
+    assert err.rstrip().endswith("; lower --bootstrap or --horizon")
+    assert not out.exists()
+
+
 def test_compare_diagnoses_observed_minus_fitted(hmd_file, tmp_path):
     out = tmp_path / "cmp"
     code = run_cli(["compare", *base_args(hmd_file, out), "--models", "lc,lcs,fdm"])
