@@ -19,7 +19,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import normal_quantile, svd_thin
 from .smoothing import SmoothedSurface
@@ -240,24 +239,37 @@ def forecast_fdm(
     return _recombine(model, _coefficient_fits(model, ts_spec), int(horizon), level)
 
 
-def _read_quantile(rows: np.ndarray, q: float, out: np.ndarray) -> None:
-    """The q-quantile of each row of ``rows``, sorted along the last
-    axis, by ``np.quantile``'s default linear method: the order
-    statistics floor((n-1)q) and the next one, interpolated with numpy's
-    own rule, so the result matches ``np.quantile`` bit for bit. A row
-    holding a NaN, which sorts last, gives NaN, as there. Needs
-    0 <= q < 1, so the next order statistic exists."""
-    v = (rows.shape[-1] - 1) * q
-    lo = math.floor(v)
-    t = v - lo
-    a, b = rows[..., lo], rows[..., lo + 1]
-    diff = b - a
-    if t >= 0.5:
-        np.subtract(b, diff * (1 - t), out=out)
-    else:
-        np.add(a, diff * t, out=out)
-    last = rows[..., -1]
-    np.copyto(out, last, where=np.isnan(last))
+def _quantile_columns(n: int, probs) -> np.ndarray:
+    """The columns of n sorted replicates that the ``probs`` quantiles
+    need under ``np.quantile``'s default linear method: the order
+    statistics floor((n-1)q) and the next one for each q, then the last
+    column, where a NaN sorts. Needs 0 <= q < 1, so the next order
+    statistic exists."""
+    columns = []
+    for q in probs:
+        lo = math.floor((n - 1) * q)
+        columns += [lo, lo + 1]
+    return np.array(columns + [n - 1])
+
+
+def _read_quantiles(stats: np.ndarray, n: int, probs, out: np.ndarray) -> None:
+    """Each ``probs[k]`` quantile of n sorted replicates into ``out[k]``,
+    from ``stats``, their ``_quantile_columns`` gathered on the last axis:
+    the two order statistics are interpolated with numpy's own rule, so
+    the result matches ``np.quantile`` bit for bit. A NaN in the last
+    column, where it sorts, gives NaN, as there."""
+    last = stats[..., -1]
+    nan = np.isnan(last)
+    for k, q in enumerate(probs):
+        v = (n - 1) * q
+        t = v - math.floor(v)
+        a, b = stats[..., 2 * k], stats[..., 2 * k + 1]
+        diff = b - a
+        if t >= 0.5:
+            np.subtract(b, diff * (1 - t), out=out[k])
+        else:
+            np.add(a, diff * t, out=out[k])
+        np.copyto(out[k], last, where=nan)
 
 
 # Rows per age block of the bootstrap, at most. The ages are split into
@@ -267,14 +279,18 @@ def _read_quantile(rows: np.ndarray, q: float, out: np.ndarray) -> None:
 _BLOCK_ROWS = 8
 
 
-def _noise(rng: np.random.Generator, rows: int, horizon: int, B: int) -> np.ndarray:
-    """Standard normal noise for ``rows`` ages, shaped (rows, horizon, B):
-    a read-only window view whose entry [i, j, r] is z[i, j + r] of one
-    (rows, B + horizon - 1) draw z. Cell (i, j) reads the B distinct
-    draws z[i, j:j + B], and replicate r's path at age i the horizon
-    distinct draws z[i, r:r + horizon]."""
-    z = rng.standard_normal((rows, B + horizon - 1))
-    return sliding_window_view(z, B, axis=-1)
+def _block_noise(rng: np.random.Generator, sigma: np.ndarray, center: np.ndarray,
+                 horizon: int, B: int) -> np.ndarray:
+    """The observational noise of a block of ages, shifted by their
+    center: z * sigma + center, in place, for one (rows, B + horizon - 1)
+    draw z of standard normals. Horizon j's replicates read the columns
+    j:j + B, so cell (i, j) reads the B distinct draws z[i, j:j + B], and
+    replicate r's path at age i the horizon distinct draws
+    z[i, r:r + horizon]."""
+    z = rng.standard_normal((len(sigma), B + horizon - 1))
+    z *= sigma[:, None]
+    z += center[:, None]
+    return z
 
 
 def bootstrap_intervals(
@@ -296,23 +312,25 @@ def bootstrap_intervals(
     generator, seeded with child i of ``SeedSequence(seed).spawn``, so
     equal seeds give identical bounds.
 
-    Each age's noise is one sequence of B + horizon - 1 normals read
-    through a sliding window (``_noise``). Each (age, horizon) cell thus
-    reads B distinct iid draws, independent of its coefficient paths and
-    model-error columns, so every pointwise bound has the law of fresh
-    per-cell draws; each replicate's path reads distinct draws at every
-    horizon and age, and each horizon's replicates are iid. Only
-    replicates at different horizons share draws, and nothing here
-    combines those.
+    Each age's noise is one sequence z of B + horizon - 1 normals, scaled
+    by sigma and shifted by the mean curve once per block
+    (``_block_noise``); horizon j's replicates read z[:, j:j + B]. Each
+    (age, horizon) cell thus reads B distinct iid draws, independent of
+    its coefficient paths and model-error columns, so every pointwise
+    bound has the law of fresh per-cell draws; each replicate's path
+    reads distinct draws at every horizon and age, and each horizon's
+    replicates are iid. Only replicates at different horizons share
+    draws, and nothing here combines those.
 
     The calling thread and one helper thread take the age blocks in
     turn; a lock guards only the hand-out of blocks. Within a block the
     replicates are accumulated and sorted one horizon at a time, so each
     worker holds O(rows * B) memory whatever the horizon, beside the
-    shared O(horizon * K * B) coefficient paths. Each bound is read
-    straight off the sorted replicates, interpolated as ``np.quantile``'s
-    default linear method does, so the bounds do not depend on which
-    thread took which block.
+    shared O(horizon * K * B) coefficient paths. Each horizon keeps only
+    the five order statistics both bounds need (``_quantile_columns``),
+    and once a block's horizons are done its bounds are interpolated from
+    them as ``np.quantile``'s default linear method does, so the bounds
+    do not depend on which thread took which block.
     """
     horizon = int(horizon)
     if B < 100:
@@ -332,6 +350,7 @@ def bootstrap_intervals(
 
     alpha = 1.0 - level / 100.0
     probs = [alpha / 2.0, 1.0 - alpha / 2.0]
+    columns = _quantile_columns(B, probs)
     n_blocks = -(-n_ages // _BLOCK_ROWS)
     edges = [i * n_ages // n_blocks for i in range(n_blocks + 1)]
     children = np.random.SeedSequence(seed).spawn(n_blocks)
@@ -346,6 +365,7 @@ def bootstrap_intervals(
         rows = -(-n_ages // n_blocks)
         sample_buf = np.empty((rows, B))
         term_buf = np.empty((rows, B))
+        stats_buf = np.empty((rows, horizon, len(columns)))
         try:
             while True:
                 with lock:
@@ -354,16 +374,16 @@ def bootstrap_intervals(
                     a, b, child = pending.pop()
                 # one horizon at a time, replicates on the last axis, so
                 # each row sorts over contiguous memory
-                samples, term = sample_buf[:b - a], term_buf[:b - a]
-                noise = _noise(np.random.default_rng(child), b - a, horizon, B)
+                samples, term, stats = sample_buf[:b - a], term_buf[:b - a], stats_buf[:b - a]
+                z = _block_noise(np.random.default_rng(child), sigma[a:b],
+                                 model.center[a:b], horizon, B)
                 for j in range(horizon):
-                    np.multiply(noise[:, j], sigma[a:b, None], out=samples)
-                    samples += model.center[a:b, None]
-                    samples += np.matmul(model.basis[a:b], curves[j], out=term)
+                    np.add(z[:, j:j + B], np.matmul(model.basis[a:b], curves[j], out=term),
+                           out=samples)
                     samples += np.take(model.residuals[a:b], error_cols[j], axis=1, out=term)
                     samples.sort(axis=-1)
-                    for bound, q in zip(bounds, probs):
-                        _read_quantile(samples, q, out=bound[a:b, j])
+                    np.take(samples, columns, axis=1, out=stats[:, j])
+                _read_quantiles(stats, B, probs, out=bounds[:, a:b])
         except BaseException:
             with lock:
                 pending.clear()

@@ -579,6 +579,56 @@ def test_console_script_runs(hmd_file, tmp_path):
     assert (out / "lc_alpha.csv").is_file()
 
 
+# A sitecustomize for a child interpreter: when numpy is first imported,
+# before BLAS loads and reads its thread count, it prints the BLAS thread
+# variables as they are at that moment.
+_BLAS_AT_NUMPY_IMPORT = """\
+import importlib.abc, json, os, sys
+
+class _Probe(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            sys.meta_path.remove(self)
+            names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+            print("BLAS at numpy import:", json.dumps({n: os.environ.get(n) for n in names}),
+                  file=sys.stderr)
+        return None
+
+sys.meta_path.insert(0, _Probe())
+"""
+
+
+@pytest.mark.parametrize("user_set, want", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2"},
+     {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}),
+])
+def test_console_script_sets_one_blas_thread_before_numpy(tmp_path, user_set, want):
+    # the script sets each variable the user left unset to 1, before
+    # numpy first loads; a value the user set wins. The library leaves
+    # them alone
+    (tmp_path / "sitecustomize.py").write_text(_BLAS_AT_NUMPY_IMPORT, encoding="utf-8")
+    command, env = console_script_launch()
+    env = dict(os.environ if env is None else env)
+    for name in want:
+        env.pop(name, None)
+    env.update(user_set)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tmp_path), str(SRC),
+                                                      env.get("PYTHONPATH")]))
+
+    def blas_at_numpy_import(argv):
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        probes = [line for line in proc.stderr.splitlines()
+                  if line.startswith("BLAS at numpy import: ")]
+        assert len(probes) == 1, proc.stderr
+        return json.loads(probes[0].partition(": ")[2])
+
+    assert blas_at_numpy_import([*command, "--help"]) == want
+    library = blas_at_numpy_import([sys.executable, "-c", "import mortforecast.cli"])
+    assert library == {name: user_set.get(name) for name in want}
+
+
 def test_undecodable_data_file_exit_2(tmp_path, capsys):
     data = tmp_path / "Mx_1x1.txt"
     data.write_bytes(synthetic_hmd_text().encode("utf-8") + b"  2006  0  \xff\n")

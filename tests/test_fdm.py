@@ -549,8 +549,11 @@ class _PositionRng:
 @pytest.mark.parametrize("horizon", [1, 7, 150])
 def test_noise_reads_distinct_stream_positions(horizon):
     rows, B = 3, 100
-    noise = mortforecast.fdm._noise(_PositionRng(), rows, horizon, B)
-    assert noise.shape == (rows, horizon, B)
+    z = mortforecast.fdm._block_noise(_PositionRng(), np.ones(rows), np.zeros(rows), horizon, B)
+    assert z.shape == (rows, B + horizon - 1)
+    # horizon j's replicates read z[:, j:j + B], as the bootstrap's worker
+    # reads them; noise[i, j, r] is the position replicate r reads there
+    noise = np.stack([z[:, j:j + B] for j in range(horizon)], axis=1)
     # each (age, horizon) cell reads B distinct positions
     assert np.all(np.diff(np.sort(noise, axis=2), axis=2) > 0)
     # each replicate's path at one age reads horizon distinct positions
@@ -588,18 +591,23 @@ def test_window_noise_keeps_the_per_cell_law():
 
 
 @settings(deadline=None, max_examples=200)
-@given(n=st.integers(2, 3000), q=st.floats(0.0, 0.9995), seed=st.integers(0, 2**31),
-       nan_row=st.booleans())
-def test_read_quantile_matches_np_quantile(n, q, seed, nan_row):
-    # the bootstrap's direct read off sorted rows against numpy's linear
-    # method, both interpolation branches and a row holding a NaN
+@given(n=st.integers(2, 3000), q=st.floats(0.0, 0.9995), q2=st.floats(0.0, 0.9995),
+       seed=st.integers(0, 2**31), nan_row=st.booleans())
+def test_read_quantile_matches_np_quantile(n, q, q2, seed, nan_row):
+    # the bootstrap's read off sorted rows: the order statistics gathered
+    # as its worker gathers them, then interpolated, against numpy's
+    # linear method, both interpolation branches and a row holding a NaN
     rows = np.random.default_rng(seed).standard_normal((3, 2, n))
     if nan_row:
         rows[1, 0, n // 2] = np.nan
-    want = np.quantile(rows, q, axis=-1)
+    probs = [q, q2]
+    want = np.quantile(rows, probs, axis=-1)
     rows.sort(axis=-1)
-    got = np.empty((3, 2))
-    mortforecast.fdm._read_quantile(rows, q, out=got)
+    columns = mortforecast.fdm._quantile_columns(n, probs)
+    stats = np.empty((3, 2, len(columns)))
+    np.take(rows, columns, axis=-1, out=stats)
+    got = np.empty((2, 3, 2))
+    mortforecast.fdm._read_quantiles(stats, n, probs, out=got)
     np.testing.assert_array_equal(got, want)
 
 
