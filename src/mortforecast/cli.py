@@ -109,62 +109,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fit, forecast, and backtest stochastic mortality models "
                     "on age-by-year death rate surfaces.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--data", help="rates file (Mx_1x1 layout) or a directory "
-                        f"containing one; falls back to ${DATA_ENV}")
-    common.add_argument("--gender", choices=GENDERS, default="total")
-    common.add_argument("--ages", type=_window, default=(0, 100),
-                        help="age window A:B inclusive")
-    common.add_argument("--years", type=_window, default=None, help="year window A:B "
-                        "inclusive (default: everything in the file)")
-    common.add_argument("-K", "--components", type=int, default=4,
+    # one parent per flag group; a command's groups in _COMMANDS also pick main's checks
+    group = {name: argparse.ArgumentParser(add_help=False) for name in
+             ("data", "windows", "year", "models", "forecast", "horizon", "output")}
+    data, windows, year, models, forecast, horizon, output = group.values()
+    data.add_argument("--data", help="rates file (Mx_1x1 layout) or a directory "
+                      f"containing one; falls back to ${DATA_ENV}")
+    data.add_argument("--gender", choices=GENDERS, default="total")
+    data.add_argument("--ages", type=_window, default=(0, 100), help="age window A:B inclusive")
+    data.add_argument("--years", type=_window, default=None, help="year window A:B "
+                      "inclusive (default: everything in the file)")
+    windows.add_argument("--train", type=_window, required=True, help="train years A:B")
+    windows.add_argument("--test", type=_window, required=True, help="test years A:B")
+    year.add_argument("--year", type=int, required=True)
+    models.add_argument("-K", "--components", type=int, default=4,
                         help="number of basis functions for fdm")
-    common.add_argument("--ts", type=_ts_spec, default=TsSpec(), help="time-series "
-                        "spec: ar:p,d[,drift], AR(p) on d-th differences; rwd, the "
-                        "default random walk with drift, is ar:0,1,drift")
-    common.add_argument("--level", type=_level, default=95.0,
-                        help="two-sided interval level in percent")
-    common.add_argument("--num-basis", type=int, default=None,
-                        help="spline basis size per curve")
-    common.add_argument("--lam", type=_lam, default="auto",
+    models.add_argument("--num-basis", type=int, default=None, help="spline basis size per curve")
+    models.add_argument("--lam", type=_lam, default="auto",
                         help="smoothing penalty weight, or 'auto' for GCV")
-    common.add_argument("--monotone-from", type=_monotone_from, default=65,
+    models.add_argument("--monotone-from", type=_monotone_from, default=65,
                         help="age from which smoothed curves are forced "
                         "nondecreasing, or 'none'")
-    common.add_argument("--bootstrap", type=_bootstrap, default=0,
-                        help=f"bootstrap replicates for {','.join(BOOTSTRAPPED_MODELS)} "
-                        "intervals (0 = analytic)")
-    common.add_argument("--seed", type=_seed, default=0)
-    common.add_argument("--output", default=".", help="artifact directory")
-    common.add_argument("--formats", type=_formats,
-                        default=frozenset({"csv", "json", "svg"}),
+    forecast.add_argument("--ts", type=_ts_spec, default=TsSpec(), help="time-series "
+                          "spec: ar:p,d[,drift], AR(p) on d-th differences; rwd, the "
+                          "default random walk with drift, is ar:0,1,drift")
+    forecast.add_argument("--level", type=_level, default=95.0,
+                          help="two-sided interval level in percent")
+    forecast.add_argument("--bootstrap", type=_bootstrap, default=0,
+                          help=f"bootstrap replicates for {','.join(BOOTSTRAPPED_MODELS)} "
+                          "intervals (0 = analytic)")
+    forecast.add_argument("--seed", type=_seed, default=0)
+    horizon.add_argument("--horizon", type=_horizon, default=20)
+    output.add_argument("--output", default=".", help="artifact directory")
+    output.add_argument("--formats", type=_formats, default=frozenset({"csv", "json", "svg"}),
                         help="comma subset of csv,json,svg")
-    common.set_defaults(train=None, test=None, year=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, models, help_text in (
-            ("fit", ("lc",), "fit models and write parameters + diagnostics"),
-            ("forecast", MODELS, "fit then project forward"),
-            ("backtest", MODELS, "train/test split evaluation"),
-            ("lifetable", MODELS, "period life table for one year"),
-            ("compare", ("lc", "fdm"), "in-sample error tables for several models")):
-        commands[name] = sub.add_parser(name, parents=[common], help=help_text)
-        # not on the shared parent: subparsers share a parent's actions, so
-        # a per-command default set there would hold for every command
-        commands[name].add_argument("--models", "--model", type=_models,
-                                    default=models,
-                                    help="comma list from lc,lcs,fdm")
-    commands["forecast"].add_argument("--horizon", type=_horizon, default=20)
-    commands["backtest"].add_argument("--train", type=_window, required=True,
-                                      help="train years A:B")
-    commands["backtest"].add_argument("--test", type=_window, required=True,
-                                      help="test years A:B")
-    commands["lifetable"].add_argument("--year", type=int, required=True)
+    for name, (help_text, _, default, groups) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[group[g] for g in groups], help=help_text)
+        if "models" in groups:
+            # not on the models parent: subparsers share a parent's actions,
+            # so a per-command default set there would hold for every command
+            command.add_argument("--models", "--model", type=_models, default=default,
+                                 help="comma list from lc,lcs,fdm")
     return parser
-
-
-_PARSER = build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -210,38 +198,42 @@ def load_surface(args: argparse.Namespace) -> MortalitySurface:
 
 def _check_windows(args: argparse.Namespace, surface: MortalitySurface) -> None:
     train, test = args.train, args.test
-    if train and test and test[0] <= train[1]:
+    if test[0] <= train[1]:
         raise UsageError(f"--test {test[0]}:{test[1]} overlaps or precedes --train "
                          f"{train[0]}:{train[1]}")
     lo, hi = int(surface.years[0]), int(surface.years[-1])
     for flag, window, least in (("--train", train, _MIN_TRAIN_YEARS),
                                 ("--test", test, _MIN_TEST_YEARS)):
-        if window and window[1] - window[0] + 1 < least:
+        if window[1] - window[0] + 1 < least:
             raise UsageError(f"{flag} {window[0]}:{window[1]} spans "
                              f"{window[1] - window[0] + 1} year(s); a backtest "
                              f"needs at least {least}")
-        if window and (window[0] < lo or window[1] > hi):
+        if window[0] < lo or window[1] > hi:
             raise UsageError(f"{flag} {window[0]}:{window[1]} outside data years "
                              f"{lo}:{hi}")
+    _check_ages_from_0(args, surface, "a backtest scores")
+
+
+def _check_year(args: argparse.Namespace, surface: MortalitySurface) -> None:
+    _check_ages_from_0(args, surface, "a life table reports")
+    lo, hi = int(surface.years[0]), int(surface.years[-1])
+    if not lo <= args.year <= hi:
+        raise UsageError(f"--year {args.year} outside data years {lo}:{hi}")
+
+
+def _check_ages_from_0(args: argparse.Namespace, surface: MortalitySurface, reports: str) -> None:
     first_age = int(surface.ages[0])
-    needs_e0 = {"backtest": "a backtest scores", "lifetable": "a life table reports"}
-    if args.command in needs_e0 and first_age != 0:
+    if first_age != 0:
         raise UsageError(f"--ages {args.ages[0]}:{args.ages[1]} starts at age {first_age}; "
-                         f"{needs_e0[args.command]} life expectancy at birth, which needs "
-                         "ages from 0")
-    year = args.year
-    if year is not None and not lo <= year <= hi:
-        raise UsageError(f"--year {year} outside data years {lo}:{hi}")
+                         f"{reports} life expectancy at birth, which needs ages from 0")
 
 
 def _check_fit_sizes(args: argparse.Namespace, surface: MortalitySurface,
-                     smooth: SmoothConfig) -> None:
-    """Reject models, smoothing settings and time-series models the
-    fitted surface (for a backtest, the train window) is too small for."""
-    if args.command == "lifetable":
-        return
+                     smooth: SmoothConfig, ts: Optional[TsSpec]) -> None:
+    """Reject models, smoothing settings and the time-series model, if any,
+    the fitted surface (for a backtest, the train window) is too small for."""
     n_ages = surface.n_ages
-    n_years = args.train[1] - args.train[0] + 1 if args.train else surface.n_years
+    n_years = args.train[1] - args.train[0] + 1 if "train" in args else surface.n_years
     ages = f"--ages {args.ages[0]}:{args.ages[1]}"
     if "lcs" in args.models or "fdm" in args.models:
         if n_ages < 4:
@@ -257,8 +249,7 @@ def _check_fit_sizes(args: argparse.Namespace, surface: MortalitySurface,
     if "fdm" in args.models and not 1 <= K <= largest_K:
         raise UsageError(f"-K {K} does not fit a {n_ages} x {n_years} surface; "
                          f"fdm needs 1 <= K <= {largest_K}")
-    ts = args.ts
-    if args.command in ("forecast", "backtest") and n_years < ts.min_observations:
+    if ts is not None and n_years < ts.min_observations:
         raise UsageError(f"--ts: {_ts_model(ts)} needs at least {ts.min_observations} years; "
                          f"the fitted surface has {n_years}")
 
@@ -528,11 +519,8 @@ def cmd_backtest(args: argparse.Namespace, surface: MortalitySurface,
     observed = report.models[args.models[0]].e0_observed
     fan_series = [("observed", years, observed)]
     for name in args.models:
-        entry = report.models[name]
-        for part, values in (("point", entry.e0_interval.point),
-                             ("lower", entry.e0_interval.lower),
-                             ("upper", entry.e0_interval.upper)):
-            fan_series.append((f"{name} {part}", years, values))
+        fan_series += [(f"{name} {part}", years, getattr(report.models[name].e0_interval, part))
+                       for part in ("point", "lower", "upper")]
     fan_cols = ",".join(f"{m}_point,{m}_lower,{m}_upper" for m in args.models)
     files["fig14_e0_fan.csv"] = _csv(f"year,observed,{fan_cols}",
                                      years, *(values for _, _, values in fan_series))
@@ -542,7 +530,7 @@ def cmd_backtest(args: argparse.Namespace, surface: MortalitySurface,
 
 
 def cmd_lifetable(args: argparse.Namespace, surface: MortalitySurface,
-                 smooth: SmoothConfig) -> tuple[dict, dict]:
+                 smooth: Optional[SmoothConfig]) -> tuple[dict, dict]:
     table = rates_to_lifetable(surface.year_column(args.year), ages=surface.ages)
     files = {
         "lifetable.csv": _csv("age,qx,lx,Lx", [*_text(table.ages), "e0"],
@@ -596,26 +584,38 @@ def cmd_compare(args: argparse.Namespace, surface: MortalitySurface,
     return summary, files
 
 
-_DISPATCH = {
-    "fit": cmd_fit,
-    "forecast": cmd_forecast,
-    "backtest": cmd_backtest,
-    "lifetable": cmd_lifetable,
-    "compare": cmd_compare,
+# Command -> (help, run, --models default, the flag groups it reads)
+_COMMANDS = {
+    "fit": ("fit models and write parameters + diagnostics", cmd_fit, ("lc",),
+            ("data", "models", "output")),
+    "forecast": ("fit then project forward", cmd_forecast, MODELS,
+                 ("data", "models", "forecast", "horizon", "output")),
+    "backtest": ("train/test split evaluation", cmd_backtest, MODELS,
+                 ("data", "windows", "models", "forecast", "output")),
+    "lifetable": ("period life table for one year", cmd_lifetable, None,
+                  ("data", "year", "output")),
+    "compare": ("in-sample error tables for several models", cmd_compare, ("lc", "fdm"),
+                ("data", "models", "output")),
 }
+_PARSER = build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
+    _, run, _, groups = _COMMANDS[args.command]
     smooth = SmoothConfig(num_basis=args.num_basis, lam=args.lam,
-                          monotone_from=args.monotone_from)
+                          monotone_from=args.monotone_from) if "models" in groups else None
     try:
         if os.path.exists(args.output) and not os.path.isdir(args.output):
             raise UsageError(f"--output {args.output} exists and is not a directory")
         surface = load_surface(args)
-        _check_windows(args, surface)
-        _check_fit_sizes(args, surface, smooth)
-        summary, files = _DISPATCH[args.command](args, surface, smooth)
+        if "windows" in groups:
+            _check_windows(args, surface)
+        if "year" in groups:
+            _check_year(args, surface)
+        if "models" in groups:
+            _check_fit_sizes(args, surface, smooth, args.ts if "forecast" in groups else None)
+        summary, files = run(args, surface, smooth)
         files["summary.json"] = _summary_json(args, summary)
         _commit(args.output, {name: text for name, text in files.items()
                               if name.rsplit(".", 1)[-1] in args.formats})

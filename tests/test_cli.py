@@ -3,6 +3,7 @@
 import filecmp
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -235,6 +236,58 @@ def test_help_renders(command, capsys):
     assert capsys.readouterr().out.startswith(f"usage: {' '.join(['mortforecast', *command])} ")
 
 
+# The flags of each group, and of each command. The aliases --model and
+# --components are the same settings as --models and -K.
+DATA_FLAGS = {"--data", "--gender", "--ages", "--years"}
+MODEL_FLAGS = {"--models", "--model", "-K", "--components", "--num-basis", "--lam",
+               "--monotone-from"}
+FORECAST_FLAGS = {"--ts", "--level", "--bootstrap", "--seed"}
+OUTPUT_FLAGS = {"--output", "--formats"}
+COMMAND_FLAGS = {
+    "fit": DATA_FLAGS | MODEL_FLAGS | OUTPUT_FLAGS,
+    "compare": DATA_FLAGS | MODEL_FLAGS | OUTPUT_FLAGS,
+    "forecast": DATA_FLAGS | MODEL_FLAGS | FORECAST_FLAGS | OUTPUT_FLAGS | {"--horizon"},
+    "backtest": DATA_FLAGS | MODEL_FLAGS | FORECAST_FLAGS | OUTPUT_FLAGS | {"--train", "--test"},
+    "lifetable": DATA_FLAGS | OUTPUT_FLAGS | {"--year"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_exactly_the_flags_the_command_reads(command, capsys):
+    assert run_cli([command, "--help"]) == 0
+    options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+    # each option entry starts two spaces in: its spellings, ", "-separated,
+    # each followed by its metavar, then the help text or a line break
+    entries = re.findall(r"^  (-\S.*?)(?:  |$)", options, flags=re.M)
+    flags = {spelling.split()[0] for entry in entries for spelling in entry.split(", ")}
+    assert flags == COMMAND_FLAGS[command] | {"-h", "--help"}
+
+
+@pytest.mark.parametrize("argv,rejected", [
+    (["fit", "--bootstrap", "500"], ["--bootstrap"]),
+    (["fit", "--level", "60"], ["--level"]),
+    (["compare", "--ts", "ar:1,1"], ["--ts"]),
+    (["lifetable", "--year", "1990", "--models", "lc"], ["--models"]),
+    (["lifetable", "--year", "1990", "--lam", "7"], ["--lam"]),
+    (["lifetable", "--year", "1990", "--models", "fdm", "--bootstrap", "500", "--ts",
+      "ar:1,1", "-K", "3", "--lam", "7", "--level", "60"],
+     ["--models", "--bootstrap", "--ts", "-K", "--lam", "--level"]),
+    (["fit", "--models", "lc", "--bootstrap", "500", "--seed", "9", "--ts", "ar:2,1",
+      "--level", "60"], ["--bootstrap", "--seed", "--ts", "--level"]),
+    (["compare", "--models", "lc", "--bootstrap", "500", "--ts", "ar:3,0"],
+     ["--bootstrap", "--ts"]),
+], ids=["fit_bootstrap", "fit_level", "compare_ts", "lifetable_models", "lifetable_lam",
+        "lifetable_many", "fit_many", "compare_many"])
+def test_flag_the_command_does_not_read_exit_2(hmd_file, tmp_path, capsys, argv, rejected):
+    # a flag the command would ignore is an error, not a silent no-op
+    out = tmp_path / "o"
+    assert run_cli([argv[0], *base_args(hmd_file, out), *argv[1:]]) == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert "error: unrecognized arguments: " in message
+    assert all(f" {flag} " in message for flag in rejected)
+    assert not out.exists()
+
+
 def test_missing_data_file_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope" / "ITA.Mx_1x1.txt"
     code = run_cli(["fit", "--data", missing, "--output", tmp_path / "o"])
@@ -253,8 +306,8 @@ def test_overlapping_windows_exit_2(hmd_file, tmp_path, capsys):
 def test_bad_option_values_exit_2(hmd_file, tmp_path, capsys):
     out = tmp_path / "o"
     base = base_args(hmd_file, out)
-    for command, flag, value in (("fit", "--level", "120"), ("fit", "--models", "glm"),
-                                 ("fit", "--ts", "ar:x"), ("fit", "--ages", "40:0"),
+    for command, flag, value in (("forecast", "--level", "120"), ("fit", "--models", "glm"),
+                                 ("forecast", "--ts", "ar:x"), ("fit", "--ages", "40:0"),
                                  ("forecast", "--horizon", "0"),
                                  ("fit", "--gender", "beetle"),
                                  ("fit", "--lam", "nan"), ("fit", "--lam", "inf")):
