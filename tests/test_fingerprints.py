@@ -18,12 +18,14 @@ import numpy as np
 
 from mortforecast.evaluate import MODELS, fit_models, forecast_model
 from mortforecast.lifetable import e0_path
+from mortforecast.smoothing import SmoothConfig, smooth_surface
 from mortforecast.tsforecast import TsSpec
 
 from conftest import hmdgen_surface
 
 BOOTSTRAP_FILE = Path(__file__).resolve().parent / "fingerprint_fdm_bootstrap.csv"
 E0_FILE = Path(__file__).resolve().parent / "fingerprint_e0_paths.csv"
+SMOOTHING_FILE = Path(__file__).resolve().parent / "fingerprint_smoothing.csv"
 RTOL = 1e-12
 
 
@@ -89,6 +91,49 @@ def _write_e0_file():
     E0_FILE.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def smoothing_rows():
+    """``smooth_surface`` on generated seed 7, total, 1922-2006, at ages
+    0:100 and 0:110, by GCV and at lam = 0.003: each year's lambda, sigma2
+    by age and the last year's smoothed log rates. Returns one
+    (top_age, lam, quantity, key, value) row per number, key being the
+    year of a lambda and the age of the others."""
+    rows = []
+    for top in (100, 110):
+        surface = hmdgen_surface(7, "total", (0, top), (1922, 2006))
+        for lam in ("auto", 0.003):
+            out = smooth_surface(surface.log_rates, surface.ages, surface.years,
+                                 SmoothConfig(lam=lam))
+            for quantity, keys, values in (("lambda", out.years, out.lambdas),
+                                           ("sigma2", out.ages, out.sigma2),
+                                           ("log_rate", out.ages, out.log_rates[:, -1])):
+                rows += [(top, str(lam), quantity, int(key), float(value))
+                         for key, value in zip(keys, values)]
+    return rows
+
+
+def test_smoothing_matches_fingerprint():
+    got = smoothing_rows()
+    lines = SMOOTHING_FILE.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "top_age,lam,quantity,key,value"
+    want = [line.split(",") for line in lines[1:]]
+    assert [(int(top), lam, quantity, int(key)) for top, lam, quantity, key, _ in want] \
+        == [row[:4] for row in got]
+    exact = np.array([row[2] == "lambda" for row in got])
+    got_values = np.array([row[4] for row in got])
+    want_values = np.array([float(row[4]) for row in want])
+    # lambda is a grid point or the fixed value, so it compares exactly
+    np.testing.assert_array_equal(got_values[exact], want_values[exact])
+    np.testing.assert_allclose(got_values[~exact], want_values[~exact], rtol=RTOL, atol=0)
+
+
+def _write_smoothing_file():
+    lines = ["top_age,lam,quantity,key,value"]
+    for top, lam, quantity, key, value in smoothing_rows():
+        lines.append(f"{top},{lam},{quantity},{key},{value!r}")
+    SMOOTHING_FILE.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 if __name__ == "__main__":
     _write_bootstrap_file()
     _write_e0_file()
+    _write_smoothing_file()
