@@ -86,8 +86,9 @@ def _names(text: str) -> tuple:
 _window = _flag_type("A:B (inclusive), integers with A <= B",
                      lambda text: tuple(map(int, text.split(":"))),
                      lambda w: len(w) == 2 and w[0] <= w[1])
-_models = _flag_type("a comma list from " + ",".join(MODELS), _names,
-                     lambda names: names and set(names) <= set(MODELS))
+_models = _flag_type("a comma list of distinct names from " + ",".join(MODELS), _names,
+                     lambda names: names and set(names) <= set(MODELS)
+                     and len(set(names)) == len(names))
 _formats = _flag_type("a comma subset of csv,json,svg",
                       lambda text: frozenset(_names(text)),
                       lambda names: names and names <= {"csv", "json", "svg"})
@@ -104,10 +105,13 @@ _horizon = _flag_type("an integer >= 1", int, lambda horizon: horizon >= 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False here and on each command: a flag is read only as
+    # spelled in full, so --boot is not --bootstrap
     parser = argparse.ArgumentParser(
         prog="mortforecast",
         description="Fit, forecast, and backtest stochastic mortality models "
                     "on age-by-year death rate surfaces.",
+        allow_abbrev=False,
     )
     # one parent per flag group; a command's groups in _COMMANDS also pick main's checks
     group = {name: argparse.ArgumentParser(add_help=False) for name in
@@ -146,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, default, groups) in _COMMANDS.items():
-        command = sub.add_parser(name, parents=[group[g] for g in groups], help=help_text)
+        command = sub.add_parser(name, parents=[group[g] for g in groups], help=help_text,
+                                 allow_abbrev=False)
         if "models" in groups:
             # not on the models parent: subparsers share a parent's actions,
             # so a per-command default set there would hold for every command

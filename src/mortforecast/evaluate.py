@@ -258,9 +258,9 @@ def forecast_model(
 
 def run_backtest(
     surface: MortalitySurface,
-    models: Sequence[str] = MODELS,
-    train: tuple = (None, None),
-    test: tuple = (None, None),
+    models: Sequence[str],
+    train: tuple,
+    test: tuple,
     ts_spec: TsSpec = TsSpec(),
     level: float = 95.0,
     smooth_config: SmoothConfig = SmoothConfig(),

@@ -1,7 +1,7 @@
 """Numerical kernels shared by the fitting modules.
 
-Thin SVD, uniform B-spline bases, the difference penalty, the Cholesky
-factor of a penalized normal matrix, and the standard normal quantile.
+Thin SVD, the uniform cubic B-spline design, the Cholesky factor of a
+penalized normal matrix, and the standard normal quantile.
 Everything here is a pure function of its inputs.
 """
 
@@ -15,10 +15,8 @@ from scipy.linalg import LinAlgError, cho_factor, svd
 
 __all__ = [
     "SvdResult",
-    "BsplineBasis",
     "svd_thin",
     "bspline_design",
-    "difference_matrix",
     "cholesky_factor",
     "normal_quantile",
 ]
@@ -51,58 +49,27 @@ def svd_thin(A) -> SvdResult:
     return SvdResult(singular_values=s, left_vectors=U, right_vectors=Vt.T)
 
 
-@dataclass(frozen=True)
-class BsplineBasis:
-    """B-spline basis over an ascending knot vector.
+def bspline_design(lo: float, hi: float, num_basis: int, xs) -> np.ndarray:
+    """Design matrix of the uniform cubic B-spline basis with ``num_basis``
+    functions on ``[lo, hi]``, row i holding all basis values at ``xs[i]``.
 
-    The usable domain is ``[knots[degree], knots[num_basis]]``: there the
-    basis functions are nonnegative and sum to one. A basis built with
-    :meth:`uniform` has equally spaced knots extending ``degree`` steps
-    past each end of the domain, so coefficient sequences that are affine
-    in the index reproduce affine functions exactly (which keeps them in
-    the null space of a second-order difference penalty).
-    """
-
-    knots: np.ndarray
-    degree: int
-
-    def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        if knots.ndim != 1 or len(knots) < self.degree + 2:
-            raise ValueError("knot vector too short for the requested degree")
-        if np.any(np.diff(knots) < 0):
-            raise ValueError("knots must be ascending")
-        object.__setattr__(self, "knots", knots)
-
-    @property
-    def num_basis(self) -> int:
-        return len(self.knots) - self.degree - 1
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.knots[self.degree]), float(self.knots[self.num_basis])
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float, num_basis: int, degree: int = 3) -> "BsplineBasis":
-        if num_basis <= degree:
-            raise ValueError("num_basis must exceed the spline degree")
-        if not hi > lo:
-            raise ValueError("domain must have positive length")
-        step = (hi - lo) / (num_basis - degree)
-        knots = lo + step * np.arange(-degree, num_basis + 1)
-        return cls(knots=knots, degree=degree)
-
-
-def bspline_design(basis: BsplineBasis, xs) -> np.ndarray:
-    """Design matrix with row i holding all basis values at ``xs[i]``.
-
-    Cox-de Boor recursion in the triangular form that only touches the
-    ``degree + 1`` functions active on each point's knot span, run for
+    The knots are equally spaced and extend three steps past each end of
+    the domain, so the functions are nonnegative and sum to one on it, and
+    coefficients affine in the index reproduce affine functions exactly
+    (which keeps them in the null space of a second-order difference
+    penalty). Cox-de Boor recursion in the triangular form that only
+    touches the four functions active on each point's knot span, run for
     all points at once.
     """
+    degree = 3
+    if num_basis <= degree:
+        raise ValueError("num_basis must exceed the spline degree")
+    if not hi > lo:
+        raise ValueError("domain must have positive length")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    knots, degree, num_basis = basis.knots, basis.degree, basis.num_basis
-    lo, hi = basis.domain
+    knots = lo + (hi - lo) / (num_basis - degree) * np.arange(-degree, num_basis + 1)
+    # the domain ends as the knots round them, not as given
+    lo, hi = float(knots[degree]), float(knots[num_basis])
     tol = 1e-9 * max(1.0, abs(lo), abs(hi))
     if np.any(xs < lo - tol) or np.any(xs > hi + tol):
         bad = xs[(xs < lo - tol) | (xs > hi + tol)][0]
@@ -127,13 +94,6 @@ def bspline_design(basis: BsplineBasis, xs) -> np.ndarray:
     design = np.zeros((len(xs), num_basis))
     np.put_along_axis(design, span[:, None] + np.arange(-degree, 1), vals.T, axis=1)
     return design
-
-
-def difference_matrix(n: int, order: int) -> np.ndarray:
-    """Order-d finite difference operator as an ``(n - d) x n`` matrix."""
-    if order < 1 or order >= n:
-        raise ValueError(f"difference order {order} invalid for {n} coefficients")
-    return np.diff(np.eye(n), n=order, axis=0)
 
 
 SINGULAR_SYSTEM = "singular penalized system; increase lambda or use fewer basis functions"

@@ -20,8 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, eigh
 
-from .numerics import (SINGULAR_SYSTEM, BsplineBasis, bspline_design, cholesky_factor,
-                       difference_matrix)
+from .numerics import SINGULAR_SYSTEM, bspline_design, cholesky_factor
 
 __all__ = [
     "SmoothConfig",
@@ -29,9 +28,9 @@ __all__ = [
     "smooth_surface",
 ]
 
-# Cubic B-splines under a squared second-difference penalty on their
-# coefficients, and the grid GCV searches, in the order its ties resolve
-_DEGREE = 3
+# The order of the squared difference penalty on the coefficients of
+# bspline_design's cubic B-splines, and the grid GCV searches, in the order
+# its ties resolve
 _DIFFERENCE_ORDER = 2
 _LAMBDA_GRID = np.logspace(-4.0, 6.0, 25)
 
@@ -69,7 +68,7 @@ class SmoothConfig:
     monotone_from: Optional[int] = 65
 
     def resolved_num_basis(self, n_points: int) -> int:
-        least = _DEGREE + 1
+        least = 4
         if self.num_basis is None:
             k = max(min(int(n_points / 2.5), 35), least)
         else:
@@ -129,9 +128,8 @@ def smooth_surface(
     if not auto and not 0.0 <= float(config.lam) < np.inf:
         raise ValueError("lam must be finite and nonnegative")
     k = config.resolved_num_basis(len(ages))
-    B = bspline_design(BsplineBasis.uniform(float(ages[0]), float(ages[-1]), k,
-                                            degree=_DEGREE), ages)
-    D = difference_matrix(k, _DIFFERENCE_ORDER)
+    B = bspline_design(float(ages[0]), float(ages[-1]), k, ages)
+    D = np.diff(np.eye(k), n=_DIFFERENCE_ORDER, axis=0)
     P = D.T @ D
     # B' in F order, in a buffer of its own: G and R round differently
     # from a C-order copy or from the view B.T

@@ -16,6 +16,8 @@ __all__ = ["render_line_chart"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH = 720
+_HEIGHT = 480
 _MARGIN_LEFT = 70
 _MARGIN_RIGHT = 24
 _MARGIN_TOP = 44
@@ -71,10 +73,8 @@ def render_line_chart(
     xlabel: str,
     ylabel: str,
     title: Optional[str] = None,
-    width: int = 720,
-    height: int = 480,
 ) -> str:
-    """Render (label, xs, ys) series to an SVG string."""
+    """Render (label, xs, ys) series to an SVG string, 720 x 480 pixels."""
     if len(series) == 0:
         raise ValueError("need at least one series")
     cleaned = []
@@ -91,8 +91,8 @@ def render_line_chart(
     xlo, xhi = _data_range([float(v) for _, xs, _ in cleaned for v in xs])
     ylo, yhi = _data_range([float(v) for _, _, ys in cleaned for v in ys])
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sx(v: float) -> float:
         return _MARGIN_LEFT + (v - xlo) / (xhi - xlo) * plot_w
@@ -101,13 +101,13 @@ def render_line_chart(
         return _MARGIN_TOP + plot_h - (v - ylo) / (yhi - ylo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
         )
 
@@ -143,7 +143,7 @@ def render_line_chart(
         )
 
     parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{height - 12}" '
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{_HEIGHT - 12}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="13">'
         f'{_escape(xlabel)}</text>'
     )

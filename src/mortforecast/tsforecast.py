@@ -10,7 +10,6 @@ a little faster than the pure innovation variance would suggest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -236,7 +235,7 @@ def forecast_ts(fit: TsFit, h: int) -> tuple[np.ndarray, np.ndarray]:
     return point, variance
 
 
-def simulate_path(fit: TsFit, h: int, innovations: Optional[np.ndarray] = None) -> np.ndarray:
+def simulate_path(fit: TsFit, h: int, innovations: np.ndarray) -> np.ndarray:
     """Future paths driven by the given innovations.
 
     Innovations of shape (h,) give one path; an (h, B) matrix gives B
@@ -246,8 +245,6 @@ def simulate_path(fit: TsFit, h: int, innovations: Optional[np.ndarray] = None) 
     generator.
     """
     h = _check_horizon(h)
-    if innovations is None:
-        innovations = np.zeros(h)
     innovations = np.asarray(innovations, dtype=float)
     if innovations.ndim not in (1, 2) or innovations.shape[0] != h:
         raise ValueError(f"need innovations of shape ({h},) or ({h}, B), "

@@ -288,6 +288,34 @@ def test_flag_the_command_does_not_read_exit_2(hmd_file, tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["forecast", "--boot", "100"],
+    ["fit", "--year", "1990"],
+], ids=["forecast_boot", "fit_year"])
+def test_abbreviated_flag_exit_2(hmd_file, tmp_path, capsys, argv):
+    # a flag is read only as spelled in full: --boot is not taken for
+    # --bootstrap, nor --year for fit's --years
+    out = tmp_path / "o"
+    assert run_cli([argv[0], *base_args(hmd_file, out), *argv[1:]]) == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message == f"mortforecast: error: unrecognized arguments: {' '.join(argv[1:])}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["backtest", "--models", "lc,lc", "--train", "1950:1990", "--test", "1991:2005"],
+    ["forecast", "--models", "fdm,lc,fdm"],
+    ["fit", "--model", "lcs,lcs"],
+], ids=["backtest", "forecast", "fit_alias"])
+def test_repeated_model_name_exit_2(hmd_file, tmp_path, capsys, argv):
+    # a repeated name would write each of its columns twice
+    out = tmp_path / "o"
+    assert run_cli([argv[0], *base_args(hmd_file, out), *argv[1:]]) == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert "error: argument --models/--model: expects a comma list of distinct names" in message
+    assert not out.exists()
+
+
 def test_missing_data_file_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope" / "ITA.Mx_1x1.txt"
     code = run_cli(["fit", "--data", missing, "--output", tmp_path / "o"])

@@ -14,10 +14,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_solve
 
 from mortforecast.numerics import (
-    BsplineBasis,
     bspline_design,
     cholesky_factor,
-    difference_matrix,
     normal_quantile,
     svd_thin,
 )
@@ -114,20 +112,27 @@ def _cox_de_boor_scalar(knots, degree, i, x):
     return left + right
 
 
+def _uniform_knots(lo, hi, num_basis):
+    """The cubic basis's knots, written out here: equally spaced, three
+    steps past each end of [lo, hi]."""
+    step = (hi - lo) / (num_basis - 3)
+    return lo + step * np.arange(-3, num_basis + 1)
+
+
 def test_design_matches_recursive_definition():
-    basis = BsplineBasis.uniform(0.0, 10.0, 8)
+    knots = _uniform_knots(0.0, 10.0, 8)
     xs = np.linspace(0.0, 9.999, 23)  # strictly inside to dodge the half-open end
-    design = bspline_design(basis, xs)
+    design = bspline_design(0.0, 10.0, 8, xs)
+    assert design.shape == (23, 8)
     for j, x in enumerate(xs):
-        for i in range(basis.num_basis):
-            expected = _cox_de_boor_scalar(basis.knots, basis.degree, i, x)
+        for i in range(8):
+            expected = _cox_de_boor_scalar(knots, 3, i, x)
             assert design[j, i] == pytest.approx(expected, abs=1e-12)
 
 
 def test_design_partition_of_unity():
-    basis = BsplineBasis.uniform(-3.0, 7.0, 11)
     xs = np.linspace(-3.0, 7.0, 101)
-    design = bspline_design(basis, xs)
+    design = bspline_design(-3.0, 7.0, 11, xs)
     np.testing.assert_allclose(design.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -135,46 +140,35 @@ def test_affine_coefficients_reproduce_affine_function():
     # THEORY: on a uniform basis, coefficients affine in the Greville
     # abscissae reproduce an affine function; this is what makes the
     # second-difference penalty's null space harmless.
-    basis = BsplineBasis.uniform(0.0, 1.0, 9)
-    greville = np.array([
-        basis.knots[i + 1:i + 1 + basis.degree].mean()
-        for i in range(basis.num_basis)
-    ])
+    knots = _uniform_knots(0.0, 1.0, 9)
+    greville = np.array([knots[i + 1:i + 4].mean() for i in range(9)])
     theta = 2.0 + 3.0 * greville
     xs = np.linspace(0.0, 1.0, 57)
-    values = bspline_design(basis, xs) @ theta
+    values = bspline_design(0.0, 1.0, 9, xs) @ theta
     np.testing.assert_allclose(values, 2.0 + 3.0 * xs, atol=1e-12)
 
 
 def test_design_rejects_out_of_domain():
-    basis = BsplineBasis.uniform(0.0, 1.0, 6)
     with pytest.raises(ValueError):
-        bspline_design(basis, np.array([-0.5]))
+        bspline_design(0.0, 1.0, 6, np.array([-0.5]))
     with pytest.raises(ValueError):
-        bspline_design(basis, np.array([1.5]))
+        bspline_design(0.0, 1.0, 6, np.array([1.5]))
+
+
+def test_design_rejects_too_few_functions_and_empty_domain():
+    with pytest.raises(ValueError, match="num_basis must exceed"):
+        bspline_design(0.0, 1.0, 3, np.array([0.5]))
+    with pytest.raises(ValueError, match="positive length"):
+        bspline_design(1.0, 1.0, 6, np.array([1.0]))
 
 
 def test_design_right_endpoint_included():
-    basis = BsplineBasis.uniform(0.0, 1.0, 6)
-    row = bspline_design(basis, np.array([1.0]))
+    row = bspline_design(0.0, 1.0, 6, np.array([1.0]))
     assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# difference matrix and penalized solve
-
-
-def test_difference_matrix_orders():
-    D1 = difference_matrix(4, 1)
-    np.testing.assert_array_equal(D1 @ np.array([1.0, 3.0, 6.0, 10.0]),
-                                  [2.0, 3.0, 4.0])
-    D2 = difference_matrix(5, 2)
-    # second differences of an affine sequence vanish
-    np.testing.assert_allclose(D2 @ (2.0 + 3.0 * np.arange(5)), 0.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        difference_matrix(3, 3)
-    with pytest.raises(ValueError):
-        difference_matrix(3, 0)
+# penalized solve
 
 
 def test_penalized_solve_matches_stacked_least_squares():
@@ -183,7 +177,7 @@ def test_penalized_solve_matches_stacked_least_squares():
     rng = np.random.default_rng(5)
     B = rng.standard_normal((20, 6))
     y = rng.standard_normal(20)
-    D = difference_matrix(6, 2)
+    D = np.diff(np.eye(6), n=2, axis=0)
     for lam in (0.0, 0.3, 10.0):
         theta = cho_solve(cholesky_factor(B.T @ B + lam * (D.T @ D)), B.T @ y)
         stacked_A = np.vstack([B, math.sqrt(lam) * D])

@@ -263,7 +263,7 @@ def test_simulate_path_zero_innovations_is_point_forecast():
                  TsSpec(p=2, d=0, include_drift=True)):
         fit = fit_ts(series, spec)
         point, _ = forecast_ts(fit, 7)
-        np.testing.assert_allclose(simulate_path(fit, 7), point, atol=1e-12)
+        np.testing.assert_allclose(simulate_path(fit, 7, np.zeros(7)), point, atol=1e-12)
 
 
 def test_simulate_path_rwd_accumulates_innovations():
