@@ -40,7 +40,7 @@ from .ingest import (
     build_surface,
     parse_hmd_rates,
 )
-from .lifetable import e0_path, rates_to_lifetable
+from .lifetable import E0RangeError, e0_path, rates_to_lifetable
 from .smoothing import SmoothConfig
 from .svgchart import render_line_chart
 from .tsforecast import SingularLagError, TsSpec
@@ -442,8 +442,13 @@ def cmd_forecast(args: argparse.Namespace, surface: MortalitySurface,
     for name, model in fitted.items():
         forecast = forecast_model(model, args.ts, args.horizon, args.level,
                                   args.bootstrap, args.seed)
+        path = None
         if int(forecast.ages[0]) == 0:
-            _check_e0_horizon(args.horizon, name, forecast)
+            try:
+                path = e0_path(forecast)
+            except E0RangeError as exc:
+                raise UsageError(f"--horizon {args.horizon} is too long for {name}: {exc}; "
+                                 "use a shorter --horizon") from None
         files[f"forecast_{name}.csv"] = _long_csv(
             forecast.ages, forecast.years, point=forecast.point,
             variance=forecast.variance, lower=forecast.lower, upper=forecast.upper)
@@ -454,8 +459,7 @@ def cmd_forecast(args: argparse.Namespace, surface: MortalitySurface,
              (f"year {int(forecast.years[-1])}", forecast.ages, forecast.point[:, -1])],
             "age", "log death rate", title=f"{name}: projected rates")
         entry: dict = {"years": forecast.years.tolist()}
-        if int(forecast.ages[0]) == 0:
-            path = e0_path(forecast)
+        if path is not None:
             parts = ("point", "lower", "upper")
             entry["e0"] = {part: getattr(path, part).tolist() for part in parts}
             files[f"e0_{name}.csv"] = _csv("year,point,lower,upper", path.years,
@@ -469,24 +473,16 @@ def cmd_forecast(args: argparse.Namespace, surface: MortalitySurface,
     return summary, files
 
 
-def _check_e0_horizon(horizon: int, name: str, forecast) -> None:
-    """A long horizon can carry the drift past the log rates whose exp
-    is a finite positive rate, and a life table needs such rates."""
-    with np.errstate(over="ignore", under="ignore"):
-        rates = np.exp([forecast.lower, forecast.point, forecast.upper])
-    bad = ~np.all(np.isfinite(rates) & (rates > 0), axis=(0, 1))
-    if bad.any():
-        raise UsageError(f"--horizon {horizon} is too long for {name}: from "
-                         f"{int(forecast.years[bad.argmax()])} its forecast death "
-                         "rates underflow to 0 or overflow, so e0 has no life table; "
-                         "use a shorter --horizon")
-
-
 def cmd_backtest(args: argparse.Namespace, surface: MortalitySurface,
                 smooth: SmoothConfig) -> tuple[dict, dict]:
-    report = run_backtest(surface, args.models, args.train, args.test,
-                          args.ts, args.level, smooth, args.components,
-                          args.bootstrap, args.seed)
+    try:
+        report = run_backtest(surface, args.models, args.train, args.test,
+                              args.ts, args.level, smooth, args.components,
+                              args.bootstrap, args.seed)
+    except E0RangeError as exc:
+        (a, b), (c, d) = args.test, args.train
+        raise UsageError(f"--test {a}:{b} is too far past --train {c}:{d} for {exc}; "
+                         "use a --test window nearer the train window") from None
     summary: dict = {
         "train": list(report.train_years),
         "test": list(report.test_years),

@@ -19,7 +19,7 @@ from scipy import special
 from .fdm import FittedModel, ForecastSurface, bootstrap_intervals, fit_fdm, forecast_fdm
 from .ingest import MortalitySurface, slice_window
 from .leecarter import fit_lc, fit_lcs
-from .lifetable import E0Path, _lifetables, e0_path
+from .lifetable import E0Path, E0RangeError, _lifetables, e0_path
 from .numerics import normal_quantile
 from .smoothing import SmoothConfig, smooth_surface
 from .tsforecast import SingularLagError, TsSpec
@@ -275,7 +275,8 @@ def run_backtest(
     train-window slice and nothing else. Life-expectancy errors use
     point mortality forecasts; the interval path is carried separately
     for fan charts, from ``bootstrap`` simulated futures when that is
-    nonzero (see ``forecast_model``).
+    nonzero (see ``forecast_model``). A test window whose forecast death
+    rates leave float range raises ``E0RangeError`` naming the model.
     """
     train_start, train_end = int(train[0]), int(train[1])
     test_start, test_end = int(test[0]), int(test[1])
@@ -299,7 +300,10 @@ def run_backtest(
         forecast = forecast_model(model, ts_spec, horizon, level, bootstrap, seed)
         forecast = forecast.slice_years(test_start, test_end)
         errors = observed_log - forecast.point
-        e0_interval = e0_path(forecast)
+        try:
+            e0_interval = e0_path(forecast)
+        except E0RangeError as exc:
+            raise E0RangeError(f"{name}: {exc}") from None
         e0_errors = e0_observed - e0_interval.point
         results[name] = ModelBacktest(
             forecast=forecast,

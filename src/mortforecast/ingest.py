@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import io
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, TextIO
@@ -44,17 +43,13 @@ class RateRecord:
     male: Optional[float]
     total: Optional[float]
 
-    def rate(self, gender: str) -> Optional[float]:
-        return getattr(self, gender)
-
 
 @dataclass(frozen=True, eq=False)
-class RateTable(Sequence):
+class RateTable:
     """Parsed rows as columns: ``year``, ``age``, ``rates`` (one column per
     gender in ``GENDERS`` order, NaN where a rate is missing) and ``line``,
-    each row's source line (its position, counting from 1, for a table
-    built from records). Indexing and iteration build records on demand,
-    with ``None`` for a missing rate.
+    each row's source line. Iteration builds records on demand, with
+    ``None`` for a missing rate.
     """
 
     year: np.ndarray
@@ -62,22 +57,8 @@ class RateTable(Sequence):
     rates: np.ndarray
     line: np.ndarray
 
-    @classmethod
-    def from_records(cls, records: Iterable[RateRecord]) -> "RateTable":
-        records = list(records)
-        rates = [[np.nan if v is None else v for v in (r.female, r.male, r.total)]
-                 for r in records]
-        return cls(year=np.array([r.year for r in records], dtype=np.int64),
-                   age=np.array([r.age for r in records], dtype=np.int64),
-                   rates=np.array(rates, dtype=float).reshape(-1, len(GENDERS)),
-                   line=np.arange(1, len(records) + 1))
-
     def __len__(self) -> int:
         return len(self.year)
-
-    def __getitem__(self, index: int) -> RateRecord:
-        rates = (None if v != v else v for v in self.rates[index].tolist())
-        return RateRecord(int(self.year[index]), int(self.age[index]), *rates)
 
     def __iter__(self):
         rates = np.where(np.isnan(self.rates), None, self.rates).T.tolist()
@@ -237,7 +218,7 @@ def _repair_column(rates: np.ndarray, ages: np.ndarray) -> np.ndarray:
 
 
 def build_surface(
-    records: Iterable[RateRecord],
+    table: RateTable,
     gender: str,
     age_min: int,
     age_max: int,
@@ -246,16 +227,15 @@ def build_surface(
 ) -> MortalitySurface:
     """Assemble a validated surface for one gender over a closed window.
 
-    Every (age, year) cell of the window must be covered by a record;
-    otherwise the error lists the missing pairs. Missing or nonpositive
-    rates are repaired to half the smallest positive rate at that age.
-    ``records`` is a :class:`RateTable` or any iterable of records.
+    Every (age, year) cell of the window must be covered by a row of
+    ``table``; otherwise the error lists the missing pairs. Missing or
+    nonpositive rates are repaired to half the smallest positive rate at
+    that age.
     """
     if gender not in GENDERS:
         raise ValueError(f"gender must be one of {GENDERS}, got {gender!r}")
     if age_min > age_max or year_min > year_max:
         raise ValueError("window bounds must satisfy min <= max")
-    table = records if isinstance(records, RateTable) else RateTable.from_records(records)
     ages = np.arange(age_min, age_max + 1)
     years = np.arange(year_min, year_max + 1)
     i, j = table.age - age_min, table.year - year_min

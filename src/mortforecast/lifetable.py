@@ -15,7 +15,12 @@ import numpy as np
 
 from .fdm import ForecastSurface
 
-__all__ = ["LifeTable", "E0Path", "rates_to_lifetable", "e0_path"]
+__all__ = ["LifeTable", "E0Path", "E0RangeError", "rates_to_lifetable", "e0_path"]
+
+
+class E0RangeError(ValueError):
+    """A forecast whose death rates underflow to 0 or overflow, so e0 has
+    no life table."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,8 @@ def e0_path(forecast: ForecastSurface) -> E0Path:
     """e0 per horizon from a log-rate forecast, every table in one block.
 
     Higher mortality means lower life expectancy, so the upper mortality
-    bound yields the lower e0 bound and vice versa.
+    bound yields the lower e0 bound and vice versa. From the first year
+    whose death rates underflow to 0 or overflow, ``E0RangeError``.
     """
     if int(forecast.ages[0]) != 0:
         raise ValueError(
@@ -102,7 +108,13 @@ def e0_path(forecast: ForecastSurface) -> E0Path:
     # one C-order (3h, ages) block: a row per horizon of the point
     # forecast, then of the upper and of the lower mortality bound
     log_rates = np.array([forecast.point.T, forecast.upper.T, forecast.lower.T])
-    e0 = _lifetables(np.exp(log_rates).reshape(-1, len(forecast.ages)))[3]
+    with np.errstate(over="ignore", under="ignore"):
+        mx = np.exp(log_rates)
+    bad = ~np.all(np.isfinite(mx) & (mx > 0), axis=(0, 2))
+    if bad.any():
+        raise E0RangeError(f"from {int(forecast.years[bad.argmax()])} its forecast "
+                           "death rates underflow to 0 or overflow, so e0 has no life table")
+    e0 = _lifetables(mx.reshape(-1, len(forecast.ages)))[3]
     point, lower, upper = e0.reshape(3, len(forecast.years))
     return E0Path(years=forecast.years.copy(), point=point, lower=lower,
                   upper=upper, level=forecast.level)

@@ -1,8 +1,7 @@
 """Numerical kernels shared by the fitting modules.
 
-Thin SVD, the uniform cubic B-spline design, the Cholesky factor of a
-penalized normal matrix, and the standard normal quantile.
-Everything here is a pure function of its inputs.
+Thin SVD, the uniform cubic B-spline design, and the standard normal
+quantile. Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -11,13 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.linalg import LinAlgError, cho_factor, svd
+from scipy.linalg import svd
 
 __all__ = [
     "SvdResult",
     "svd_thin",
     "bspline_design",
-    "cholesky_factor",
     "normal_quantile",
 ]
 
@@ -35,8 +33,8 @@ def svd_thin(A) -> SvdResult:
     """Thin singular value decomposition of a real matrix.
 
     LAPACK's divide-and-conquer driver (gesdd) through ``scipy.linalg``,
-    like the Cholesky steps below, so every factorization here runs on
-    one BLAS build and its thread pool. Wrapped so callers get input
+    like the smoother's eigendecomposition, so every factorization runs
+    on one BLAS build and its thread pool. Wrapped so callers get input
     validation and a stable result type. Singular values come back
     in descending order, vectors column-orthonormal.
     """
@@ -94,18 +92,6 @@ def bspline_design(lo: float, hi: float, num_basis: int, xs) -> np.ndarray:
     design = np.zeros((len(xs), num_basis))
     np.put_along_axis(design, span[:, None] + np.arange(-degree, 1), vals.T, axis=1)
     return design
-
-
-SINGULAR_SYSTEM = "singular penalized system; increase lambda or use fewer basis functions"
-
-
-def cholesky_factor(M) -> tuple:
-    """Cholesky factor of a penalized normal matrix ``B'B + lam * P``,
-    in the form ``scipy.linalg.cho_solve`` takes."""
-    try:
-        return cho_factor(M, lower=True)
-    except LinAlgError as exc:
-        raise ValueError(SINGULAR_SYSTEM) from exc
 
 
 def normal_quantile(p):

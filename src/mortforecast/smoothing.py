@@ -5,7 +5,7 @@ B-spline basis and a squared difference penalty on the coefficients,
 the penalty weight fixed or chosen by generalized cross-validation; the
 years of a surface share one design and are smoothed in one batched
 pass, where one generalized eigendecomposition scores every grid penalty
-for every year, and one Cholesky solve per distinct penalty fits them.
+for every year and gives every year's fit at its chosen penalty.
 Above a configurable age the smoothed curve is projected onto the
 increasing cone by pooling adjacent violators, reflecting that adult
 mortality rises with age while infant and accident-hump features below
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, eigh
+from scipy.linalg import LinAlgError, eigh
 
-from .numerics import SINGULAR_SYSTEM, bspline_design, cholesky_factor
+from .numerics import bspline_design
 
 __all__ = [
     "SmoothConfig",
@@ -47,6 +47,11 @@ _GCV_TIE_RTOL = 1e-7
 # where no relative gap ties; on generated HMD-scale surfaces the gaps
 # before a minimum are above 1e-12 of it.
 _GCV_TIE_FLOOR = 1e-18
+
+# G + lambda P is singular to working precision only at a lambda near 0
+# with about one basis function per age
+SINGULAR_SYSTEM = ("singular penalized system: too many basis functions to fit "
+                   "with so small a lambda; use fewer basis functions or a larger lambda")
 
 
 @dataclass(frozen=True)
@@ -101,12 +106,13 @@ def smooth_surface(
 ) -> SmoothedSurface:
     """Smooth each year's log-rate curve, all years in one batched pass.
 
-    The years share the design B, so G = B'B, the penalty P = D'D and
-    R = B'Y are built once. Each year's lambda is ``config.lam``, or its
-    GCV choice (``_gcv_lambdas``); G + lambda P is then factored once per
-    distinct lambda, and its Cholesky solve gives the coefficients of the
-    years that took it. Above ``config.monotone_from`` each curve is
-    projected onto the nondecreasing cone (``_monotone_tails``).
+    The years share the design B, so G = B'B, the penalty P = D'D,
+    R = B'Y and the eigendecomposition ``_gcv_lambdas`` scores with are
+    built once. Each year's lambda is ``config.lam`` or its GCV choice,
+    and its fit, the one GCV scored, is B U diag(1 / (nu + lambda
+    (1 - nu))) U'R, all years in one product; a ``ValueError`` reports a
+    system singular to working precision. Above ``config.monotone_from``
+    each curve is projected onto the nondecreasing cone (``_monotone_tails``).
 
     ``sigma2[i]`` is the sample variance across years of the smoothing
     residual at age i, the estimate of observational noise used in the
@@ -135,13 +141,21 @@ def smooth_surface(
     # from a C-order copy or from the view B.T
     Bt = B.T.copy(order="F")
     G, R = Bt @ B, Bt @ Y
-    lambdas = _gcv_lambdas(B, Y, G, P, R) if auto else np.full(len(years), float(config.lam))
-    # theta in C order: B @ theta rounds differently for an F-order theta
-    theta = np.empty((k, len(years)))
-    for lam in np.unique(lambdas):
-        cols = lambdas == lam
-        theta[:, cols] = cho_solve(cholesky_factor(G + lam * P), R)[:, cols]
-    smoothed = B @ theta
+    try:
+        nu, U = eigh(G, G + P, check_finite=False)
+    except LinAlgError as exc:
+        raise ValueError(SINGULAR_SYSTEM) from exc
+    # the d largest nu are exactly 1: their vectors span the polynomials
+    # the order-d penalty leaves free. Left at 1 - eps, they would scale
+    # those fits by about 1 / (1 + lambda * eps): by 1e-10 at the top of
+    # the grid, and by half at a lambda of 1 / eps
+    nu[-_DIFFERENCE_ORDER:] = 1.0
+    BU, C = B @ U, U.T @ R
+    lambdas = _gcv_lambdas(nu, BU, C, Y) if auto else np.full(len(years), float(config.lam))
+    pivots = nu[:, None] + lambdas * (1.0 - nu[:, None])  # (k, years)
+    if pivots.min() <= k * np.finfo(float).eps:
+        raise ValueError(SINGULAR_SYSTEM)
+    smoothed = BU @ (C * (1.0 / pivots))
     if config.monotone_from is not None:
         _monotone_tails(smoothed, ages, config.monotone_from)
     resid = Y - smoothed
@@ -150,8 +164,8 @@ def smooth_surface(
                            log_rates=smoothed, sigma2=sigma2, lambdas=lambdas)
 
 
-def _gcv_lambdas(B: np.ndarray, Y: np.ndarray, G: np.ndarray, P: np.ndarray,
-                 R: np.ndarray) -> np.ndarray:
+def _gcv_lambdas(nu: np.ndarray, BU: np.ndarray, C: np.ndarray,
+                 Y: np.ndarray) -> np.ndarray:
     """Per column of ``Y``, the grid lambda minimizing GCV.
 
     All columns share the design B and penalty P, so one generalized
@@ -164,19 +178,11 @@ def _gcv_lambdas(B: np.ndarray, Y: np.ndarray, G: np.ndarray, P: np.ndarray,
     system is singular at that lambda. Each column keeps the first grid
     point scoring within ``_GCV_TIE_RTOL`` of its minimum, or within
     ``_GCV_TIE_FLOOR`` of its Y'Y, so a flat top, where scores differ only
-    by rounding, resolves by grid order, as does an exact fit.
+    by rounding, resolves by grid order, as does an exact fit. ``nu``,
+    ``BU`` = B U and ``C`` = U'R come from ``smooth_surface``.
     """
     n, m = Y.shape
     grid = _LAMBDA_GRID
-    try:
-        nu, U = eigh(G, G + P, check_finite=False)
-    except LinAlgError as exc:
-        raise ValueError(SINGULAR_SYSTEM) from exc
-    # the d largest nu are exactly 1: their vectors span the polynomials
-    # the order-d penalty leaves free. Left at 1 - eps, they would scale
-    # those fits by about 1 - lambda * eps, 1e-10 at the top of the grid
-    nu[-_DIFFERENCE_ORDER:] = 1.0
-    BU, C = B @ U, U.T @ R
     ones = np.ones(n)  # column sums as matrix-vector products; np.sum rounds otherwise
     scores = np.empty((len(grid), m))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -162,6 +162,14 @@ def hmd_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="session")
+def hmdgen_file(tmp_path_factory):
+    """The generator's ``Mx_1x1`` file for seed 7: 111 ages x 85 years."""
+    path = tmp_path_factory.mktemp("hmdgen") / "Mx_1x1.txt"
+    hmdgen().write(str(path), 7)
+    return str(path)
+
+
 @pytest.fixture
 def small_surface():
     surface, _, _, _ = rank1_surface(n_ages=10, n_years=20, seed=3, noise=0.02)

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import mortforecast
-from mortforecast import build_surface, fit_models, parse_hmd_rates
+from mortforecast import build_surface, evaluate, fit_models, parse_hmd_rates, smooth_surface
 from mortforecast.evaluate import normality_test, standardize_residuals
 from mortforecast.cli import main
 from mortforecast.tsforecast import TsSpec
@@ -556,6 +557,73 @@ def test_horizon_past_float_range_exit_2(hmd_file, tmp_path, capsys, ts):
                     "--horizon", "100000", "--ts", ts, "--output", out])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: --horizon 100000 is too long for lc")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("models", ["lc", "fdm", "lc,lcs,fdm"])
+def test_backtest_test_window_past_float_range_exit_2(hmdgen_file, tmp_path, capsys, models):
+    # five train years give an AR(2) drift that carries the log rates past
+    # exp's range by the test window; like a --horizon too long, that is a
+    # test window too far, not a failed computation, and no warning
+    # escapes on the way
+    out = tmp_path / "far"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["backtest", "--data", hmdgen_file, "--ages", "0:110", "--train",
+                        "1922:1926", "--test", "2000:2006", "--ts", "ar:2,1,drift",
+                        "--models", models, "--output", out])
+    assert code == 2
+    first = models.split(",")[0]
+    assert capsys.readouterr().err.startswith(
+        f"error: --test 2000:2006 is too far past --train 1922:1926 for {first}: from 2000 ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["1e16", "1e300"])
+def test_fit_at_huge_lambda_smooths_each_year_to_its_line(hmdgen_file, tmp_path, monkeypatch,
+                                                          lam):
+    # a penalty this heavy leaves each year only the affine functions it
+    # does not penalize, so each smoothed curve is the year's
+    # least-squares line in age
+    seen = []
+    monkeypatch.setattr(evaluate, "smooth_surface",
+                        lambda *a: seen.append((a[0], smooth_surface(*a))) or seen[-1][1])
+    out = tmp_path / "flat"
+    assert run_cli(["fit", "--data", hmdgen_file, "--ages", "0:100", "--models", "lcs",
+                    "--lam", lam, "--monotone-from", "none", "--output", out]) == 0
+    (log_rates, smoothed), = seen
+    X = np.column_stack([np.ones(101), np.arange(101.0)])
+    line = X @ np.linalg.lstsq(X, log_rates, rcond=None)[0]
+    assert np.max(np.abs(smoothed.log_rates - line)) <= 1e-10
+
+
+def test_forecast_e0_at_lambda_1e15_is_the_affine_limit(hmdgen_file, tmp_path):
+    # by 1e15 every year's fit has reached its least-squares line, so e0
+    # agrees with the fit at 1e300; a Cholesky solve of G + lambda P put
+    # fdm's 2026 e0 at 103.7 years here, against 85.64
+    e0 = {}
+    for lam in ("1e15", "1e300"):
+        out = tmp_path / lam
+        assert run_cli(["forecast", "--data", hmdgen_file, "--ages", "0:100", "--models",
+                        "lcs,fdm", "--lam", lam, "--horizon", "20", "--output", out]) == 0
+        e0[lam] = np.array([entry["e0"][part] for entry in read_summary(out)["models"].values()
+                            for part in ("point", "lower", "upper")])
+    assert np.max(np.abs(e0["1e15"] - e0["1e300"])) <= 1e-6
+    assert 80 < e0["1e15"].min() and e0["1e15"].max() < 95
+
+
+@pytest.mark.parametrize("ages,num_basis", [("0:100", "101"), ("0:110", "111")])
+def test_near_interpolating_basis_without_penalty_fails(hmdgen_file, tmp_path, capsys, ages,
+                                                        num_basis):
+    # one basis function per age at lambda 0 leaves G + lambda P singular
+    # to working precision, its least Demmler-Reinsch eigenvalue near
+    # 1e-17; the run fails, writes nothing and says what to change
+    out = tmp_path / "singular"
+    code = run_cli(["fit", "--data", hmdgen_file, "--ages", ages, "--models", "lcs",
+                    "--num-basis", num_basis, "--lam", "0", "--output", out])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "computation failed: singular penalized system: too many basis functions")
     assert not out.exists()
 
 

@@ -29,11 +29,11 @@ SAMPLE = """Italy, Death rates (period 1x1)
 
 
 def test_parse_skips_headers_and_reads_rows():
-    records = parse_hmd_rates(SAMPLE)
-    assert len(records) == 6
-    assert records[0].year == 1950
-    assert records[0].age == 0
-    assert records[0].male == pytest.approx(0.070998)
+    table = parse_hmd_rates(SAMPLE)
+    assert len(table) == 6
+    assert table.year[0] == 1950
+    assert table.age[0] == 0
+    assert table.rates[0, GENDERS.index("male")] == pytest.approx(0.070998)
 
 
 def test_parse_open_age_group():
@@ -173,25 +173,15 @@ def test_parse_returns_columns():
 def test_rate_table_builds_records_on_demand():
     table = parse_hmd_rates(SAMPLE)
     records = list(table)
-    assert records == [table[i] for i in range(len(table))]
+    assert [(r.year, r.age) for r in records] == list(zip(table.year.tolist(),
+                                                          table.age.tolist()))
     assert records[4] == RateRecord(1951, 1, None, 0.0068, 0.0063)
-    assert table[-1] == records[-1]
     assert all(type(r.year) is int and type(r.male) is float for r in records)
 
 
 def test_literal_nan_rate_reads_as_missing():
     table = parse_hmd_rates(SAMPLE.replace("0.006800", "nan"))
-    assert table[4].male is None
-
-
-def test_build_surface_from_records_matches_table():
-    table = parse_hmd_rates(SAMPLE)
-    for gender in GENDERS:
-        from_table = build_surface(table, gender, 0, 1, 1950, 1951)
-        from_records = build_surface(iter(list(table)), gender, 0, 1, 1950, 1951)
-        assert np.array_equal(from_table.rates, from_records.rates)
-    empty = RateTable.from_records([])
-    assert len(empty) == 0 and empty.rates.shape == (0, len(GENDERS))
+    assert list(table)[4].male is None
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +245,7 @@ def _reference_build_surface(records, gender, age_min, age_max, year_min, year_m
     cells = {}
     for rec in records:
         if age_min <= rec.age <= age_max and year_min <= rec.year <= year_max:
-            cells[(rec.age, rec.year)] = rec.rate(gender)
+            cells[(rec.age, rec.year)] = getattr(rec, gender)
     missing = [(a, y) for a in ages for y in years if (int(a), int(y)) not in cells]
     if missing:
         shown = ", ".join(f"(age {a}, year {y})" for a, y in missing[:10])

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from mortforecast.evaluate import run_backtest
 from mortforecast.fdm import ForecastSurface
 from mortforecast.ingest import MortalitySurface
-from mortforecast.lifetable import E0Path, LifeTable, e0_path, rates_to_lifetable
+from mortforecast.lifetable import E0Path, E0RangeError, LifeTable, e0_path, rates_to_lifetable
 
 
 def _e0_by_integration(mx, steps_per_year=2000):
@@ -254,11 +254,15 @@ def test_bad_rate_error_matches_reference(rate, log_rate):
     assert (_error_text(rates_to_lifetable, mx)
             == _error_text(_reference_lifetable, mx)
             == "all rates must be finite and positive")
-    # the same cell in one horizon of a forecast, as a log rate
+    # the same cell in one horizon of a forecast, as a log rate: e0_path
+    # names the first year whose rates no life table takes
     fc = _random_forecast(21, 3, 1)
     point = fc.point.copy()
     point[7, 1] = log_rate
     bad_fc = ForecastSurface(ages=fc.ages, years=fc.years, point=point,
                              variance=fc.variance, lower=np.fmin(fc.lower, point),
                              upper=np.fmax(fc.upper, point), level=fc.level)
-    assert _error_text(e0_path, bad_fc) == _error_text(_reference_e0_path, bad_fc)
+    assert _error_text(_reference_e0_path, bad_fc) == "all rates must be finite and positive"
+    with pytest.raises(E0RangeError, match=f"^from {int(fc.years[1])} its forecast death rates "
+                                           "underflow to 0 or overflow, so e0 has no life table$"):
+        e0_path(bad_fc)

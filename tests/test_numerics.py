@@ -1,8 +1,6 @@
 """Numerical kernels checked against independent routes: the SVD against
 a Gram-matrix eigendecomposition and numpy's own SVD, the B-spline
-design against a scalar Cox-de Boor recursion written here, the
-penalized normal equations' Cholesky solve against a stacked
-least-squares formulation, and the
+design against a scalar Cox-de Boor recursion written here, and the
 normal quantile against bisection on the CDF."""
 
 import math
@@ -11,11 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scipy.linalg import cho_solve
-
 from mortforecast.numerics import (
     bspline_design,
-    cholesky_factor,
     normal_quantile,
     svd_thin,
 )
@@ -165,30 +160,6 @@ def test_design_rejects_too_few_functions_and_empty_domain():
 def test_design_right_endpoint_included():
     row = bspline_design(0.0, 1.0, 6, np.array([1.0]))
     assert row.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# penalized solve
-
-
-def test_penalized_solve_matches_stacked_least_squares():
-    # oracle: minimizing |y - B t|^2 + lam |D t|^2 equals ordinary least
-    # squares on the rows [B; sqrt(lam) D]
-    rng = np.random.default_rng(5)
-    B = rng.standard_normal((20, 6))
-    y = rng.standard_normal(20)
-    D = np.diff(np.eye(6), n=2, axis=0)
-    for lam in (0.0, 0.3, 10.0):
-        theta = cho_solve(cholesky_factor(B.T @ B + lam * (D.T @ D)), B.T @ y)
-        stacked_A = np.vstack([B, math.sqrt(lam) * D])
-        stacked_y = np.concatenate([y, np.zeros(D.shape[0])])
-        expected, *_ = np.linalg.lstsq(stacked_A, stacked_y, rcond=None)
-        np.testing.assert_allclose(theta, expected, atol=1e-8)
-
-
-def test_penalized_solve_singular_message():
-    with pytest.raises(ValueError, match="singular penalized system"):
-        cholesky_factor(np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------------------

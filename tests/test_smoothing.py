@@ -3,19 +3,23 @@
 The projection is checked against a brute-force search over the lattice
 of block partitions, which is the honest way to validate an isotonic
 fit on short inputs. The smoother is checked against per-curve
-references: LU-solved GCV scores, and the separate fixed-lambda solve
-that its one penalized solve replaced.
+references: LU-solved GCV scores, a Cholesky solve of the normal
+equations at small lambdas, and at large ones, where the Cholesky
+factor of G + lambda P loses the digits of G, an exact solve.
 """
 
+import decimal
+import functools
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_solve
+from hypothesis import example, given, settings, strategies as st
+import scipy.linalg
+from scipy.linalg import cho_factor, cho_solve
 
 from mortforecast import smoothing
-from mortforecast.numerics import bspline_design, cholesky_factor
+from mortforecast.numerics import bspline_design
 from mortforecast.smoothing import (
     _GCV_TIE_FLOOR,
     _GCV_TIE_RTOL,
@@ -197,21 +201,55 @@ def _reference_lambdas(ys, xs, config):
 
 def _solve_penalized_ls(B, y, lam):
     """The separate fixed-lambda solve that the one penalized solve
-    replaced, kept as its oracle: minimize |y - B theta|^2 +
-    lam |D_2 theta|^2 by a Cholesky factor of the normal equations."""
+    replaced, kept as its oracle at small lambdas: minimize
+    |y - B theta|^2 + lam |D_2 theta|^2 by a Cholesky factor of the
+    normal equations."""
     BtW = B.T * np.ones(len(B))
     M = BtW @ B
     if lam > 0:
         D = np.diff(np.eye(B.shape[1]), n=2, axis=0)
         M = M + lam * (D.T @ D)
-    return cho_solve(cholesky_factor(M), BtW @ y)
+    return cho_solve(cho_factor(M, lower=True), BtW @ y)
+
+
+# lambdas from which the fit is checked against the exact solve below:
+# the Cholesky factor of G + lambda P rounds G away in proportion to
+# lambda, and its fits of generated seed 7's total rates, ages 0:100,
+# were 1.7e-10 off at 1e6, 3.1e-6 at 1e10 and 3.3 at 1e15
+_EXACT_FROM_LAMBDA = 1e3
+
+
+def _exact_fit(B, Y, lam):
+    """B @ theta, theta solving (B'B + lam D'D) theta = B'Y for every
+    column of ``Y`` exactly: Gaussian elimination in decimal arithmetic on
+    the floats of B, Y and lam as given, rounded to float at the end. 60
+    digits hold both G and lam P up to lam = 1e30, 400 beyond it."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60 if lam <= 1e30 else 400
+        exact = np.vectorize(decimal.Decimal, otypes=[object])
+        k = B.shape[1]
+        Bd, Yd = exact(B), exact(np.reshape(Y, (len(B), -1)))
+        D = np.diff(np.eye(k, dtype=int), n=2, axis=0)
+        A = Bd.T @ Bd + decimal.Decimal(lam) * (D.T @ D).astype(object)
+        R = Bd.T @ Yd
+        for i in range(k - 1):  # G + lam P is positive definite: no pivoting
+            f = A[i + 1:, i] / A[i, i]
+            A[i + 1:, i:] -= np.outer(f, A[i, i:])
+            R[i + 1:] -= np.outer(f, R[i])
+        theta = np.empty_like(R)
+        for i in reversed(range(k)):
+            theta[i] = (R[i] - A[i, i + 1:] @ theta[i + 1:]) / A[i, i]
+        return np.reshape((Bd @ theta).astype(float), np.shape(Y))
 
 
 def _reference_fit(ys, xs, config, lam):
-    """The per-curve fit at ``lam``: one Cholesky solve, then the
-    monotone projection."""
+    """The per-curve fit at ``lam``: one Cholesky solve, or the exact one
+    from ``_EXACT_FROM_LAMBDA``, then the monotone projection."""
     B = _reference_design(xs, config)
-    values = B @ _solve_penalized_ls(B, ys, lam)
+    if lam >= _EXACT_FROM_LAMBDA:
+        values = _exact_fit(B, ys, lam)
+    else:
+        values = B @ _solve_penalized_ls(B, ys, lam)
     if config.monotone_from is not None:
         values = _reference_enforce_monotone(values, config.monotone_from, xs)
     return values
@@ -239,6 +277,8 @@ def _assert_matches_reference(log_m, ages, config):
        st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.5)),
        st.one_of(st.just("auto"), st.sampled_from([0.0, 0.003, 1.0, 1e3])),
        st.one_of(st.none(), st.integers(min_value=0, max_value=110)))
+# GCV takes lambda = 1e6, where a Cholesky solve was 1.0e-9 off the exact fit
+@example(15, 1, 0, 47, 0.5, None, "auto", None)
 def test_smooth_surface_matches_per_curve_reference(n_ages, n_years, first_age, seed, noise,
                                                     basis_share, lam, monotone_from):
     # THEORY: every year shares the design and penalty, so the batched
@@ -252,7 +292,9 @@ def test_smooth_surface_matches_per_curve_reference(n_ages, n_years, first_age, 
     # the tie cut is the one case left open (_reference_lambdas). At most
     # half as many basis functions as ages: an unpenalized fit with one
     # per age is so ill-conditioned that a different summation order alone
-    # moves it by about 1e-10.
+    # moves it by about 1e-10. From _EXACT_FROM_LAMBDA the reference fit
+    # is the exact solve, which a Cholesky solve misses by more than
+    # rounding there.
     rng = np.random.default_rng(seed)
     ages = np.arange(first_age, first_age + n_ages)
     trend = -7.0 + 0.07 * ages + 0.5 * np.sin(ages / 4.0)
@@ -263,15 +305,28 @@ def test_smooth_surface_matches_per_curve_reference(n_ages, n_years, first_age, 
         num_basis=num_basis, lam=lam, monotone_from=monotone_from))
 
 
-# Absolute agreement, at a fixed lambda, with the separate solve above.
-# Both factor the same G + lambda P and solve for the same coefficients
-# bit for bit, but the one solve assembles them in C order, as GCV always
-# has, where the separate solve returned them in F order, and B @ theta
-# can round differently for the two layouts. On OpenBLAS it did so for
-# 59 years (the second surface below), by up to 1.8e-15; carried through
-# the fits, forecasts and life tables of fixed-lambda backtests, the
-# largest gap in any artifact was 1.3e-13.
+# Absolute agreement, at a fixed lambda below _EXACT_FROM_LAMBDA, with
+# the separate solve above. Both solve the same normal equations, one
+# through the eigendecomposition GCV scores with, the other through a
+# Cholesky factor; on the surfaces below they agreed to 1.2e-13.
 _FIXED_LAM_ATOL = 1e-12
+
+# Absolute agreement, from _EXACT_FROM_LAMBDA on, with the exact solve.
+# The eigendecomposition's fits stayed within 2.7e-11 of it from 1e6 to
+# 1e300 on the surfaces below; the Cholesky solve this replaced was up
+# to 4.3e-10 off at 1e6 and 7.0e-6 at 1e10 there.
+_EXACT_ATOL = 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_surface_fit(seed, gender, ages, years, num_basis, lam):
+    """Three years of one generated surface, the first, middle and last,
+    and their exact fits at ``lam``: the column indices and the fits."""
+    surface = hmdgen_surface(seed, gender, ages, years)
+    cols = np.array([0, surface.n_years // 2, surface.n_years - 1])
+    xs = surface.ages.astype(float)
+    B = _reference_design(xs, SmoothConfig(num_basis=num_basis))
+    return cols, _exact_fit(B, surface.log_rates[:, cols], lam)
 
 
 @pytest.mark.parametrize("seed,gender,ages,years,num_basis", [
@@ -279,7 +334,7 @@ _FIXED_LAM_ATOL = 1e-12
     (7, "male", (0, 100), (1922, 1980), None),
     (301, "female", (10, 60), (1950, 2006), 12),
 ])
-@pytest.mark.parametrize("lam", [0.0, 0.003, 1.0, 1e6])
+@pytest.mark.parametrize("lam", [0.0, 0.003, 1.0, 1e6, 1e10, 1e15, 1e300])
 @pytest.mark.parametrize("monotone_from", [65, None])
 def test_fixed_lambda_matches_separate_solve(seed, gender, ages, years, num_basis, lam,
                                              monotone_from):
@@ -287,12 +342,17 @@ def test_fixed_lambda_matches_separate_solve(seed, gender, ages, years, num_basi
     config = SmoothConfig(num_basis=num_basis, lam=lam, monotone_from=monotone_from)
     out = smooth_surface(surface.log_rates, surface.ages, surface.years, config)
     xs = surface.ages.astype(float)
-    B = _reference_design(xs, config)
-    expected = B @ _solve_penalized_ls(B, surface.log_rates, lam)
+    if lam >= _EXACT_FROM_LAMBDA:
+        cols, expected = _exact_surface_fit(seed, gender, ages, years, num_basis, lam)
+        got, expected, atol = out.log_rates[:, cols], expected.copy(), _EXACT_ATOL
+    else:
+        B = _reference_design(xs, config)
+        got, expected = out.log_rates, B @ _solve_penalized_ls(B, surface.log_rates, lam)
+        atol = _FIXED_LAM_ATOL
     if monotone_from is not None:
         _monotone_tails(expected, xs, monotone_from)
     assert np.all(out.lambdas == lam)
-    assert np.max(np.abs(out.log_rates - expected)) <= _FIXED_LAM_ATOL
+    assert np.max(np.abs(got - expected)) <= atol
 
 
 def test_smooth_surface_tied_gcv_keeps_first_grid_point(monkeypatch):
@@ -507,11 +567,12 @@ def test_pava_runs_on_the_reachable_part_of_a_falling_tail(tail, reach, monkeypa
     assert seen == [reach]
 
 
-def test_gcv_surface_factors_once_per_chosen_lambda(monkeypatch):
-    # one eigendecomposition scores every grid lambda for every year, one
-    # Cholesky factorization per distinct chosen lambda gives the
-    # coefficients, and PAVA runs on falling tails past their unreachable
-    # rising prefix; a fixed lambda is one distinct lambda, with no scores
+def test_gcv_surface_factors_once_per_surface(monkeypatch):
+    # one eigendecomposition scores every grid lambda for every year and
+    # gives every year's fit at its chosen lambda, with no Cholesky
+    # factorization, and PAVA runs on falling tails past their
+    # unreachable rising prefix; a fixed lambda takes the same one
+    # eigendecomposition
     rng = np.random.default_rng(0)
     ages, years = np.arange(100), np.arange(1970, 2000)
     shape = -9.0 + 0.085 * np.minimum(ages, 60) + 0.004 * np.maximum(ages - 60, 0)
@@ -519,19 +580,21 @@ def test_gcv_surface_factors_once_per_chosen_lambda(monkeypatch):
     raw = smooth_surface(log_m, ages, years, SmoothConfig(monotone_from=None)).log_rates
     tail_len = int(np.sum(ages >= 60))
     n_falling = int((np.diff(raw[ages >= 60], axis=0) < 0).any(axis=0).sum())
-    calls = {name: [] for name in ("eigh", "cholesky_factor", "_pava")}
-    for name, record in calls.items():
-        func = getattr(smoothing, name)
-        monkeypatch.setattr(smoothing, name,
+    calls = {name: [] for name in ("eigh", "_pava", "cholesky", "cho_factor")}
+    for module, name in ((smoothing, "eigh"), (smoothing, "_pava"), (scipy.linalg, "cholesky"),
+                         (scipy.linalg, "cho_factor"), (np.linalg, "cholesky")):
+        func, record = getattr(module, name), calls[name]
+        monkeypatch.setattr(module, name,
                             lambda *a, _f=func, _r=record, **k: _r.append(a) or _f(*a, **k))
     out = smooth_surface(log_m, ages, years, SmoothConfig(monotone_from=60))
     assert len(calls["eigh"]) == 1
-    assert len(calls["cholesky_factor"]) == len(np.unique(out.lambdas)) > 1
+    assert len(np.unique(out.lambdas)) > 1
     assert 0 < len(calls["_pava"]) == n_falling < len(years)
     assert sum(len(y) for y, in calls["_pava"]) < tail_len * n_falling
     for record in calls.values():
         record.clear()
     fixed = smooth_surface(log_m, ages, years, SmoothConfig(lam=0.003, monotone_from=None))
     assert np.all(fixed.lambdas == 0.003)
-    assert len(calls["eigh"]) == 0
-    assert len(calls["cholesky_factor"]) == 1
+    assert len(calls["eigh"]) == 1
+    assert not calls["cholesky"] and not calls["cho_factor"]
+    assert not {"cho_factor", "cho_solve", "cholesky_factor"} & set(vars(smoothing))
