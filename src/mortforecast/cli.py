@@ -3,11 +3,12 @@
 Artifacts (CSV, JSON, SVG) land under --output with stable names, and a
 given config + data + seed always produces byte-identical files. Exit
 status 0 means success, 1 a computation failure, 2 a usage or I/O
-problem, including a --ts AR model whose lag regression the data leave
-singular. Every artifact is computed before any is written, so a failed
-run creates and changes nothing. Files in --output that are not this
-run's artifacts are left alone, each artifact is replaced whole, and a
-failed write exits 2.
+problem. Exit 2 also covers settings the data cannot support, each
+rejected as a ``SettingsError`` by the module whose rule they break, and
+a --ts AR model whose lag regression the data leave singular. Every
+artifact is computed before any is written, so a failed run creates and
+changes nothing. Files in --output that are not this run's artifacts are
+left alone, each artifact is replaced whole, and a failed write exits 2.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .ingest import (
     parse_hmd_rates,
 )
 from .lifetable import E0RangeError, e0_path, rates_to_lifetable
+from .numerics import SettingsError
 from .smoothing import SmoothConfig
 from .svgchart import render_line_chart
 from .tsforecast import SingularLagError, TsSpec
@@ -51,10 +53,6 @@ DATA_ENV = "MORTFORECAST_DATA"
 SCHEMA_VERSION = 3
 _DATA_BASENAMES = ("Mx_1x1.txt", "ITA.Mx_1x1.txt")
 _NORMALITY_CAP = 5000
-# Shortest windows a backtest accepts: fit_lc needs three years, and the
-# error variances need two test years.
-_MIN_TRAIN_YEARS = 3
-_MIN_TEST_YEARS = 2
 
 
 class UsageError(Exception):
@@ -113,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "on age-by-year death rate surfaces.",
         allow_abbrev=False,
     )
-    # one parent per flag group; a command's groups in _COMMANDS also pick main's checks
+    # one parent per flag group; a command's groups in _COMMANDS also tell main
+    # whether to build a SmoothConfig and to check --year
     group = {name: argparse.ArgumentParser(add_help=False) for name in
              ("data", "windows", "year", "models", "forecast", "horizon", "output")}
     data, windows, year, models, forecast, horizon, output = group.values()
@@ -201,62 +200,15 @@ def load_surface(args: argparse.Namespace) -> MortalitySurface:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _check_windows(args: argparse.Namespace, surface: MortalitySurface) -> None:
-    train, test = args.train, args.test
-    if test[0] <= train[1]:
-        raise UsageError(f"--test {test[0]}:{test[1]} overlaps or precedes --train "
-                         f"{train[0]}:{train[1]}")
-    lo, hi = int(surface.years[0]), int(surface.years[-1])
-    for flag, window, least in (("--train", train, _MIN_TRAIN_YEARS),
-                                ("--test", test, _MIN_TEST_YEARS)):
-        if window[1] - window[0] + 1 < least:
-            raise UsageError(f"{flag} {window[0]}:{window[1]} spans "
-                             f"{window[1] - window[0] + 1} year(s); a backtest "
-                             f"needs at least {least}")
-        if window[0] < lo or window[1] > hi:
-            raise UsageError(f"{flag} {window[0]}:{window[1]} outside data years "
-                             f"{lo}:{hi}")
-    _check_ages_from_0(args, surface, "a backtest scores")
-
-
 def _check_year(args: argparse.Namespace, surface: MortalitySurface) -> None:
-    _check_ages_from_0(args, surface, "a life table reports")
-    lo, hi = int(surface.years[0]), int(surface.years[-1])
-    if not lo <= args.year <= hi:
-        raise UsageError(f"--year {args.year} outside data years {lo}:{hi}")
-
-
-def _check_ages_from_0(args: argparse.Namespace, surface: MortalitySurface, reports: str) -> None:
     first_age = int(surface.ages[0])
     if first_age != 0:
         raise UsageError(f"--ages {args.ages[0]}:{args.ages[1]} starts at age {first_age}; "
-                         f"{reports} life expectancy at birth, which needs ages from 0")
-
-
-def _check_fit_sizes(args: argparse.Namespace, surface: MortalitySurface,
-                     smooth: SmoothConfig, ts: Optional[TsSpec]) -> None:
-    """Reject models, smoothing settings and the time-series model, if any,
-    the fitted surface (for a backtest, the train window) is too small for."""
-    n_ages = surface.n_ages
-    n_years = args.train[1] - args.train[0] + 1 if "train" in args else surface.n_years
-    ages = f"--ages {args.ages[0]}:{args.ages[1]}"
-    if "lcs" in args.models or "fdm" in args.models:
-        if n_ages < 4:
-            raise UsageError(f"smoothing needs at least 4 ages; {ages} has {n_ages}")
-        try:
-            smooth.resolved_num_basis(n_ages)
-        except ValueError as exc:
-            raise UsageError(f"--num-basis with {ages}: {exc}") from None
-    if ("lc" in args.models or "lcs" in args.models) and min(n_ages, n_years) < 3:
-        raise UsageError(f"lc and lcs need at least 3 ages and 3 years; the fitted "
-                         f"surface is {n_ages} x {n_years}")
-    K, largest_K = args.components, min(n_ages, n_years) - 1
-    if "fdm" in args.models and not 1 <= K <= largest_K:
-        raise UsageError(f"-K {K} does not fit a {n_ages} x {n_years} surface; "
-                         f"fdm needs 1 <= K <= {largest_K}")
-    if ts is not None and n_years < ts.min_observations:
-        raise UsageError(f"--ts: {_ts_model(ts)} needs at least {ts.min_observations} years; "
-                         f"the fitted surface has {n_years}")
+                         "a life table reports life expectancy at birth, which needs ages "
+                         "from 0")
+    lo, hi = int(surface.years[0]), int(surface.years[-1])
+    if not lo <= args.year <= hi:
+        raise UsageError(f"--year {args.year} outside data years {lo}:{hi}")
 
 
 def _ts_model(ts: TsSpec) -> str:
@@ -517,8 +469,7 @@ def cmd_backtest(args: argparse.Namespace, surface: MortalitySurface,
             [(m, report.ages, c) for m, c in zip(args.models, columns)],
             "age", ylabel, title=title)
 
-    observed = report.models[args.models[0]].e0_observed
-    fan_series = [("observed", years, observed)]
+    fan_series = [("observed", years, report.e0_observed)]
     for name in args.models:
         fan_series += [(f"{name} {part}", years, getattr(report.models[name].e0_interval, part))
                        for part in ("point", "lower", "upper")]
@@ -610,18 +561,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if os.path.exists(args.output) and not os.path.isdir(args.output):
             raise UsageError(f"--output {args.output} exists and is not a directory")
         surface = load_surface(args)
-        if "windows" in groups:
-            _check_windows(args, surface)
         if "year" in groups:
             _check_year(args, surface)
-        if "models" in groups:
-            _check_fit_sizes(args, surface, smooth, args.ts if "forecast" in groups else None)
         summary, files = run(args, surface, smooth)
         files["summary.json"] = _summary_json(args, summary)
         _commit(args.output, {name: text for name, text in files.items()
                               if name.rsplit(".", 1)[-1] in args.formats})
         return 0
-    except (UsageError, OSError) as exc:
+    except (UsageError, SettingsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SingularLagError as exc:

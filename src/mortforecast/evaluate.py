@@ -20,7 +20,7 @@ from .fdm import FittedModel, ForecastSurface, bootstrap_intervals, fit_fdm, for
 from .ingest import MortalitySurface, slice_window
 from .leecarter import fit_lc, fit_lcs
 from .lifetable import E0Path, E0RangeError, _lifetables, e0_path
-from .numerics import normal_quantile
+from .numerics import SettingsError, normal_quantile
 from .smoothing import SmoothConfig, smooth_surface
 from .tsforecast import SingularLagError, TsSpec
 
@@ -43,6 +43,10 @@ MODELS = ("lc", "lcs", "fdm")
 # The models whose intervals a nonzero bootstrap replaces; the Lee-Carter
 # variants keep their analytic intervals.
 BOOTSTRAPPED_MODELS = ("fdm",)
+# Shortest windows a backtest accepts: lc, lcs and the default random walk
+# with drift need three train years, and the error variances two test years.
+_MIN_TRAIN_YEARS = 3
+_MIN_TEST_YEARS = 2
 
 
 @dataclass(frozen=True)
@@ -198,7 +202,6 @@ class ModelBacktest:
     errors: np.ndarray  # observed minus forecast log rate, ages x test years
     mean_error_by_age: np.ndarray
     sd_error_by_age: np.ndarray
-    e0_observed: np.ndarray
     e0_interval: E0Path
     e0_error_mean: float
     e0_error_variance: float
@@ -210,6 +213,7 @@ class BacktestReport:
     test_years: tuple
     ages: np.ndarray
     years: np.ndarray  # test years
+    e0_observed: np.ndarray  # by test year
     models: Mapping[str, ModelBacktest]
 
 
@@ -247,13 +251,14 @@ def forecast_model(
     """Forecast one fitted model with analytic intervals, or with
     ``bootstrap`` simulated futures when that is nonzero and the model is
     one of ``BOOTSTRAPPED_MODELS``. A coefficient series the AR model
-    cannot be fitted to raises ``SingularLagError`` naming the model."""
+    cannot be fitted to raises ``SingularLagError``, and one too short for
+    it ``SettingsError``, each naming the model."""
     try:
         if bootstrap and model.name in BOOTSTRAPPED_MODELS:
             return bootstrap_intervals(model, ts_spec, horizon, level, B=bootstrap, seed=seed)
         return forecast_fdm(model, ts_spec, horizon, level)
-    except SingularLagError as exc:
-        raise SingularLagError(f"{model.name}: {exc}") from None
+    except (SingularLagError, SettingsError) as exc:
+        raise type(exc)(f"{model.name}: {exc}") from None
 
 
 def run_backtest(
@@ -277,16 +282,30 @@ def run_backtest(
     for fan charts, from ``bootstrap`` simulated futures when that is
     nonzero (see ``forecast_model``). A test window whose forecast death
     rates leave float range raises ``E0RangeError`` naming the model.
+
+    The window rules raise ``SettingsError`` before anything is fitted:
+    test after train, at least ``_MIN_TRAIN_YEARS`` and ``_MIN_TEST_YEARS``
+    years, both inside the surface's years, and ages from 0.
     """
     train_start, train_end = int(train[0]), int(train[1])
     test_start, test_end = int(test[0]), int(test[1])
     if train_start > train_end or test_start > test_end:
-        raise ValueError("window bounds must satisfy start <= end")
+        raise SettingsError("window bounds must satisfy start <= end")
     if test_start <= train_end:
-        raise ValueError(
-            f"test window {test_start}:{test_end} must start after the "
-            f"train window ends ({train_end})"
-        )
+        raise SettingsError(f"test window {test_start}:{test_end} must start after the "
+                            f"train window ends ({train_end})")
+    lo, hi = int(surface.years[0]), int(surface.years[-1])
+    for label, start, end, least in (("train", train_start, train_end, _MIN_TRAIN_YEARS),
+                                     ("test", test_start, test_end, _MIN_TEST_YEARS)):
+        if end - start + 1 < least:
+            raise SettingsError(f"{label} window {start}:{end} spans {end - start + 1} "
+                                f"year(s); a backtest needs at least {least}")
+        if start < lo or end > hi:
+            raise SettingsError(f"{label} window {start}:{end} outside the surface's "
+                                f"years {lo}:{hi}")
+    if int(surface.ages[0]) != 0:
+        raise SettingsError(f"a backtest scores life expectancy at birth, which needs "
+                            f"ages from 0, got first age {int(surface.ages[0])}")
     train_surface = slice_window(surface, train_start, train_end)
     test_surface = slice_window(surface, test_start, test_end)
     observed_log = test_surface.log_rates
@@ -310,7 +329,6 @@ def run_backtest(
             errors=errors,
             mean_error_by_age=errors.mean(axis=1),
             sd_error_by_age=errors.std(axis=1, ddof=1),
-            e0_observed=e0_observed,
             e0_interval=e0_interval,
             e0_error_mean=float(e0_errors.mean()),
             e0_error_variance=float(e0_errors.var(ddof=1)),
@@ -321,5 +339,6 @@ def run_backtest(
         test_years=(test_start, test_end),
         ages=surface.ages,
         years=test_surface.years,
+        e0_observed=e0_observed,
         models=results,
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import normal_quantile, svd_thin
+from .numerics import SettingsError, normal_quantile, svd_thin
 from .smoothing import SmoothedSurface
 from .tsforecast import TsSpec, fit_ts, forecast_ts, simulate_path
 
@@ -163,13 +163,10 @@ def fit_fdm(smoothed: SmoothedSurface, K: int = 4) -> FittedModel:
     K = int(K)
     F = smoothed.log_rates
     n_ages, n_years = F.shape
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    if K > min(n_ages, n_years) - 1:
-        raise ValueError(
-            f"K={K} too large for a {n_ages} x {n_years} surface; "
-            f"maximum is {min(n_ages, n_years) - 1}"
-        )
+    largest = min(n_ages, n_years) - 1
+    if not 1 <= K <= largest:
+        raise SettingsError(f"fdm needs 1 <= K <= {largest} on a {n_ages} x {n_years} "
+                            f"surface, got K = {K}")
     mu, centered, s, phi, V, shares, degenerate = _decompose(F, K)
     beta = s[:K] * V
 

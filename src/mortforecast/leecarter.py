@@ -15,6 +15,7 @@ import numpy as np
 
 from .fdm import FittedModel, _decompose, _explained_rss
 from .ingest import MortalitySurface
+from .numerics import SettingsError
 from .smoothing import SmoothedSurface
 
 __all__ = ["fit_lc", "fit_lcs"]
@@ -44,7 +45,8 @@ def _fit_log_rates(ages: np.ndarray, years: np.ndarray, Y: np.ndarray,
                    name: str) -> FittedModel:
     n_ages, n_years = Y.shape
     if n_years < 3 or n_ages < 3:
-        raise ValueError(f"need at least 3 ages and 3 years, got {n_ages} x {n_years}")
+        raise SettingsError(f"{name} needs at least 3 ages and 3 years, "
+                            f"got {n_ages} x {n_years}")
     alpha, Z, s, U, V, shares, degenerate = _decompose(Y, 1)
     if degenerate:
         # no temporal signal at all; a perfect fit by the level alone

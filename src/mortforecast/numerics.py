@@ -1,7 +1,8 @@
 """Numerical kernels shared by the fitting modules.
 
-Thin SVD, the uniform cubic B-spline design, and the standard normal
-quantile. Everything here is a pure function of its inputs.
+Thin SVD, the uniform cubic B-spline design, the standard normal
+quantile, and the error the fitting modules raise for settings the data
+cannot support. Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -13,11 +14,18 @@ from scipy import special
 from scipy.linalg import svd
 
 __all__ = [
+    "SettingsError",
     "SvdResult",
     "svd_thin",
     "bspline_design",
     "normal_quantile",
 ]
+
+
+class SettingsError(ValueError):
+    """Settings the data cannot support: a model, smoother, time-series
+    model or backtest window too large or too long for the surface it is
+    given. Each message names the quantity, its limit and the size found."""
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
 
-from .numerics import bspline_design
+from .numerics import SettingsError, bspline_design
 
 __all__ = [
     "SmoothConfig",
@@ -79,9 +79,9 @@ class SmoothConfig:
         else:
             k = int(self.num_basis)
             if k < least:
-                raise ValueError(f"num_basis {k} is below the minimum of {least}")
+                raise SettingsError(f"num_basis {k} is below the minimum of {least}")
         if k > n_points:
-            raise ValueError(
+            raise SettingsError(
                 f"num_basis {k} exceeds the {n_points} observations available"
             )
         return k
@@ -110,7 +110,7 @@ def smooth_surface(
     R = B'Y and the eigendecomposition ``_gcv_lambdas`` scores with are
     built once. Each year's lambda is ``config.lam`` or its GCV choice,
     and its fit, the one GCV scored, is B U diag(1 / (nu + lambda
-    (1 - nu))) U'R, all years in one product; a ``ValueError`` reports a
+    (1 - nu))) U'R, all years in one product; a ``SettingsError`` reports a
     system singular to working precision. Above ``config.monotone_from``
     each curve is projected onto the nondecreasing cone (``_monotone_tails``).
 
@@ -127,7 +127,7 @@ def smooth_surface(
             f"{len(ages)} ages x {len(years)} years"
         )
     if len(ages) < 4:
-        raise ValueError("need at least 4 ages to smooth a curve")
+        raise SettingsError(f"need at least 4 ages to smooth a curve, got {len(ages)}")
     if not np.all(np.isfinite(Y)):
         raise ValueError("log rates contain non-finite values")
     auto = config.lam == "auto"
@@ -144,7 +144,7 @@ def smooth_surface(
     try:
         nu, U = eigh(G, G + P, check_finite=False)
     except LinAlgError as exc:
-        raise ValueError(SINGULAR_SYSTEM) from exc
+        raise SettingsError(SINGULAR_SYSTEM) from exc
     # the d largest nu are exactly 1: their vectors span the polynomials
     # the order-d penalty leaves free. Left at 1 - eps, they would scale
     # those fits by about 1 / (1 + lambda * eps): by 1e-10 at the top of
@@ -154,7 +154,7 @@ def smooth_surface(
     lambdas = _gcv_lambdas(nu, BU, C, Y) if auto else np.full(len(years), float(config.lam))
     pivots = nu[:, None] + lambdas * (1.0 - nu[:, None])  # (k, years)
     if pivots.min() <= k * np.finfo(float).eps:
-        raise ValueError(SINGULAR_SYSTEM)
+        raise SettingsError(SINGULAR_SYSTEM)
     smoothed = BU @ (C * (1.0 / pivots))
     if config.monotone_from is not None:
         _monotone_tails(smoothed, ages, config.monotone_from)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import SettingsError
+
 __all__ = [
     "TsSpec",
     "TsFit",
@@ -124,7 +126,7 @@ def fit_ts(series, spec: TsSpec) -> TsFit:
     arr = _check_series(series)
     n = len(arr)
     if n < spec.min_observations:
-        raise ValueError(
+        raise SettingsError(
             f"need at least {spec.min_observations} observations (p+d+2) for "
             f"AR({spec.p}) on d={spec.d} differences, got {n}"
         )

@@ -431,24 +431,28 @@ def test_backtest_bootstrap_fits_fdm_once(hmd_file, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("train,test,message", [
-    ("1950:1975", "1976:1976", "--test 1976:1976 spans 1 year(s)"),
-    ("1950:1951", "1952:1960", "--train 1950:1951 spans 2 year(s)"),
-])
+    ("1950:1975", "1976:1976",
+     "test window 1976:1976 spans 1 year(s); a backtest needs at least 2"),
+    ("1950:1951", "1952:1960",
+     "train window 1950:1951 spans 2 year(s); a backtest needs at least 3"),
+], ids=["test_1_year", "train_2_years"])
 def test_short_backtest_window_exit_2(hmd_file, tmp_path, capsys, train, test, message):
     out = tmp_path / "short"
     code = run_cli(["backtest", *base_args(hmd_file, out), "--models", "lc",
                     "--train", train, "--test", test])
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv,reason", [
+@pytest.mark.parametrize("argv,message", [
     (["backtest", "--models", "lc,lcs,fdm", "--train", "1960:1990", "--test", "1991:2000"],
-     "a backtest scores"),
-    (["lifetable", "--year", "1990"], "a life table reports"),
+     "a backtest scores life expectancy at birth, which needs ages from 0, got first age 10"),
+    (["lifetable", "--year", "1990"],
+     "--ages 10:30 starts at age 10; a life table reports life expectancy at birth, which "
+     "needs ages from 0"),
 ], ids=["backtest", "lifetable"])
-def test_ages_not_from_0_exit_2(hmd_file, tmp_path, capsys, monkeypatch, argv, reason):
+def test_ages_not_from_0_exit_2(hmd_file, tmp_path, capsys, monkeypatch, argv, message):
     # a backtest and a life table report e0, which needs a life table from
     # birth; the window is rejected before any model or table is computed
     fits = count_calls(monkeypatch, mortforecast.fit_models)
@@ -457,32 +461,31 @@ def test_ages_not_from_0_exit_2(hmd_file, tmp_path, capsys, monkeypatch, argv, r
     code = run_cli([argv[0], "--data", hmd_file, "--ages", "10:30", "--output", out,
                     *argv[1:]])
     assert code == 2
-    assert (f"error: --ages 10:30 starts at age 10; {reason} life expectancy at "
-            "birth, which needs ages from 0") in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert fits == [] and tables == []
     assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,message", [
     (["fit", "--models", "fdm", "--years", "1950:1953"],
-     "-K 4 does not fit a 41 x 4 surface; fdm needs 1 <= K <= 3"),
+     "fdm needs 1 <= K <= 3 on a 41 x 4 surface, got K = 4"),
     (["backtest", "--models", "fdm", "--train", "1950:1952", "--test", "1953:1960"],
-     "-K 4 does not fit a 41 x 3 surface; fdm needs 1 <= K <= 2"),
+     "fdm needs 1 <= K <= 2 on a 41 x 3 surface, got K = 4"),
     (["fit", "--models", "lcs", "--ages", "20:40", "--num-basis", "40"],
-     "--num-basis with --ages 20:40: num_basis 40 exceeds the 21 observations"),
+     "num_basis 40 exceeds the 21 observations available"),
     (["fit", "--models", "lcs", "--num-basis", "0"],
-     "--num-basis with --ages 0:40: num_basis 0 is below the minimum of 4"),
+     "num_basis 0 is below the minimum of 4"),
     (["forecast", "--models", "lcs", "--ages", "38:40"],
-     "smoothing needs at least 4 ages; --ages 38:40 has 3"),
+     "need at least 4 ages to smooth a curve, got 3"),
     (["compare", "--models", "lc", "--years", "1950:1951"],
-     "lc and lcs need at least 3 ages and 3 years; the fitted surface is 41 x 2"),
+     "lc needs at least 3 ages and 3 years, got 41 x 2"),
     (["forecast", "--models", "fdm", "-K", "1", "--years", "2004:2005"],
-     "--ts: a random walk with drift needs at least 3 years; the fitted surface has 2"),
+     "fdm: need at least 3 observations (p+d+2) for AR(0) on d=1 differences, got 2"),
     (["forecast", "--models", "lc", "--years", "2003:2005", "--ts", "ar:1,1"],
-     "--ts: AR(1) on d=1 differences needs at least 4 years; the fitted surface has 3"),
+     "lc: need at least 4 observations (p+d+2) for AR(1) on d=1 differences, got 3"),
     (["backtest", "--models", "lc,fdm", "--train", "1950:1976", "--test", "1977:2005",
       "--ts", "ar:30,1"],
-     "--ts: AR(30) on d=1 differences needs at least 33 years; the fitted surface has 27"),
+     "lc: need at least 33 observations (p+d+2) for AR(30) on d=1 differences, got 27"),
 ], ids=["fdm_fit_4_years", "fdm_train_3_years", "num_basis_over_ages", "num_basis_zero",
         "smooth_3_ages",
         "lc_2_years", "rwd_2_years", "ar_3_years", "ar_train_27_years"])
@@ -490,7 +493,7 @@ def test_fit_too_small_for_settings_exit_2(hmd_file, tmp_path, capsys, argv, mes
     out = tmp_path / "small"
     code = run_cli([argv[0], *base_args(hmd_file, out), *argv[1:]])
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -617,13 +620,15 @@ def test_near_interpolating_basis_without_penalty_fails(hmdgen_file, tmp_path, c
                                                         num_basis):
     # one basis function per age at lambda 0 leaves G + lambda P singular
     # to working precision, its least Demmler-Reinsch eigenvalue near
-    # 1e-17; the run fails, writes nothing and says what to change
+    # 1e-17; settings the data cannot support exit 2, write nothing and
+    # say what to change
     out = tmp_path / "singular"
     code = run_cli(["fit", "--data", hmdgen_file, "--ages", ages, "--models", "lcs",
                     "--num-basis", num_basis, "--lam", "0", "--output", out])
-    assert code == 1
-    assert capsys.readouterr().err.startswith(
-        "computation failed: singular penalized system: too many basis functions")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: singular penalized system: too many basis functions to fit with so small "
+        "a lambda; use fewer basis functions or a larger lambda\n")
     assert not out.exists()
 
 

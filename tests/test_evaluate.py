@@ -5,9 +5,10 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from mortforecast import tsforecast
+from mortforecast import evaluate, tsforecast
 from mortforecast.evaluate import (error_metrics, fit_models, forecast_model, normality_test,
                                    run_backtest, standardize_residuals)
+from mortforecast.numerics import SettingsError
 from mortforecast.smoothing import SmoothConfig
 from mortforecast.tsforecast import TsSpec
 
@@ -214,7 +215,7 @@ def test_backtest_e0_summaries_consistent():
     report = run_backtest(surface, models=["lc"], train=(1960, 1975),
                           test=(1976, 1984))
     lc = report.models["lc"]
-    e0_err = lc.e0_observed - lc.e0_interval.point
+    e0_err = report.e0_observed - lc.e0_interval.point
     assert lc.e0_error_mean == pytest.approx(e0_err.mean(), abs=1e-12)
     assert lc.e0_error_variance == pytest.approx(e0_err.var(ddof=1), abs=1e-12)
     np.testing.assert_allclose(lc.sd_error_by_age,
@@ -222,13 +223,30 @@ def test_backtest_e0_summaries_consistent():
     assert list(lc.e0_interval.years) == list(range(1976, 1985))
 
 
-def test_backtest_window_validation():
+@pytest.mark.parametrize("train,test,first_age,message", [
+    ((2000, 2010), (2005, 2015), 0, "must start after the train window ends"),
+    ((2010, 2000), (2011, 2015), 0, "start <= end"),
+    ((2000, 2001), (2002, 2015), 0, "train window 2000:2001 spans 2 year"),
+    ((1998, 2008), (2009, 2015), 0, "train window 1998:2008 outside the surface's years "
+                                    "2000:2019"),
+    ((2000, 2008), (2009, 2009), 0, "test window 2009:2009 spans 1 year"),
+    ((2000, 2008), (2009, 2020), 0, "test window 2009:2020 outside the surface's years "
+                                    "2000:2019"),
+    ((2000, 2008), (2009, 2015), 10, "needs ages from 0, got first age 10"),
+], ids=["overlap", "reversed", "train_short", "train_outside", "test_short", "test_outside",
+        "ages_from_10"])
+def test_backtest_window_validation(monkeypatch, train, test, first_age, message):
+    # each window rule rejects before anything is fitted
+    monkeypatch.setattr(evaluate, "fit_models", None)
+    log_m = rank1_surface(n_ages=6, n_years=20, seed=1)[0].log_rates
+    surface = make_surface(log_m, first_age=first_age, first_year=2000)
+    with pytest.raises(SettingsError, match=message):
+        run_backtest(surface, models=["lc"], train=train, test=test)
+
+
+def test_backtest_unknown_model():
     surface, _, _, _ = rank1_surface(n_ages=6, n_years=20, seed=1,
                                      first_year=2000)
-    with pytest.raises(ValueError, match="start after"):
-        run_backtest(surface, models=["lc"], train=(2000, 2010), test=(2005, 2015))
-    with pytest.raises(ValueError, match="start <= end"):
-        run_backtest(surface, models=["lc"], train=(2010, 2000), test=(2011, 2015))
     with pytest.raises(ValueError, match="unknown model"):
         run_backtest(surface, models=["lx"], train=(2000, 2008), test=(2009, 2015))
 

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mortforecast.fdm
 from mortforecast.fdm import ForecastSurface, bootstrap_intervals, fit_fdm, forecast_fdm
+from mortforecast.numerics import SettingsError
 from mortforecast.smoothing import SmoothConfig
 from mortforecast.tsforecast import TsSpec, fit_ts, forecast_ts, simulate_path
 
@@ -114,9 +115,9 @@ def test_leading_share_stable_in_K():
 
 def test_K_bounds():
     surface = make_surface(np.full((6, 8), -3.0))
-    with pytest.raises(ValueError, match="K must be at least 1"):
+    with pytest.raises(SettingsError, match="needs 1 <= K <= 5 on a 6 x 8 surface, got K = 0"):
         fit_fdm(smooth(surface, NO_MONOTONE), K=0)
-    with pytest.raises(ValueError, match="too large"):
+    with pytest.raises(SettingsError, match="needs 1 <= K <= 5 on a 6 x 8 surface, got K = 6"):
         fit_fdm(smooth(surface, NO_MONOTONE), K=6)
 
 

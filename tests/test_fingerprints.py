@@ -6,7 +6,11 @@ passes it. Only numbers committed beforehand catch that.
 
 The comparison is at a stated relative tolerance, not bit for bit: the
 CI floors job runs the oldest numpy and scipy, whose LAPACK and BLAS may
-round the last bits differently. A change that moves these numbers on
+round the last bits differently. The fitted parameters also get an
+absolute floor, ``RTOL`` times the largest |value| of each table (one
+model's one quantity at one top age), because kappa, beta and phi cross
+zero, where a relative bound alone would ask for more than the table's
+rounding. A change that moves these numbers on
 purpose rewrites the files (``python tests/test_fingerprints.py``, from
 the root of a checkout with ``src`` on PYTHONPATH) and names the move in
 CHANGES.md; an unexplained one is a regression, and the tolerance stays.
@@ -26,6 +30,7 @@ from conftest import hmdgen_surface
 BOOTSTRAP_FILE = Path(__file__).resolve().parent / "fingerprint_fdm_bootstrap.csv"
 E0_FILE = Path(__file__).resolve().parent / "fingerprint_e0_paths.csv"
 SMOOTHING_FILE = Path(__file__).resolve().parent / "fingerprint_smoothing.csv"
+FIT_PARAMS_FILE = Path(__file__).resolve().parent / "fingerprint_fit_params.csv"
 RTOL = 1e-12
 
 
@@ -133,7 +138,56 @@ def _write_smoothing_file():
     SMOOTHING_FILE.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def fit_param_rows():
+    """The fitted parameters of lc, lcs and fdm on generated seed 7,
+    total, 1922-2006, at the default smoothing and K = 4, at ages 0:100
+    and 0:110: lc's and lcs's alpha, beta and kappa, and fdm's mu, each
+    phi and beta, v and sigma2. Returns one (top_age, model, quantity,
+    key, value) row per number, key being the age or the year."""
+    rows = []
+    for top in (100, 110):
+        surface = hmdgen_surface(7, "total", (0, top), (1922, 2006))
+        for name, m in fit_models(surface, MODELS).items():
+            if name == "fdm":
+                tables = [("mu", m.ages, m.center),
+                          *((f"phi{k + 1}", m.ages, m.basis[:, k]) for k in range(m.K)),
+                          *((f"beta{k + 1}", m.years, m.coefficients[:, k]) for k in range(m.K)),
+                          ("v", m.ages, m.v), ("sigma2", m.ages, m.sigma2)]
+            else:
+                tables = [("alpha", m.ages, m.center), ("beta", m.ages, m.basis[:, 0]),
+                          ("kappa", m.years, m.coefficients[:, 0])]
+            rows += [(top, name, quantity, int(key), float(value))
+                     for quantity, keys, values in tables
+                     for key, value in zip(keys, values)]
+    return rows
+
+
+def test_fit_params_match_fingerprint():
+    got = fit_param_rows()
+    lines = FIT_PARAMS_FILE.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "top_age,model,quantity,key,value"
+    want = [line.split(",") for line in lines[1:]]
+    labels = [(int(top), model, quantity, int(key)) for top, model, quantity, key, _ in want]
+    assert labels == [row[:4] for row in got]
+    got_values = np.array([row[4] for row in got])
+    want_values = np.array([float(row[4]) for row in want])
+    tables = np.array([f"{top},{model},{quantity}" for top, model, quantity, _ in labels])
+    for table in dict.fromkeys(tables):
+        rows = tables == table
+        floor = RTOL * np.abs(want_values[rows]).max()
+        np.testing.assert_allclose(got_values[rows], want_values[rows], rtol=RTOL,
+                                   atol=floor, err_msg=table)
+
+
+def _write_fit_params_file():
+    lines = ["top_age,model,quantity,key,value"]
+    for top, model, quantity, key, value in fit_param_rows():
+        lines.append(f"{top},{model},{quantity},{key},{value!r}")
+    FIT_PARAMS_FILE.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 if __name__ == "__main__":
     _write_bootstrap_file()
     _write_e0_file()
     _write_smoothing_file()
+    _write_fit_params_file()

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mortforecast.ingest import MortalitySurface
 from mortforecast.fdm import forecast_fdm
 from mortforecast.leecarter import fit_lc, fit_lcs
-from mortforecast.numerics import normal_quantile
+from mortforecast.numerics import SettingsError, normal_quantile
 from mortforecast.smoothing import SmoothConfig
 from mortforecast.tsforecast import TsSpec
 
@@ -124,9 +124,9 @@ def test_explained_variance_between_singular_and_rss():
 
 
 def test_minimum_size():
-    with pytest.raises(ValueError, match="at least 3"):
+    with pytest.raises(SettingsError, match="lc needs at least 3 ages and 3 years, got 2 x 5"):
         fit_lc(make_surface(np.full((2, 5), -3.0)))
-    with pytest.raises(ValueError, match="at least 3"):
+    with pytest.raises(SettingsError, match="lc needs at least 3 ages and 3 years, got 5 x 2"):
         fit_lc(make_surface(np.full((5, 2), -3.0)))
 
 

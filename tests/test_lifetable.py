@@ -233,7 +233,7 @@ def test_backtest_observed_e0_matches_reference(n_ages, n_years, seed):
                           (train_end + 1, 1949 + n_years))
     test = rates[:, train_end + 1 - 1950:]
     expected = [_reference_lifetable(test[:, j])[3] for j in range(test.shape[1])]
-    assert report.models["lc"].e0_observed.tolist() == expected
+    assert report.e0_observed.tolist() == expected
     point, lower, upper = _reference_e0_path(report.models["lc"].forecast)
     assert report.models["lc"].e0_interval.point.tolist() == point.tolist()
     assert report.models["lc"].e0_interval.lower.tolist() == lower.tolist()

@@ -19,7 +19,7 @@ import scipy.linalg
 from scipy.linalg import cho_factor, cho_solve
 
 from mortforecast import smoothing
-from mortforecast.numerics import bspline_design
+from mortforecast.numerics import SettingsError, bspline_design
 from mortforecast.smoothing import (
     _GCV_TIE_FLOOR,
     _GCV_TIE_RTOL,
@@ -114,13 +114,13 @@ def test_choose_lambda_deterministic():
 
 
 def test_smooth_curve_validation():
-    with pytest.raises(ValueError, match="at least 4"):
+    with pytest.raises(SettingsError, match="need at least 4 ages to smooth a curve, got 3"):
         _smooth_one(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="non-finite"):
         _smooth_one(np.array([1.0, np.nan, 2.0, 3.0, 4.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(SettingsError, match="num_basis 10 exceeds the 5 observations available"):
         _smooth_one(np.ones(5), SmoothConfig(num_basis=10))
-    with pytest.raises(ValueError, match="num_basis 3 is below the minimum of 4"):
+    with pytest.raises(SettingsError, match="num_basis 3 is below the minimum of 4"):
         _smooth_one(np.ones(12), SmoothConfig(num_basis=3))
     for lam in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="lam must be finite and nonnegative"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mortforecast.numerics import SettingsError
 from mortforecast.tsforecast import TsFit, TsSpec, fit_ts, forecast_ts, simulate_path
 
 
@@ -65,7 +66,7 @@ def test_rwd_variance_monotone():
 
 
 def test_rwd_needs_three_points():
-    with pytest.raises(ValueError, match="at least 3"):
+    with pytest.raises(SettingsError, match="at least 3"):
         fit_ts([1.0, 2.0], TsSpec())
 
 
@@ -244,7 +245,7 @@ def test_ar_explosive_flagged():
 
 
 def test_ar_needs_enough_points():
-    with pytest.raises(ValueError, match="observations"):
+    with pytest.raises(SettingsError, match="observations"):
         fit_ts(np.arange(3.0), TsSpec(p=1, d=1))
 
 
