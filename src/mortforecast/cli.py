@@ -9,19 +9,28 @@ a --ts AR model whose lag regression the data leave singular. Every
 artifact is computed before any is written, so a failed run creates and
 changes nothing. Files in --output that are not this run's artifacts are
 left alone, each artifact is replaced whole, and a failed write exits 2.
+
+Each ``main`` call runs on one BLAS thread: the OpenBLAS that numpy and
+scipy bundle is set to one thread for the call and restored after it,
+unless the user set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import functools
+import glob
 import json
 import math
 import os
 import sys
+import threading
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+import scipy
 
 from .evaluate import (
     BOOTSTRAPPED_MODELS,
@@ -552,7 +561,75 @@ _COMMANDS = {
 _PARSER = build_parser()
 
 
+# BLAS threads. Each library names its thread-count functions with one of
+# these patterns: the current scipy-openblas wheels', then older wheels'.
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+_blas_lock = threading.Lock()
+_blas_saved: list = []  # (setter, thread count before the first run in)
+_blas_runs = 0
+
+
+@functools.cache
+def _openblas_threads() -> dict:
+    """Library path -> (get, set) thread-count functions, for each OpenBLAS
+    that the numpy and scipy wheels bundle (in ``<package>.libs``, or in
+    ``<package>/.dylibs`` on macOS), looked up once per process. Empty
+    under any other BLAS."""
+    found = {}
+    for package in (np, scipy):
+        root = os.path.dirname(package.__file__)
+        for libs in (f"{root}.libs", os.path.join(root, ".dylibs")):
+            for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+                lib = ctypes.CDLL(path)
+                for pattern in _OPENBLAS_SYMBOLS:
+                    if hasattr(lib, pattern.format("set")):
+                        get_threads = getattr(lib, pattern.format("get"))
+                        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                        set_threads = getattr(lib, pattern.format("set"))
+                        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                        found[path] = get_threads, set_threads
+                        break
+    return found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with the bundled OpenBLAS on one thread.
+
+    Every matrix here is small, and an idle OpenBLAS pool busy-waits for
+    about 0.1 s after each threaded call, on the cores that the fdm
+    bootstrap's two workers need. The first run in saves each library's
+    count and the last run out restores it, so overlapping runs in
+    several threads leave the host's setting as they found it. A thread
+    variable the user set wins: then nothing changes.
+    """
+    global _blas_runs
+    with _blas_lock:
+        if _blas_runs == 0 and not any(name in os.environ for name in _BLAS_VARIABLES):
+            _blas_saved[:] = [(set_threads, get_threads())
+                              for get_threads, set_threads in _openblas_threads().values()]
+            for set_threads, _ in _blas_saved:
+                set_threads(1)
+        _blas_runs += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_runs -= 1
+            if _blas_runs == 0:
+                for set_threads, count in _blas_saved:
+                    set_threads(count)
+                _blas_saved.clear()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    with _one_blas_thread():
+        return _run(argv)
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     args = _PARSER.parse_args(argv)
     _, run, _, groups = _COMMANDS[args.command]
     smooth = SmoothConfig(num_basis=args.num_basis, lam=args.lam,

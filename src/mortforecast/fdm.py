@@ -375,9 +375,13 @@ def bootstrap_intervals(
                 z = _block_noise(np.random.default_rng(child), sigma[a:b],
                                  model.center[a:b], horizon, B)
                 for j in range(horizon):
-                    np.add(z[:, j:j + B], np.matmul(model.basis[a:b], curves[j], out=term),
-                           out=samples)
-                    samples += np.take(model.residuals[a:b], error_cols[j], axis=1, out=term)
+                    # basis @ curves + z is z + basis @ curves bit for bit;
+                    # error_cols are in range, so "wrap" only skips the
+                    # bounds check and the buffer that "raise" takes
+                    np.matmul(model.basis[a:b], curves[j], out=samples)
+                    samples += z[:, j:j + B]
+                    samples += np.take(model.residuals[a:b], error_cols[j], axis=1, out=term,
+                                       mode="wrap")
                     samples.sort(axis=-1)
                     np.take(samples, columns, axis=1, out=stats[:, j])
                 _read_quantiles(stats, B, probs, out=bounds[:, a:b])

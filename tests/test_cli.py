@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -781,6 +782,153 @@ def test_console_script_sets_one_blas_thread_before_numpy(tmp_path, user_set, wa
     assert blas_at_numpy_import([*command, "--help"]) == want
     library = blas_at_numpy_import([sys.executable, "-c", "import mortforecast.cli"])
     assert library == {name: user_set.get(name) for name in want}
+
+
+def _numpy_blas_is_openblas():
+    try:
+        return "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy before 1.26 lists each BLAS it looked for as a dict
+        return any("openblas" in str(info.get("libraries", ""))
+                   for info in vars(np.__config__).values() if isinstance(info, dict))
+
+
+def test_blas_thread_lookup_finds_numpy_and_scipy_openblas():
+    # a wheel that renames its library or symbols would otherwise leave
+    # every run at BLAS's default thread count without a sign
+    import scipy
+
+    if not _numpy_blas_is_openblas():
+        pytest.skip("numpy is not built on OpenBLAS")
+    paths = mortforecast.cli._openblas_threads()
+    for package in (np, scipy):
+        root = os.path.dirname(package.__file__)
+        assert any(path.startswith(root) for path in paths), (package.__name__, paths)
+
+
+@pytest.fixture
+def blas_threads(monkeypatch):
+    """A host at two OpenBLAS threads with no thread variable set; yields a
+    reader of every bundled library's count, and restores the counts after."""
+    libraries = mortforecast.cli._openblas_threads().values()
+    if not libraries:
+        pytest.skip("no bundled OpenBLAS whose thread count can be set")
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    before = [get_threads() for get_threads, _ in libraries]
+    for _, set_threads in libraries:
+        set_threads(2)
+    yield lambda: {get_threads() for get_threads, _ in libraries}
+    for (_, set_threads), count in zip(libraries, before):
+        set_threads(count)
+
+
+def record_blas_threads(monkeypatch, blas_threads):
+    """Record the thread counts each time a run loads its surface."""
+    load_surface, seen = mortforecast.cli.load_surface, []
+
+    def recorded(args):
+        seen.append(blas_threads())
+        return load_surface(args)
+
+    monkeypatch.setattr(mortforecast.cli, "load_surface", recorded)
+    return seen
+
+
+def _fail_fit(*args, **kwargs):
+    raise RuntimeError("forced failure")
+
+
+@pytest.mark.parametrize("case,code", [("success", 0), ("usage_error", 2),
+                                       ("computation_failed", 1), ("argparse_error", 2)])
+def test_run_uses_one_blas_thread_and_restores_the_count(hmd_file, tmp_path, monkeypatch,
+                                                         blas_threads, case, code):
+    seen = record_blas_threads(monkeypatch, blas_threads)
+    argv = ["fit", *base_args(hmd_file, tmp_path / "out"), "--models", "lc,fdm"]
+    if case == "usage_error":
+        argv[2] = tmp_path / "missing.txt"
+    elif case == "computation_failed":
+        monkeypatch.setattr(mortforecast.cli, "fit_models", _fail_fit)
+    elif case == "argparse_error":
+        argv.append("--no-such-flag")
+    assert run_cli(argv) == code
+    assert seen == ([] if case == "argparse_error" else [{1}])
+    assert blas_threads() == {2}
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_user_blas_variable_leaves_the_count_alone(hmd_file, tmp_path, monkeypatch,
+                                                   blas_threads, name):
+    monkeypatch.setenv(name, "2")
+    seen = record_blas_threads(monkeypatch, blas_threads)
+    assert run_cli(["fit", *base_args(hmd_file, tmp_path / "out")]) == 0
+    assert seen == [{2}]
+    assert blas_threads() == {2}
+
+
+def test_overlapping_runs_restore_the_count_when_the_last_leaves(hmd_file, tmp_path,
+                                                                 monkeypatch, blas_threads):
+    # run a enters first and leaves first, while b is still running
+    load_surface = mortforecast.cli.load_surface
+    entered = {name: threading.Event() for name in "ab"}
+    release = {name: threading.Event() for name in "ab"}
+    seen, codes = {}, {}
+
+    def held(args):
+        name = Path(args.output).name
+        entered[name].set()
+        release[name].wait(60)
+        seen[name] = blas_threads()
+        return load_surface(args)
+
+    monkeypatch.setattr(mortforecast.cli, "load_surface", held)
+
+    def run(name):
+        codes[name] = run_cli(["fit", *base_args(hmd_file, tmp_path / name)])
+
+    threads = {name: threading.Thread(target=run, args=(name,)) for name in "ab"}
+    try:
+        threads["a"].start()
+        assert entered["a"].wait(60)
+        threads["b"].start()
+        assert entered["b"].wait(60)
+        release["a"].set()
+        threads["a"].join(60)
+        assert codes == {"a": 0}
+        assert blas_threads() == {1}
+    finally:
+        for name in "ab":
+            release[name].set()
+            if threads[name].ident is not None:  # started
+                threads[name].join(60)
+    assert codes == {"a": 0, "b": 0}
+    assert seen == {"a": {1}, "b": {1}}
+    assert blas_threads() == {2}
+
+
+def test_many_overlapping_runs_keep_the_count(blas_threads):
+    # more threads than cores, switching often: a lost update of the count
+    # of runs inside would restore the thread count during a run, or never
+    scope, inside, n_threads, n_runs = mortforecast.cli._one_blas_thread, [], 8, 200
+
+    def runs():
+        for _ in range(n_runs):
+            with scope():
+                inside.append(blas_threads())
+
+    threads = [threading.Thread(target=runs) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(inside) == n_threads * n_runs
+    assert all(seen == {1} for seen in inside)
+    assert blas_threads() == {2}
 
 
 def test_undecodable_data_file_exit_2(tmp_path, capsys):
