@@ -4,8 +4,9 @@ Artifacts (CSV, JSON, SVG) land under --output with stable names, and a
 given config + data + seed always produces byte-identical files. Exit
 status 0 means success, 1 a computation failure, 2 a usage or I/O
 problem. Exit 2 also covers settings the data cannot support, each
-rejected as a ``SettingsError`` by the module whose rule they break, and
-a --ts AR model whose lag regression the data leave singular. Every
+rejected as a ``SettingsError`` by the module whose rule they break, a
+--ts AR model whose lag regression the data leave singular, and forecast
+rates past float range (``evaluate.forecast_model``'s ``E0RangeError``). Every
 artifact is computed before any is written, so a failed run creates and
 changes nothing. Files in --output that are not this run's artifacts are
 left alone, each artifact is replaced whole, and a failed write exits 2.
@@ -50,7 +51,7 @@ from .ingest import (
     build_surface,
     parse_hmd_rates,
 )
-from .lifetable import E0RangeError, e0_path, rates_to_lifetable
+from .lifetable import E0RangeError, rates_to_lifetable
 from .numerics import SettingsError
 from .smoothing import SmoothConfig
 from .svgchart import render_line_chart
@@ -401,15 +402,8 @@ def cmd_forecast(args: argparse.Namespace, surface: MortalitySurface,
     files: dict = {}
     fitted = fit_models(surface, args.models, smooth, args.components)
     for name, model in fitted.items():
-        forecast = forecast_model(model, args.ts, args.horizon, args.level,
-                                  args.bootstrap, args.seed)
-        path = None
-        if int(forecast.ages[0]) == 0:
-            try:
-                path = e0_path(forecast)
-            except E0RangeError as exc:
-                raise UsageError(f"--horizon {args.horizon} is too long for {name}: {exc}; "
-                                 "use a shorter --horizon") from None
+        forecast, path = forecast_model(model, args.ts, args.horizon, args.level,
+                                        args.bootstrap, args.seed)
         files[f"forecast_{name}.csv"] = _long_csv(
             forecast.ages, forecast.years, point=forecast.point,
             variance=forecast.variance, lower=forecast.lower, upper=forecast.upper)
@@ -436,14 +430,8 @@ def cmd_forecast(args: argparse.Namespace, surface: MortalitySurface,
 
 def cmd_backtest(args: argparse.Namespace, surface: MortalitySurface,
                 smooth: SmoothConfig) -> tuple[dict, dict]:
-    try:
-        report = run_backtest(surface, args.models, args.train, args.test,
-                              args.ts, args.level, smooth, args.components,
-                              args.bootstrap, args.seed)
-    except E0RangeError as exc:
-        (a, b), (c, d) = args.test, args.train
-        raise UsageError(f"--test {a}:{b} is too far past --train {c}:{d} for {exc}; "
-                         "use a --test window nearer the train window") from None
+    report = run_backtest(surface, args.models, args.train, args.test, args.ts, args.level,
+                          smooth, args.components, args.bootstrap, args.seed)
     summary: dict = {
         "train": list(report.train_years),
         "test": list(report.test_years),
@@ -650,6 +638,15 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         return 2
     except SingularLagError as exc:
         print(f"error: --ts: {_ts_model(args.ts)} cannot be fitted to {exc}", file=sys.stderr)
+        return 2
+    except E0RangeError as exc:  # "<model>: from <year> ..."
+        if "horizon" in groups:
+            hint = f"--horizon {args.horizon} is too long for {exc}; use a shorter --horizon"
+        else:
+            (a, b), (c, d) = args.test, args.train
+            hint = (f"--test {a}:{b} is too far past --train {c}:{d} for {exc}; "
+                    "use a --test window nearer the train window")
+        print(f"error: {hint}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: not enough memory ({exc}); lower --bootstrap or --horizon",

@@ -247,17 +247,22 @@ def forecast_model(
     level: float = 95.0,
     bootstrap: int = 0,
     seed: int = 0,
-) -> ForecastSurface:
-    """Forecast one fitted model with analytic intervals, or with
-    ``bootstrap`` simulated futures when that is nonzero and the model is
-    one of ``BOOTSTRAPPED_MODELS``. A coefficient series the AR model
-    cannot be fitted to raises ``SingularLagError``, and one too short for
-    it ``SettingsError``, each naming the model."""
+    years: tuple | None = None,
+) -> tuple[ForecastSurface, E0Path | None]:
+    """Forecast one fitted model over ``years`` (first, last), or every
+    horizon if None, with its e0 path, None unless the ages start at 0.
+    Nonzero ``bootstrap`` simulates the intervals of BOOTSTRAPPED_MODELS.
+    A singular or short AR fit (``SingularLagError``, ``SettingsError``)
+    and rates past float range (``E0RangeError``, mapped by ``cli.main``)
+    raise naming the model."""
     try:
-        if bootstrap and model.name in BOOTSTRAPPED_MODELS:
-            return bootstrap_intervals(model, ts_spec, horizon, level, B=bootstrap, seed=seed)
-        return forecast_fdm(model, ts_spec, horizon, level)
-    except (SingularLagError, SettingsError) as exc:
+        forecast = (bootstrap_intervals(model, ts_spec, horizon, level, B=bootstrap, seed=seed)
+                    if bootstrap and model.name in BOOTSTRAPPED_MODELS
+                    else forecast_fdm(model, ts_spec, horizon, level))
+        if years is not None:
+            forecast = forecast.slice_years(*years)
+        return forecast, e0_path(forecast) if int(forecast.ages[0]) == 0 else None
+    except (SingularLagError, SettingsError, E0RangeError) as exc:
         raise type(exc)(f"{model.name}: {exc}") from None
 
 
@@ -280,8 +285,8 @@ def run_backtest(
     train-window slice and nothing else. Life-expectancy errors use
     point mortality forecasts; the interval path is carried separately
     for fan charts, from ``bootstrap`` simulated futures when that is
-    nonzero (see ``forecast_model``). A test window whose forecast death
-    rates leave float range raises ``E0RangeError`` naming the model.
+    nonzero. Life tables cover only the test years; ``forecast_model``
+    raises their ``E0RangeError``, which ``cli.main`` maps to exit 2.
 
     The window rules raise ``SettingsError`` before anything is fitted:
     test after train, at least ``_MIN_TRAIN_YEARS`` and ``_MIN_TEST_YEARS``
@@ -316,13 +321,9 @@ def run_backtest(
     results: dict[str, ModelBacktest] = {}
     fitted = fit_models(train_surface, models, smooth_config, K)
     for name, model in fitted.items():
-        forecast = forecast_model(model, ts_spec, horizon, level, bootstrap, seed)
-        forecast = forecast.slice_years(test_start, test_end)
+        forecast, e0_interval = forecast_model(model, ts_spec, horizon, level, bootstrap,
+                                               seed, (test_start, test_end))
         errors = observed_log - forecast.point
-        try:
-            e0_interval = e0_path(forecast)
-        except E0RangeError as exc:
-            raise E0RangeError(f"{name}: {exc}") from None
         e0_errors = e0_observed - e0_interval.point
         results[name] = ModelBacktest(
             forecast=forecast,

@@ -6,13 +6,14 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from mortforecast import evaluate, tsforecast
-from mortforecast.evaluate import (error_metrics, fit_models, forecast_model, normality_test,
-                                   run_backtest, standardize_residuals)
+from mortforecast.evaluate import (MODELS, error_metrics, fit_models, forecast_model,
+                                   normality_test, run_backtest, standardize_residuals)
+from mortforecast.lifetable import E0RangeError, e0_path
 from mortforecast.numerics import SettingsError
 from mortforecast.smoothing import SmoothConfig
 from mortforecast.tsforecast import TsSpec
 
-from conftest import make_surface, rank1_surface
+from conftest import hmdgen_surface, make_surface, rank1_surface
 
 
 def test_perfect_fit_is_all_zero():
@@ -84,6 +85,23 @@ def test_shape_mismatch_rejected():
     surface = make_surface(np.zeros((3, 4)) - 2.0)
     with pytest.raises(ValueError, match="does not match"):
         error_metrics(surface, np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("monotone_from", [65, None])
+@pytest.mark.parametrize("top", [100, 110])
+@pytest.mark.parametrize("seed", [7, 301])
+def test_in_sample_mean_error_is_zero_by_construction(seed, top, monotone_from):
+    # lc's alpha is each age's row mean and its kappa is centred; the
+    # smoother's residuals sum to zero over ages in every year, and fdm's
+    # mu absorbs its centred coefficients. So the log-scale ME of every
+    # model, averaged across ages or across years, is zero up to rounding
+    # (9e-18 to 9.4e-16 at these settings) on any surface
+    surface = hmdgen_surface(seed, "total", (0, top), (1922, 2006))
+    fitted = fit_models(surface, MODELS, SmoothConfig(monotone_from=monotone_from))
+    for name, model in fitted.items():
+        report = error_metrics(surface, model.fitted_log_rates())
+        assert abs(report.avg_across_ages[0]) <= 1e-12, name
+        assert abs(report.avg_across_years[0]) <= 1e-12, name
 
 
 @settings(deadline=None, max_examples=30)
@@ -295,3 +313,55 @@ def lc_and_fdm():
 def test_forecast_model_rejects_short_horizon(lc_and_fdm, name, bootstrap, horizon):
     with pytest.raises(ValueError, match="horizon must be at least 1"):
         forecast_model(lc_and_fdm[name], TsSpec(), horizon, bootstrap=bootstrap)
+
+
+@pytest.fixture(scope="module")
+def generated_fits():
+    """lc, lcs and fdm on generated seed 7, total, ages 0:100, 1922-1980."""
+    return fit_models(hmdgen_surface(7, "total", (0, 100), (1922, 1980)), MODELS)
+
+
+@pytest.mark.parametrize("name,bootstrap", [("lc", 0), ("lcs", 0), ("fdm", 0), ("fdm", 100)])
+def test_forecast_model_e0_path_is_e0_path_of_the_sliced_forecast(generated_fits, name,
+                                                                   bootstrap):
+    model = generated_fits[name]
+    full, full_e0 = forecast_model(model, TsSpec(), 26, bootstrap=bootstrap, seed=5)
+    forecast, e0 = forecast_model(model, TsSpec(), 26, bootstrap=bootstrap, seed=5,
+                                  years=(1990, 2006))
+    want = e0_path(full.slice_years(1990, 2006))
+    for part in ("years", "point", "lower", "upper"):
+        assert np.array_equal(getattr(e0, part), getattr(want, part))
+        assert np.array_equal(getattr(full_e0, part), getattr(e0_path(full), part))
+    for part in ("point", "variance", "lower", "upper"):
+        assert np.array_equal(getattr(forecast, part), getattr(full.slice_years(1990, 2006), part))
+    assert list(forecast.years) == list(range(1990, 2007))
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_forecast_model_has_no_e0_path_without_age_zero(name):
+    model = fit_models(hmdgen_surface(7, "total", (5, 100), (1922, 1980)), (name,))[name]
+    forecast, e0 = forecast_model(model, TsSpec(), 10)
+    assert e0 is None
+    assert int(forecast.ages[0]) == 5 and len(forecast.years) == 10
+
+
+@pytest.mark.parametrize("name", ["lc", "fdm"])
+def test_forecast_model_names_the_model_in_e0_range_error(name):
+    # the drift carries the lower bounds below exp's range within
+    # 100000 years, as in the CLI's --horizon exit 2
+    model = fit_models(hmdgen_surface(7, "total", (0, 10), (1922, 2006)), (name,))[name]
+    with pytest.raises(E0RangeError, match=rf"^{name}: from \d+ its forecast death rates "):
+        forecast_model(model, TsSpec(), 100000)
+
+
+def test_backtest_builds_life_tables_for_the_test_years_only(monkeypatch):
+    # the forecast runs from 1961, but no life table is built for the
+    # gap years 1961-1980, whose rates could leave float range alone
+    seen = []
+    monkeypatch.setattr(evaluate, "e0_path",
+                        lambda forecast: seen.append(forecast.years.tolist()) or
+                        e0_path(forecast))
+    surface = hmdgen_surface(7, "total", (0, 100), (1922, 2006))
+    report = run_backtest(surface, MODELS, train=(1922, 1960), test=(1981, 2006))
+    assert seen == [list(range(1981, 2007))] * len(MODELS)
+    assert list(report.years) == list(range(1981, 2007))

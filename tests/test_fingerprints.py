@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from mortforecast.evaluate import MODELS, fit_models, forecast_model
-from mortforecast.lifetable import e0_path
 from mortforecast.smoothing import SmoothConfig, smooth_surface
 from mortforecast.tsforecast import TsSpec
 
@@ -40,7 +39,7 @@ def fdm_bootstrap_bounds():
     seed 3, h = 10. Returns (ages, years, lower, upper), each age by year."""
     surface = hmdgen_surface(7, "total", (0, 49), (1922, 2006))
     model = fit_models(surface, ("fdm",))["fdm"]
-    fc = forecast_model(model, TsSpec(), horizon=10, bootstrap=300, seed=3)
+    fc, _ = forecast_model(model, TsSpec(), horizon=10, bootstrap=300, seed=3)
     ages, years = np.meshgrid(fc.ages, fc.years, indexing="ij")
     return ages, years, fc.lower, fc.upper
 
@@ -72,7 +71,7 @@ def e0_paths():
     rows = []
     for top in (100, 110):
         surface = hmdgen_surface(7, "total", (0, top), (1922, 2006))
-        paths = [e0_path(forecast_model(model, TsSpec(), horizon=10))
+        paths = [forecast_model(model, TsSpec(), horizon=10)[1]
                  for model in fit_models(surface, MODELS).values()]
         for j, year in enumerate(paths[0].years):
             rows.append([top, year, *(getattr(path, part)[j] for path in paths
