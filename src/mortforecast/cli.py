@@ -13,10 +13,18 @@ left alone, each artifact is replaced whole, and a failed write exits 2.
 
 Each ``main`` call runs on one BLAS thread: the OpenBLAS that numpy and
 scipy bundle is set to one thread for the call and restored after it,
-unless the user set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS.
+unless the user set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS. Run as
+``python -m mortforecast.cli``, this module first sets the BLAS thread
+variables the user left unset to 1, before numpy loads, as the
+``mortforecast`` script does; imported, it leaves them alone.
 """
 
 from __future__ import annotations
+
+if __name__ == "__main__":  # before numpy loads BLAS, which reads its count once
+    from . import _one_blas_thread_by_default
+
+    _one_blas_thread_by_default()
 
 import argparse
 import contextlib
@@ -33,6 +41,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 import scipy
 
+from . import _OPENBLAS_VARIABLES
 from .evaluate import (
     BOOTSTRAPPED_MODELS,
     MODELS,
@@ -44,6 +53,7 @@ from .evaluate import (
     run_backtest,
     standardize_residuals,
 )
+from .fdm import MIN_REPLICATES
 from .ingest import (
     GENDERS,
     HmdParseError,
@@ -107,7 +117,8 @@ _lam = _flag_type("'auto' or a finite number >= 0",
                   lambda lam: lam == "auto" or 0.0 <= lam < math.inf)
 _monotone_from = _flag_type(
     "an age or 'none'", lambda text: None if text.strip().lower() == "none" else int(text))
-_bootstrap = _flag_type("0 or at least 100 replicates", int, lambda b: b == 0 or b >= 100)
+_bootstrap = _flag_type(f"0 or at least {MIN_REPLICATES} replicates", int,
+                        lambda b: b == 0 or b >= MIN_REPLICATES)
 _seed = _flag_type("a nonnegative integer", int, lambda seed: seed >= 0)
 _horizon = _flag_type("an integer >= 1", int, lambda horizon: horizon >= 1)
 
@@ -553,7 +564,6 @@ _PARSER = build_parser()
 # these patterns: the current scipy-openblas wheels', then older wheels'.
 _OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
                      "openblas_{}_num_threads64_", "openblas_{}_num_threads")
-_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 _blas_lock = threading.Lock()
 _blas_saved: list = []  # (setter, thread count before the first run in)
 _blas_runs = 0
@@ -595,7 +605,7 @@ def _one_blas_thread():
     """
     global _blas_runs
     with _blas_lock:
-        if _blas_runs == 0 and not any(name in os.environ for name in _BLAS_VARIABLES):
+        if _blas_runs == 0 and not any(name in os.environ for name in _OPENBLAS_VARIABLES):
             _blas_saved[:] = [(set_threads, get_threads())
                               for get_threads, set_threads in _openblas_threads().values()]
             for set_threads, _ in _blas_saved:

@@ -269,6 +269,10 @@ def _read_quantiles(stats: np.ndarray, n: int, probs, out: np.ndarray) -> None:
         np.copyto(out[k], last, where=nan)
 
 
+# The fewest replicates bootstrap_intervals accepts; the CLI's --bootstrap
+# takes this or more, or 0 for no bootstrap.
+MIN_REPLICATES = 100
+
 # Rows per age block of the bootstrap, at most. The ages are split into
 # ceil(n/8) near-equal blocks rather than fixed 8-row ones: a 1-row block
 # would send phi[block] @ curves[j] down BLAS's matrix-vector path, which
@@ -330,8 +334,8 @@ def bootstrap_intervals(
     do not depend on which thread took which block.
     """
     horizon = int(horizon)
-    if B < 100:
-        raise ValueError(f"need at least 100 bootstrap replicates, got {B}")
+    if B < MIN_REPLICATES:
+        raise SettingsError(f"need at least {MIN_REPLICATES} bootstrap replicates, got {B}")
     fits = _coefficient_fits(model, ts_spec)
     analytic = _recombine(model, fits, horizon, level)
     n_ages = len(model.ages)

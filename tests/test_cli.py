@@ -304,6 +304,21 @@ def test_abbreviated_flag_exit_2(hmd_file, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, replicates", [
+    ("forecast", "99"), ("backtest", "1"), ("forecast", "-100"),
+])
+def test_too_few_bootstrap_replicates_exit_2(hmd_file, tmp_path, capsys, command, replicates):
+    # the parser's limit is fdm.MIN_REPLICATES, the library's own
+    out = tmp_path / "o"
+    windows = ["--train", "1950:1990", "--test", "1991:2005"] if command == "backtest" else []
+    argv = [command, *base_args(hmd_file, out), *windows, "--bootstrap", replicates]
+    assert run_cli(argv) == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message == (f"mortforecast {command}: error: argument --bootstrap: "
+                       f"expects 0 or at least 100 replicates, got '{replicates}'")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["backtest", "--models", "lc,lc", "--train", "1950:1990", "--test", "1991:2005"],
     ["forecast", "--models", "fdm,lc,fdm"],
@@ -759,9 +774,9 @@ sys.meta_path.insert(0, _Probe())
      {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}),
 ])
 def test_console_script_sets_one_blas_thread_before_numpy(tmp_path, user_set, want):
-    # the script sets each variable the user left unset to 1, before
-    # numpy first loads; a value the user set wins. The library leaves
-    # them alone
+    # the script and `python -m mortforecast.cli` set each variable the
+    # user left unset to 1, before numpy first loads; a value the user
+    # set wins. The library leaves them alone
     (tmp_path / "sitecustomize.py").write_text(_BLAS_AT_NUMPY_IMPORT, encoding="utf-8")
     command, env = console_script_launch()
     env = dict(os.environ if env is None else env)
@@ -780,7 +795,9 @@ def test_console_script_sets_one_blas_thread_before_numpy(tmp_path, user_set, wa
         return json.loads(probes[0].partition(": ")[2])
 
     assert blas_at_numpy_import([*command, "--help"]) == want
-    library = blas_at_numpy_import([sys.executable, "-c", "import mortforecast.cli"])
+    assert blas_at_numpy_import([sys.executable, "-m", "mortforecast.cli", "--help"]) == want
+    library = blas_at_numpy_import(
+        [sys.executable, "-c", "import mortforecast; mortforecast.fit_lc; import mortforecast.cli"])
     assert library == {name: user_set.get(name) for name in want}
 
 

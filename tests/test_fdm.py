@@ -616,7 +616,7 @@ def test_bootstrap_rejects_tiny_B():
     rng = np.random.default_rng(59)
     log_m = rng.standard_normal((6, 9)) * 0.2 - 4.0
     model = fit_fdm(smooth(make_surface(log_m), NO_MONOTONE), K=1)
-    with pytest.raises(ValueError, match="at least 100"):
+    with pytest.raises(SettingsError, match="^need at least 100 bootstrap replicates, got 50$"):
         bootstrap_intervals(model, TsSpec(), horizon=3, B=50)
 
 
