@@ -32,7 +32,6 @@ import ctypes
 import functools
 import glob
 import json
-import math
 import os
 import sys
 import threading
@@ -49,11 +48,11 @@ from .evaluate import (
     error_metrics,
     fit_models,
     forecast_model,
-    normality_test,
+    residual_diagnostics,
     run_backtest,
-    standardize_residuals,
+    valid_models,
 )
-from .fdm import MIN_REPLICATES
+from .fdm import LEVEL_RANGE, MIN_REPLICATES, valid_level
 from .ingest import (
     GENDERS,
     HmdParseError,
@@ -63,16 +62,15 @@ from .ingest import (
 )
 from .lifetable import E0RangeError, rates_to_lifetable
 from .numerics import SettingsError
-from .smoothing import SmoothConfig
+from .smoothing import SmoothConfig, valid_lam
 from .svgchart import render_line_chart
-from .tsforecast import SingularLagError, TsSpec
+from .tsforecast import MIN_HORIZON, SingularLagError, TsSpec
 
 __all__ = ["main", "DATA_ENV"]
 
 DATA_ENV = "MORTFORECAST_DATA"
 SCHEMA_VERSION = 3
 _DATA_BASENAMES = ("Mx_1x1.txt", "ITA.Mx_1x1.txt")
-_NORMALITY_CAP = 5000
 
 
 class UsageError(Exception):
@@ -105,22 +103,21 @@ _window = _flag_type("A:B (inclusive), integers with A <= B",
                      lambda text: tuple(map(int, text.split(":"))),
                      lambda w: len(w) == 2 and w[0] <= w[1])
 _models = _flag_type("a comma list of distinct names from " + ",".join(MODELS), _names,
-                     lambda names: names and set(names) <= set(MODELS)
-                     and len(set(names)) == len(names))
+                     valid_models)
 _formats = _flag_type("a comma subset of csv,json,svg",
                       lambda text: frozenset(_names(text)),
                       lambda names: names and names <= {"csv", "json", "svg"})
 _ts_spec = _flag_type("rwd or ar:p,d[,drift] with p >= 0 and d 0 or 1", TsSpec.parse)
-_level = _flag_type("a number in (50, 99.9)", float, lambda level: 50.0 < level < 99.9)
+_level = _flag_type("a number in ({:g}, {:g})".format(*LEVEL_RANGE), float, valid_level)
 _lam = _flag_type("'auto' or a finite number >= 0",
                   lambda text: "auto" if text.strip().lower() == "auto" else float(text),
-                  lambda lam: lam == "auto" or 0.0 <= lam < math.inf)
+                  valid_lam)
 _monotone_from = _flag_type(
     "an age or 'none'", lambda text: None if text.strip().lower() == "none" else int(text))
 _bootstrap = _flag_type(f"0 or at least {MIN_REPLICATES} replicates", int,
                         lambda b: b == 0 or b >= MIN_REPLICATES)
 _seed = _flag_type("a nonnegative integer", int, lambda seed: seed >= 0)
-_horizon = _flag_type("an integer >= 1", int, lambda horizon: horizon >= 1)
+_horizon = _flag_type(f"an integer >= {MIN_HORIZON}", int, lambda h: h >= MIN_HORIZON)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     # one parent per flag group; a command's groups in _COMMANDS also tell main
-    # whether to build a SmoothConfig and to check --year
+    # whether to build a SmoothConfig
     group = {name: argparse.ArgumentParser(add_help=False) for name in
              ("data", "windows", "year", "models", "forecast", "horizon", "output")}
     data, windows, year, models, forecast, horizon, output = group.values()
@@ -176,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
             # not on the models parent: subparsers share a parent's actions,
             # so a per-command default set there would hold for every command
             command.add_argument("--models", "--model", type=_models, default=default,
-                                 help="comma list from lc,lcs,fdm")
+                                 help="comma list from " + ",".join(MODELS))
     return parser
 
 
@@ -219,17 +216,6 @@ def load_surface(args: argparse.Namespace) -> MortalitySurface:
         return build_surface(table, args.gender, *args.ages, year_min, year_max)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
-
-
-def _check_year(args: argparse.Namespace, surface: MortalitySurface) -> None:
-    first_age = int(surface.ages[0])
-    if first_age != 0:
-        raise UsageError(f"--ages {args.ages[0]}:{args.ages[1]} starts at age {first_age}; "
-                         "a life table reports life expectancy at birth, which needs ages "
-                         "from 0")
-    lo, hi = int(surface.years[0]), int(surface.years[-1])
-    if not lo <= args.year <= hi:
-        raise UsageError(f"--year {args.year} outside data years {lo}:{hi}")
 
 
 def _ts_model(ts: TsSpec) -> str:
@@ -295,21 +281,6 @@ def _commit(output: str, files: dict) -> None:
         for partial in staged:
             with contextlib.suppress(OSError):
                 os.remove(partial)
-
-
-def _diagnostics(residuals: np.ndarray) -> dict:
-    std = standardize_residuals(residuals)
-    out: dict = {"n_residuals": int(std.size)}
-    # the normality approximation is calibrated up to n=5000; test a
-    # deterministic evenly spaced subsample and say so
-    subsampled = std.size > _NORMALITY_CAP
-    sample = std
-    if subsampled:
-        sample = std[np.linspace(0, std.size - 1, _NORMALITY_CAP).astype(int)]
-    if sample.size >= 3 and float(np.ptp(sample)) > 0:
-        w, p = normality_test(sample)
-        out["normality"] = {"statistic": w, "p_value": p, "subsampled": subsampled}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +369,7 @@ def cmd_fit(args: argparse.Namespace, surface: MortalitySurface,
     fitted = fit_models(surface, args.models, smooth, args.components)
     for name, model in fitted.items():
         params, fields, _, _ = _ARTIFACTS[name]
-        summary["models"][name] = {**fields(model), **_diagnostics(model.residuals)}
+        summary["models"][name] = {**fields(model), **residual_diagnostics(model.residuals)}
         files.update(_param_files(params(name, model)))
     return summary, files
 
@@ -526,7 +497,7 @@ def cmd_compare(args: argparse.Namespace, surface: MortalitySurface,
             "excluded_cells": rep.excluded_cells,
             field: fields(model)[field],
         }
-        entry.update(_diagnostics(surface.log_rates - fitted_log))
+        entry.update(residual_diagnostics(surface.log_rates - fitted_log))
         summary["models"][name] = entry
         for by, table in (("age", rep.by_age), ("year", rep.by_year)):
             files[f"metrics_{name}_by_{by}.csv"] = _csv(
@@ -636,8 +607,6 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         if os.path.exists(args.output) and not os.path.isdir(args.output):
             raise UsageError(f"--output {args.output} exists and is not a directory")
         surface = load_surface(args)
-        if "year" in groups:
-            _check_year(args, surface)
         summary, files = run(args, surface, smooth)
         files["summary.json"] = _summary_json(args, summary)
         _commit(args.output, {name: text for name, text in files.items()

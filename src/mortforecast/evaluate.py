@@ -19,7 +19,8 @@ from scipy import special
 from .fdm import FittedModel, ForecastSurface, bootstrap_intervals, fit_fdm, forecast_fdm
 from .ingest import MortalitySurface, slice_window
 from .leecarter import fit_lc, fit_lcs
-from .lifetable import E0Path, E0RangeError, _lifetables, e0_path
+from .lifetable import (E0Path, E0RangeError, _lifetables, check_starts_at_birth, e0_path,
+                        starts_at_birth)
 from .numerics import SettingsError, normal_quantile
 from .smoothing import SmoothConfig, smooth_surface
 from .tsforecast import SingularLagError, TsSpec
@@ -34,6 +35,7 @@ __all__ = [
     "error_metrics",
     "standardize_residuals",
     "normality_test",
+    "residual_diagnostics",
     "fit_models",
     "forecast_model",
     "run_backtest",
@@ -47,6 +49,12 @@ BOOTSTRAPPED_MODELS = ("fdm",)
 # with drift need three train years, and the error variances two test years.
 _MIN_TRAIN_YEARS = 3
 _MIN_TEST_YEARS = 2
+NORMALITY_MAX_N = 5000  # the largest n Royston's normality approximation is calibrated for
+
+
+def valid_models(names: Sequence[str]) -> bool:
+    """One or more distinct names from MODELS, as fit_models and --models take."""
+    return 0 < len(names) == len(set(names)) and set(names) <= set(MODELS)
 
 
 @dataclass(frozen=True)
@@ -117,9 +125,9 @@ def error_metrics(observed: MortalitySurface, fitted_log: np.ndarray) -> ErrorRe
 def standardize_residuals(residuals: np.ndarray) -> np.ndarray:
     """Flatten and divide by the overall standard deviation.
 
-    The mean is not removed: the CLI's normality test, the one use in
-    the package, does not depend on location, and a test of a zero mean
-    needs it kept. A zero-variance matrix is returned unscaled.
+    The mean is not removed: the normality test of residual_diagnostics,
+    the one use in the package, does not depend on location, and a test
+    of a zero mean needs it kept. A zero-variance matrix is returned unscaled.
     """
     flat = np.asarray(residuals, dtype=float).ravel()
     sd = float(flat.std(ddof=1)) if len(flat) > 1 else 0.0
@@ -156,18 +164,18 @@ def _shapiro_weights(n: int) -> np.ndarray:
 def normality_test(residuals) -> tuple[float, float]:
     """Shapiro-Wilk W with Royston's p-value approximation.
 
-    Valid for 3 <= n <= 5000. The p-value for n >= 12 uses the
-    log-normal transform of 1-W; for 4 <= n <= 11 the shifted-log
-    transform; n = 3 has an exact expression.
+    Valid for 3 <= n <= NORMALITY_MAX_N finite values, not all equal.
+    The p-value for n >= 12 uses the log-normal transform of 1-W; for
+    4 <= n <= 11 the shifted-log transform; n = 3 has an exact expression.
     """
     x = np.sort(np.asarray(residuals, dtype=float).ravel())
     n = len(x)
-    if n < 3 or n > 5000:
-        raise ValueError(f"normality test supports 3 <= n <= 5000, got {n}")
+    if n < 3 or n > NORMALITY_MAX_N:
+        raise ValueError(f"normality test supports 3 <= n <= {NORMALITY_MAX_N}, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample contains non-finite values")
     ss = float(np.sum((x - x.mean()) ** 2))
-    if ss <= 0.0:
+    if x[0] == x[-1] or ss <= 0.0:
         raise ValueError("sample is constant; the statistic is undefined")
     a = _shapiro_weights(n)
     W = float(np.dot(a, x) ** 2 / ss)
@@ -192,6 +200,22 @@ def normality_test(residuals) -> tuple[float, float]:
         sigma = math.exp(np.polyval([0.0030302, -0.082676, -0.4803], ln_n))
     z = (y - mu) / sigma
     return W, float(special.ndtr(-z))
+
+
+def residual_diagnostics(residuals) -> dict:
+    """The residual count, and normality_test's W and p of the standardized
+    residuals, or of an evenly spaced subsample of NORMALITY_MAX_N, where it applies."""
+    std = standardize_residuals(residuals)
+    out: dict = {"n_residuals": int(std.size)}
+    subsampled = std.size > NORMALITY_MAX_N
+    if subsampled:
+        std = std[np.linspace(0, std.size - 1, NORMALITY_MAX_N).astype(int)]
+    try:
+        w, p = normality_test(std)
+    except ValueError:  # fewer than 3 values, a non-finite one, or all equal
+        return out
+    out["normality"] = {"statistic": w, "p_value": p, "subsampled": subsampled}
+    return out
 
 
 @dataclass(frozen=True)
@@ -228,9 +252,9 @@ def fit_models(
     lcs and fdm share one smoothing of the surface, so it runs once
     whichever of them are asked for.
     """
-    for name in models:
-        if name not in MODELS:
-            raise ValueError(f"unknown model {name!r}; choose from {MODELS}")
+    if not valid_models(models):
+        raise ValueError(f"models must be one or more distinct names from {MODELS}, "
+                         f"got {models}")
     smoothed = None
     if "lcs" in models or "fdm" in models:
         smoothed = smooth_surface(surface.log_rates, surface.ages, surface.years,
@@ -261,7 +285,7 @@ def forecast_model(
                     else forecast_fdm(model, ts_spec, horizon, level))
         if years is not None:
             forecast = forecast.slice_years(*years)
-        return forecast, e0_path(forecast) if int(forecast.ages[0]) == 0 else None
+        return forecast, e0_path(forecast) if starts_at_birth(forecast.ages) else None
     except (SingularLagError, SettingsError, E0RangeError) as exc:
         raise type(exc)(f"{model.name}: {exc}") from None
 
@@ -308,9 +332,7 @@ def run_backtest(
         if start < lo or end > hi:
             raise SettingsError(f"{label} window {start}:{end} outside the surface's "
                                 f"years {lo}:{hi}")
-    if int(surface.ages[0]) != 0:
-        raise SettingsError(f"a backtest scores life expectancy at birth, which needs "
-                            f"ages from 0, got first age {int(surface.ages[0])}")
+    check_starts_at_birth(surface.ages)
     train_surface = slice_window(surface, train_start, train_end)
     test_surface = slice_window(surface, test_start, test_end)
     observed_log = test_surface.log_rates

@@ -32,6 +32,13 @@ __all__ = [
     "bootstrap_intervals",
 ]
 
+# A forecast's two-sided interval level, in percent, lies strictly between these
+LEVEL_RANGE = (50.0, 99.9)
+
+
+def valid_level(level: float) -> bool:
+    return LEVEL_RANGE[0] < level < LEVEL_RANGE[1]
+
 
 @dataclass(frozen=True)
 class ForecastSurface:
@@ -56,8 +63,9 @@ class ForecastSurface:
             if arr.shape != shape:
                 raise ValueError(f"{name} shape {arr.shape} does not match {shape}")
             object.__setattr__(self, name, arr)
-        if not 50.0 < self.level < 99.9:
-            raise ValueError(f"level must be in (50, 99.9), got {self.level}")
+        if not valid_level(self.level):
+            raise ValueError(f"level must be in ({LEVEL_RANGE[0]:g}, {LEVEL_RANGE[1]:g}), "
+                             f"got {self.level}")
         if np.any(self.variance < -1e-10):
             raise ValueError("negative forecast variance")
         object.__setattr__(self, "variance", np.maximum(self.variance, 0.0))

@@ -15,6 +15,8 @@ from typing import Iterable, Optional, TextIO
 
 import numpy as np
 
+from .numerics import SettingsError
+
 __all__ = [
     "GENDERS",
     "RateRecord",
@@ -116,8 +118,8 @@ class MortalitySurface:
     def year_column(self, year: int) -> np.ndarray:
         j = int(np.searchsorted(self.years, year))
         if j >= self.n_years or self.years[j] != year:
-            raise ValueError(f"year {year} not in surface range "
-                             f"{self.years[0]}..{self.years[-1]}")
+            raise SettingsError(f"year {year} outside the surface's years "
+                                f"{self.years[0]}:{self.years[-1]}")
         return self.rates[:, j]
 
 

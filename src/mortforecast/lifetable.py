@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdm import ForecastSurface
+from .numerics import SettingsError
 
 __all__ = ["LifeTable", "E0Path", "E0RangeError", "rates_to_lifetable", "e0_path"]
 
@@ -21,6 +22,18 @@ __all__ = ["LifeTable", "E0Path", "E0RangeError", "rates_to_lifetable", "e0_path
 class E0RangeError(ValueError):
     """A forecast whose death rates underflow to 0 or overflow, so e0 has
     no life table."""
+
+
+def starts_at_birth(ages) -> bool:
+    """Whether ``ages`` start at 0, as a table that gives e0 must."""
+    return int(ages[0]) == 0
+
+
+def check_starts_at_birth(ages) -> None:
+    """``SettingsError`` unless ``ages`` start at 0."""
+    if not starts_at_birth(ages):
+        raise SettingsError(f"life expectancy at birth needs ages from 0, got first age "
+                            f"{int(ages[0])}")
 
 
 @dataclass(frozen=True)
@@ -65,15 +78,16 @@ def rates_to_lifetable(mx, ages=None) -> LifeTable:
     year and stable for large m. The terminal age is open-ended: everyone
     alive there dies at exposure 1/m_A, so L_A = l_A/m_A. e0 is the sum of
     the L_x column. The one-row case of the block kernel that ``e0_path``
-    uses, so both give the same bits.
+    uses, so both give the same bits. Given ``ages`` must start at 0.
     """
     mx = np.asarray(mx, dtype=float)
     if mx.ndim != 1 or len(mx) == 0:
         raise ValueError("mx must be a non-empty 1-d array")
-    qx, lx, Lx, e0 = _lifetables(mx[None, :])
     ages = np.arange(len(mx)) if ages is None else np.asarray(ages, dtype=int)
     if ages.shape != mx.shape:
         raise ValueError("ages and mx must have the same length")
+    check_starts_at_birth(ages)
+    qx, lx, Lx, e0 = _lifetables(mx[None, :])
     return LifeTable(ages=ages, qx=qx[0], lx=lx[0], Lx=Lx[0], e0=float(e0[0]))
 
 
@@ -100,11 +114,7 @@ def e0_path(forecast: ForecastSurface) -> E0Path:
     bound yields the lower e0 bound and vice versa. From the first year
     whose death rates underflow to 0 or overflow, ``E0RangeError``.
     """
-    if int(forecast.ages[0]) != 0:
-        raise ValueError(
-            f"life expectancy at birth needs ages from 0, got first age "
-            f"{int(forecast.ages[0])}"
-        )
+    check_starts_at_birth(forecast.ages)
     # one C-order (3h, ages) block: a row per horizon of the point
     # forecast, then of the upper and of the lower mortality bound
     log_rates = np.array([forecast.point.T, forecast.upper.T, forecast.lower.T])

@@ -25,7 +25,8 @@ __all__ = [
 class SettingsError(ValueError):
     """Settings the data cannot support: a model, smoother, time-series
     model or backtest window too large or too long for the surface it is
-    given. Each message names the quantity, its limit and the size found."""
+    given, a year outside it, or ages not from 0 where e0 is asked for.
+    Each message names the quantity, its limit and the value found."""
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,11 @@ class SmoothConfig:
         return k
 
 
+def valid_lam(lam: "float | str") -> bool:
+    """A penalty weight the smoother and --lam take: "auto" or a finite number >= 0."""
+    return lam == "auto" or 0.0 <= float(lam) < np.inf
+
+
 @dataclass(frozen=True)
 class SmoothedSurface:
     """Smoothed log rates plus the across-year noise variance at each age."""
@@ -130,9 +135,9 @@ def smooth_surface(
         raise SettingsError(f"need at least 4 ages to smooth a curve, got {len(ages)}")
     if not np.all(np.isfinite(Y)):
         raise ValueError("log rates contain non-finite values")
-    auto = config.lam == "auto"
-    if not auto and not 0.0 <= float(config.lam) < np.inf:
+    if not valid_lam(config.lam):
         raise ValueError("lam must be finite and nonnegative")
+    auto = config.lam == "auto"
     k = config.resolved_num_basis(len(ages))
     B = bspline_design(float(ages[0]), float(ages[-1]), k, ages)
     D = np.diff(np.eye(k), n=_DIFFERENCE_ORDER, axis=0)

@@ -106,10 +106,13 @@ def _check_series(series) -> np.ndarray:
     return arr
 
 
+MIN_HORIZON = 1  # the shortest forecast, also --horizon's
+
+
 def _check_horizon(h: int) -> int:
     h = int(h)
-    if h < 1:
-        raise ValueError("horizon must be at least 1")
+    if h < MIN_HORIZON:
+        raise ValueError(f"horizon must be at least {MIN_HORIZON}")
     return h
 
 

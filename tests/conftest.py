@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from mortforecast import build_surface, parse_hmd_rates, smooth_surface
+from mortforecast.cli import main
 from mortforecast.ingest import MortalitySurface
 
 _DATA_NAMES = ("ITA.Mx_1x1.txt", "Mx_1x1.txt")
@@ -68,6 +69,14 @@ def smooth(surface, config):
     """A surface's log rates smoothed year by year, the input of fit_lcs
     and fit_fdm."""
     return smooth_surface(surface.log_rates, surface.ages, surface.years, config)
+
+
+def run_cli(argv):
+    """``cli.main``'s exit code for ``argv``; argparse exits by raising."""
+    try:
+        return main([str(a) for a in argv])
+    except SystemExit as exc:
+        return int(exc.code or 0)
 
 
 @functools.lru_cache(maxsize=None)

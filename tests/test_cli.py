@@ -18,21 +18,12 @@ import pytest
 import mortforecast
 from mortforecast import build_surface, evaluate, fit_models, parse_hmd_rates, smooth_surface
 from mortforecast.evaluate import normality_test, standardize_residuals
-from mortforecast.cli import main
 from mortforecast.tsforecast import TsSpec
 
-from conftest import synthetic_hmd_text
+from conftest import run_cli, synthetic_hmd_text
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SRC = Path(mortforecast.__file__).resolve().parents[1]
-
-
-def run_cli(argv):
-    """main() returns an exit code, but argparse exits by raising."""
-    try:
-        return main([str(a) for a in argv])
-    except SystemExit as exc:
-        return int(exc.code or 0)
 
 
 def base_args(hmd_file, out):
@@ -381,7 +372,7 @@ def test_lifetable_year_outside_data_exit_2(hmd_file, tmp_path, capsys):
     out = tmp_path / "lt"
     code = run_cli(["lifetable", *base_args(hmd_file, out), "--year", "1940"])
     assert code == 2
-    assert "--year 1940 outside data years 1950:2005" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: year 1940 outside the surface's years 1950:2005\n"
     assert not out.exists()
 
 
@@ -463,16 +454,15 @@ def test_short_backtest_window_exit_2(hmd_file, tmp_path, capsys, train, test, m
 
 @pytest.mark.parametrize("argv,message", [
     (["backtest", "--models", "lc,lcs,fdm", "--train", "1960:1990", "--test", "1991:2000"],
-     "a backtest scores life expectancy at birth, which needs ages from 0, got first age 10"),
+     "life expectancy at birth needs ages from 0, got first age 10"),
     (["lifetable", "--year", "1990"],
-     "--ages 10:30 starts at age 10; a life table reports life expectancy at birth, which "
-     "needs ages from 0"),
+     "life expectancy at birth needs ages from 0, got first age 10"),
 ], ids=["backtest", "lifetable"])
 def test_ages_not_from_0_exit_2(hmd_file, tmp_path, capsys, monkeypatch, argv, message):
     # a backtest and a life table report e0, which needs a life table from
     # birth; the window is rejected before any model or table is computed
     fits = count_calls(monkeypatch, mortforecast.fit_models)
-    tables = count_calls(monkeypatch, mortforecast.lifetable.rates_to_lifetable)
+    tables = count_calls(monkeypatch, mortforecast.lifetable._lifetables)
     out = tmp_path / "ages"
     code = run_cli([argv[0], "--data", hmd_file, "--ages", "10:30", "--output", out,
                     *argv[1:]])
@@ -1120,7 +1110,7 @@ def test_failed_write_exit_2_changes_no_earlier_file(hmd_file, earlier_run, monk
 
 
 def test_nan_summary_exit_1_under_any_formats(hmd_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(mortforecast.cli, "normality_test",
+    monkeypatch.setattr(mortforecast.evaluate, "normality_test",
                         lambda sample: (float("nan"), float("nan")))
     out = tmp_path / "csvonly"
     code = run_cli(["fit", *base_args(hmd_file, out), "--models", "fdm",

@@ -1,5 +1,7 @@
 """Error metrics, residual tests, and the backtest harness."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -265,8 +267,21 @@ def test_backtest_window_validation(monkeypatch, train, test, first_age, message
 def test_backtest_unknown_model():
     surface, _, _, _ = rank1_surface(n_ages=6, n_years=20, seed=1,
                                      first_year=2000)
-    with pytest.raises(ValueError, match="unknown model"):
+    with pytest.raises(ValueError, match=re.escape(
+            "models must be one or more distinct names from ('lc', 'lcs', 'fdm'), "
+            "got ['lx']")):
         run_backtest(surface, models=["lx"], train=(2000, 2008), test=(2009, 2015))
+
+
+@pytest.mark.parametrize("models", [("lc", "lc"), ("fdm", "lcs", "fdm"), ()],
+                         ids=["lc_twice", "fdm_twice", "none"])
+def test_fit_models_rejects_repeated_or_no_names(models):
+    # ("lc", "lc") used to give one fit and () none, where --models rejects both
+    surface = hmdgen_surface(7, "total", (0, 100), (1922, 1980))
+    with pytest.raises(ValueError, match=re.escape(
+            f"models must be one or more distinct names from ('lc', 'lcs', 'fdm'), "
+            f"got {models}")):
+        fit_models(surface, models)
 
 
 def test_backtest_ar_d1_drift_within_tolerance_of_summed_drift(monkeypatch):

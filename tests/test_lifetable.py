@@ -16,6 +16,9 @@ from mortforecast.evaluate import run_backtest
 from mortforecast.fdm import ForecastSurface
 from mortforecast.ingest import MortalitySurface
 from mortforecast.lifetable import E0Path, E0RangeError, LifeTable, e0_path, rates_to_lifetable
+from mortforecast.numerics import SettingsError
+
+from conftest import hmdgen_surface
 
 
 def _e0_by_integration(mx, steps_per_year=2000):
@@ -152,6 +155,16 @@ def test_e0_path_needs_age_zero():
                               upper=fc.upper, level=fc.level)
     with pytest.raises(ValueError, match="ages from 0"):
         e0_path(shifted)
+
+
+def test_lifetable_from_a_later_age_raises():
+    # a table from age 5 sums the years lived past 5, not past birth: it
+    # used to come back labelled e0 (76.90 here), and now raises as
+    # e0_path does
+    surface = hmdgen_surface(7, "total", (5, 100), (1922, 2006))
+    with pytest.raises(SettingsError, match=r"^life expectancy at birth needs ages from 0, "
+                                            r"got first age 5$"):
+        rates_to_lifetable(surface.year_column(1990), ages=surface.ages)
 
 
 # ---------------------------------------------------------------------------
