@@ -2,7 +2,7 @@
 demographic model, with forecasting, life tables, and backtesting.
 
 The names in ``__all__`` load with their modules on first use, so
-``import mortforecast`` loads neither numpy nor scipy. That leaves the
+``import mortforecast`` does not load numpy. That leaves the
 two command-line entries, the ``mortforecast`` script (``main`` here)
 and ``python -m mortforecast.cli``, time to set BLAS to one thread
 before numpy loads BLAS and BLAS starts its thread pool.
@@ -23,7 +23,7 @@ _HOMES = {
 
 __all__ = [*_HOMES, "__version__"]
 
-# The thread-count variables of the OpenBLAS that numpy and scipy bundle,
+# The thread-count variables of the OpenBLAS that numpy bundles,
 # which cli.main's one-thread scope defers to, and then MKL's.
 _OPENBLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 _BLAS_VARIABLES = (*_OPENBLAS_VARIABLES, "MKL_NUM_THREADS")

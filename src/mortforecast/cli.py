@@ -11,8 +11,8 @@ artifact is computed before any is written, so a failed run creates and
 changes nothing. Files in --output that are not this run's artifacts are
 left alone, each artifact is replaced whole, and a failed write exits 2.
 
-Each ``main`` call runs on one BLAS thread: the OpenBLAS that numpy and
-scipy bundle is set to one thread for the call and restored after it,
+Each ``main`` call runs on one BLAS thread: the OpenBLAS that numpy
+bundles is set to one thread for the call and restored after it,
 unless the user set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS. Run as
 ``python -m mortforecast.cli``, this module first sets the BLAS thread
 variables the user left unset to 1, before numpy loads, as the
@@ -38,7 +38,6 @@ import threading
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from . import _OPENBLAS_VARIABLES
 from .evaluate import (
@@ -531,8 +530,9 @@ _COMMANDS = {
 _PARSER = build_parser()
 
 
-# BLAS threads. Each library names its thread-count functions with one of
-# these patterns: the current scipy-openblas wheels', then older wheels'.
+# BLAS threads. numpy's bundled OpenBLAS names its thread-count functions
+# with one of these patterns: the scipy-openblas build that current numpy
+# wheels bundle, then older wheels'.
 _OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
                      "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 _blas_lock = threading.Lock()
@@ -543,23 +543,22 @@ _blas_runs = 0
 @functools.cache
 def _openblas_threads() -> dict:
     """Library path -> (get, set) thread-count functions, for each OpenBLAS
-    that the numpy and scipy wheels bundle (in ``<package>.libs``, or in
-    ``<package>/.dylibs`` on macOS), looked up once per process. Empty
-    under any other BLAS."""
+    that the numpy wheel bundles (in ``numpy.libs``, or in
+    ``numpy/.dylibs`` on macOS), looked up once per process. Empty under
+    any other BLAS."""
     found = {}
-    for package in (np, scipy):
-        root = os.path.dirname(package.__file__)
-        for libs in (f"{root}.libs", os.path.join(root, ".dylibs")):
-            for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-                lib = ctypes.CDLL(path)
-                for pattern in _OPENBLAS_SYMBOLS:
-                    if hasattr(lib, pattern.format("set")):
-                        get_threads = getattr(lib, pattern.format("get"))
-                        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                        set_threads = getattr(lib, pattern.format("set"))
-                        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                        found[path] = get_threads, set_threads
-                        break
+    root = os.path.dirname(np.__file__)
+    for libs in (f"{root}.libs", os.path.join(root, ".dylibs")):
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+            lib = ctypes.CDLL(path)
+            for pattern in _OPENBLAS_SYMBOLS:
+                if hasattr(lib, pattern.format("set")):
+                    get_threads = getattr(lib, pattern.format("get"))
+                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                    set_threads = getattr(lib, pattern.format("set"))
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    found[path] = get_threads, set_threads
+                    break
     return found
 
 

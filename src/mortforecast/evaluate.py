@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 from .fdm import FittedModel, ForecastSurface, bootstrap_intervals, fit_fdm, forecast_fdm
 from .ingest import MortalitySurface, slice_window
@@ -199,7 +198,7 @@ def normality_test(residuals) -> tuple[float, float]:
         mu = np.polyval([0.0038915, -0.083751, -0.31082, -1.5861], ln_n)
         sigma = math.exp(np.polyval([0.0030302, -0.082676, -0.4803], ln_n))
     z = (y - mu) / sigma
-    return W, float(special.ndtr(-z))
+    return W, 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def residual_diagnostics(residuals) -> dict:

@@ -40,6 +40,12 @@ def valid_level(level: float) -> bool:
     return LEVEL_RANGE[0] < level < LEVEL_RANGE[1]
 
 
+def _check_level(level: float) -> None:
+    if not valid_level(level):
+        raise ValueError(f"level must be in ({LEVEL_RANGE[0]:g}, {LEVEL_RANGE[1]:g}), "
+                         f"got {level}")
+
+
 @dataclass(frozen=True)
 class ForecastSurface:
     """Log-rate forecasts on an age grid for horizons 1..h.
@@ -63,9 +69,7 @@ class ForecastSurface:
             if arr.shape != shape:
                 raise ValueError(f"{name} shape {arr.shape} does not match {shape}")
             object.__setattr__(self, name, arr)
-        if not valid_level(self.level):
-            raise ValueError(f"level must be in ({LEVEL_RANGE[0]:g}, {LEVEL_RANGE[1]:g}), "
-                             f"got {self.level}")
+        _check_level(self.level)
         if np.any(self.variance < -1e-10):
             raise ValueError("negative forecast variance")
         object.__setattr__(self, "variance", np.maximum(self.variance, 0.0))
@@ -213,6 +217,7 @@ def _recombine(model: FittedModel, fits, horizon: int, level: float) -> Forecast
     n curve errors), the model error v and the observational noise
     sigma2, with symmetric normal-theory bounds at the two-sided
     percentage ``level``. The forecast years follow the fitted ones."""
+    _check_level(level)  # before the level's quantile is taken
     forecasts = [forecast_ts(fit, horizon) for fit in fits]
     points = np.array([point for point, _ in forecasts])
     variances = np.array([variance for _, variance in forecasts])

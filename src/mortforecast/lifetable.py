@@ -78,7 +78,8 @@ def rates_to_lifetable(mx, ages=None) -> LifeTable:
     year and stable for large m. The terminal age is open-ended: everyone
     alive there dies at exposure 1/m_A, so L_A = l_A/m_A. e0 is the sum of
     the L_x column. The one-row case of the block kernel that ``e0_path``
-    uses, so both give the same bits. Given ``ages`` must start at 0.
+    uses, so both give the same bits. Given ``ages`` must start at 0 and
+    step by one year, as single-year rates do.
     """
     mx = np.asarray(mx, dtype=float)
     if mx.ndim != 1 or len(mx) == 0:
@@ -87,6 +88,10 @@ def rates_to_lifetable(mx, ages=None) -> LifeTable:
     if ages.shape != mx.shape:
         raise ValueError("ages and mx must have the same length")
     check_starts_at_birth(ages)
+    gaps = np.flatnonzero(np.diff(ages) != 1)
+    if gaps.size:
+        i = int(gaps[0])
+        raise ValueError(f"ages must step by one year, got {ages[i]} then {ages[i + 1]}")
     qx, lx, Lx, e0 = _lifetables(mx[None, :])
     return LifeTable(ages=ages, qx=qx[0], lx=lx[0], Lx=Lx[0], e0=float(e0[0]))
 

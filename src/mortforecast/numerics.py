@@ -8,10 +8,9 @@ cannot support. Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
-from scipy.linalg import svd
 
 __all__ = [
     "SettingsError",
@@ -20,6 +19,8 @@ __all__ = [
     "bspline_design",
     "normal_quantile",
 ]
+
+_STANDARD_NORMAL = NormalDist()
 
 
 class SettingsError(ValueError):
@@ -41,18 +42,19 @@ class SvdResult:
 def svd_thin(A) -> SvdResult:
     """Thin singular value decomposition of a real matrix.
 
-    LAPACK's divide-and-conquer driver (gesdd) through ``scipy.linalg``,
-    like the smoother's eigendecomposition, so every factorization runs
-    on one BLAS build and its thread pool. Wrapped so callers get input
-    validation and a stable result type. Singular values come back
-    in descending order, vectors column-orthonormal.
+    LAPACK's divide-and-conquer driver (gesdd) through ``np.linalg``,
+    like the smoother's Cholesky factor and eigendecomposition, so every
+    factorization runs on numpy's one BLAS build and its thread pool.
+    Wrapped so callers get input validation and a stable result type.
+    Singular values come back in descending order, vectors
+    column-orthonormal.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.size == 0:
         raise ValueError("svd_thin: matrix must be at least 1x1")
     if not np.all(np.isfinite(A)):
         raise ValueError("svd_thin: matrix contains non-finite entries")
-    U, s, Vt = svd(A, full_matrices=False, check_finite=False, lapack_driver="gesdd")
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
     return SvdResult(singular_values=s, left_vectors=U, right_vectors=Vt.T)
 
 
@@ -105,11 +107,18 @@ def bspline_design(lo: float, hi: float, num_basis: int, xs) -> np.ndarray:
 
 def normal_quantile(p):
     """Value z with ``Phi(z) = p``, elementwise for p in the open unit
-    interval; a scalar p gives a float."""
+    interval; a scalar p gives a float.
+
+    Each value is the standard library's ``NormalDist().inv_cdf``
+    (Wichura's algorithm AS 241, good to about 1e-16 relative), one call
+    per element.
+    """
     p = np.asarray(p, dtype=float)
     inside = (p > 0.0) & (p < 1.0)
     if not np.all(inside):
         bad = float(p[~inside][0])
         raise ValueError(f"probability must lie strictly between 0 and 1, got {bad!r}")
-    z = special.ndtri(p)
-    return float(z) if z.ndim == 0 else z
+    if p.ndim == 0:
+        return _STANDARD_NORMAL.inv_cdf(float(p))
+    z = np.fromiter(map(_STANDARD_NORMAL.inv_cdf, p.ravel().tolist()), float, p.size)
+    return z.reshape(p.shape)

@@ -5,7 +5,9 @@ B-spline basis and a squared difference penalty on the coefficients,
 the penalty weight fixed or chosen by generalized cross-validation; the
 years of a surface share one design and are smoothed in one batched
 pass, where one generalized eigendecomposition scores every grid penalty
-for every year and gives every year's fit at its chosen penalty.
+for every year and gives every year's fit at its chosen penalty; a
+Cholesky factor reduces it to one symmetric eigendecomposition, both on
+numpy's LAPACK.
 Above a configurable age the smoothed curve is projected onto the
 increasing cone by pooling adjacent violators, reflecting that adult
 mortality rises with age while infant and accident-hump features below
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh
 
 from .numerics import SettingsError, bspline_design
 
@@ -147,8 +148,8 @@ def smooth_surface(
     Bt = B.T.copy(order="F")
     G, R = Bt @ B, Bt @ Y
     try:
-        nu, U = eigh(G, G + P, check_finite=False)
-    except LinAlgError as exc:
+        nu, U = _generalized_eigh(G, G + P)
+    except np.linalg.LinAlgError as exc:
         raise SettingsError(SINGULAR_SYSTEM) from exc
     # the d largest nu are exactly 1: their vectors span the polynomials
     # the order-d penalty leaves free. Left at 1 - eps, they would scale
@@ -167,6 +168,20 @@ def smooth_surface(
     sigma2 = resid.var(axis=1, ddof=1) if len(years) >= 2 else np.zeros(len(ages))
     return SmoothedSurface(ages=ages.astype(int), years=years,
                            log_rates=smoothed, sigma2=sigma2, lambdas=lambdas)
+
+
+def _generalized_eigh(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w, ascending, and vectors U with AU = BU diag(w) and
+    U'BU = I, for symmetric A and symmetric positive definite B.
+
+    The Cholesky reduction LAPACK's sygvd performs, on numpy's LAPACK:
+    B = LL', the eigenpairs (w, V) of L^-1 A L^-T, and U = L^-T V.
+    ``np.linalg.LinAlgError`` when B is not positive definite to working
+    precision.
+    """
+    L_inv = np.linalg.inv(np.linalg.cholesky(B))
+    w, V = np.linalg.eigh(L_inv @ A @ L_inv.T)
+    return w, L_inv.T @ V
 
 
 def _gcv_lambdas(nu: np.ndarray, BU: np.ndarray, C: np.ndarray,

@@ -671,17 +671,50 @@ def test_compare_diagnoses_observed_minus_fitted(hmd_file, tmp_path):
         assert entry["normality"] == {"statistic": w, "p_value": p, "subsampled": False}
 
 
-def test_cli_import_leaves_out_heavy_scipy_modules():
-    # scipy.stats and scipy.interpolate each add a large share of start-up
-    # time; the package only needs scipy.linalg and scipy.special
-    code = ("import sys, mortforecast.cli\n"
-            "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') "
-            "if m in sys.modules))")
+# Each command once, with every model and the bootstrap where it applies
+EVERY_COMMAND = [
+    ["fit", "--models", "lc,lcs,fdm"],
+    ["forecast", "--models", "lc,lcs,fdm", "--horizon", "5", "--bootstrap", "100"],
+    ["backtest", "--models", "lc,lcs,fdm", "--train", "1950:1990", "--test", "1991:2005",
+     "--bootstrap", "100"],
+    ["lifetable", "--year", "1990"],
+    ["compare", "--models", "lc,lcs,fdm"],
+]
+
+# Run in a fresh interpreter, where an import of scipy raises
+WITHOUT_SCIPY = """
+import importlib.abc, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, NoScipy())
+import mortforecast.cli
+loaded = [sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]
+codes = []
+for argv in json.loads(sys.argv[1]):
+    codes.append(mortforecast.cli.main(argv))
+    loaded.append(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_every_command_runs_without_scipy(hmd_file, tmp_path):
+    # scipy is a test dependency only: importing the CLI and running each
+    # command load none of it, so a host without scipy runs them all
+    runs = [[*argv, "--data", str(hmd_file), "--ages", "0:40",
+             "--output", str(tmp_path / argv[0])] for argv in EVERY_COMMAND]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=env, check=True)
-    assert result.stdout.strip() == "[]"
+    result = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, json.dumps(runs)],
+                            capture_output=True, text=True, env=env, check=True)
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {"codes": [0] * len(runs),
+                                         "loaded": [[]] * (len(runs) + 1)}
+    for argv in EVERY_COMMAND:
+        assert (tmp_path / argv[0] / "summary.json").is_file()
 
 
 def test_duplicate_data_row_exit_2(tmp_path, capsys):
@@ -799,17 +832,14 @@ def _numpy_blas_is_openblas():
                    for info in vars(np.__config__).values() if isinstance(info, dict))
 
 
-def test_blas_thread_lookup_finds_numpy_and_scipy_openblas():
+def test_blas_thread_lookup_finds_numpy_openblas():
     # a wheel that renames its library or symbols would otherwise leave
     # every run at BLAS's default thread count without a sign
-    import scipy
-
     if not _numpy_blas_is_openblas():
         pytest.skip("numpy is not built on OpenBLAS")
     paths = mortforecast.cli._openblas_threads()
-    for package in (np, scipy):
-        root = os.path.dirname(package.__file__)
-        assert any(path.startswith(root) for path in paths), (package.__name__, paths)
+    root = os.path.dirname(np.__file__)
+    assert paths and all(path.startswith(root) for path in paths), paths
 
 
 @pytest.fixture

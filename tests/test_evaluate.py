@@ -1,10 +1,12 @@
 """Error metrics, residual tests, and the backtest harness."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 import scipy.stats
+from scipy import special
 from hypothesis import given, settings, strategies as st
 
 from mortforecast import evaluate, tsforecast
@@ -187,6 +189,20 @@ def test_normality_matches_previous_kernel(seed, n, kind, W_prev, p_prev):
     W, p = normality_test(x)
     assert W == pytest.approx(W_prev, rel=2e-15, abs=0)
     assert p == pytest.approx(p_prev, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("seed,n,kind", [row[:3] for row in PREVIOUS_NORMALITY])
+def test_normality_p_matches_scipy_ndtr(monkeypatch, seed, n, kind):
+    # p is the upper normal tail 0.5 erfc(z / sqrt 2) of Royston's z, where
+    # scipy's ndtr(-z) was. Run again with erfc(t) read as 2 ndtr(-t sqrt 2),
+    # the two p agree to 1e-12 relative: z / sqrt 2 * sqrt 2 moves z by up
+    # to an ulp or two, which moves p by about z^2 ulps (9.8e-14 over 200
+    # samples of n = 4..5000, z up to about 21)
+    z = np.random.default_rng(seed).standard_normal(2 * n)
+    x = z[:n] if kind == "normal" else z[:n] / np.abs(z[n:])
+    W, p = normality_test(x)
+    monkeypatch.setattr(math, "erfc", lambda t: 2.0 * float(special.ndtr(-t * math.sqrt(2.0))))
+    assert normality_test(x) == (W, pytest.approx(p, rel=1e-12, abs=0))
 
 
 def test_normality_input_validation():

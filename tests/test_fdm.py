@@ -179,6 +179,20 @@ def test_forecast_bounds_and_years():
     assert np.all(wide.upper - wide.lower > fc.upper - fc.lower)
 
 
+@pytest.mark.parametrize("level", [50.0, 99.9, 100.0, 150.0, -10.0])
+@pytest.mark.parametrize("entry", [
+    forecast_fdm, lambda *args: bootstrap_intervals(*args, B=100, seed=1)],
+    ids=["forecast_fdm", "bootstrap_intervals"])
+def test_level_rule_comes_before_the_quantile(entry, level):
+    # a level of 100 or more once reached the normal quantile first, and
+    # raised its "probability must lie strictly between 0 and 1"
+    rng = np.random.default_rng(31)
+    log_m = rng.standard_normal((6, 10)) * 0.2 - 4.0
+    model = fit_fdm(smooth(make_surface(log_m, first_year=1980), NO_MONOTONE), K=1)
+    with pytest.raises(ValueError, match=rf"^level must be in \(50, 99\.9\), got {level}$"):
+        entry(model, TsSpec(), 3, level)
+
+
 def test_slice_years_keeps_the_chosen_years():
     rng = np.random.default_rng(31)
     log_m = rng.standard_normal((6, 10)) * 0.2 - 4.0

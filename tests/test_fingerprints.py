@@ -5,8 +5,8 @@ the same order as the code it checks, so a change to the random stream
 passes it. Only numbers committed beforehand catch that.
 
 The comparison is at a stated relative tolerance, not bit for bit: the
-CI floors job runs the oldest numpy and scipy, whose LAPACK and BLAS may
-round the last bits differently. The fitted parameters also get an
+CI floors job runs the oldest numpy, whose LAPACK and BLAS may round
+the last bits differently. The fitted parameters also get an
 absolute floor, ``RTOL`` times the largest |value| of each table (one
 model's one quantity at one top age), because kappa, beta and phi cross
 zero, where a relative bound alone would ask for more than the table's

@@ -98,6 +98,12 @@ def test_input_validation():
         rates_to_lifetable(np.array([]))
     with pytest.raises(ValueError, match="same length"):
         rates_to_lifetable(np.array([0.01, 0.02]), ages=np.array([0, 1, 2]))
+    # five-year ages once passed and gave the single-year table's e0
+    mx = np.array([0.01, 0.02, 0.5])
+    for ages, message in (([0, 5, 10], "got 0 then 5"), ([0, 1, 1], "got 1 then 1")):
+        with pytest.raises(ValueError, match=f"^ages must step by one year, {message}$"):
+            rates_to_lifetable(mx, ages=ages)
+    assert rates_to_lifetable(mx, ages=[0, 1, 2]).e0 == rates_to_lifetable(mx).e0
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Numerical kernels checked against independent routes: the SVD against
 a Gram-matrix eigendecomposition and numpy's own SVD, the B-spline
 design against a scalar Cox-de Boor recursion written here, and the
-normal quantile against bisection on the CDF."""
+normal quantile against bisection on the CDF and against scipy's ndtri,
+the kernel it replaced (scipy is a test dependency only)."""
 
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from mortforecast.numerics import (
     bspline_design,
@@ -51,8 +53,9 @@ def test_svd_orthonormal_columns():
 @given(m=st.integers(2, 111), n=st.integers(2, 85), seed=st.integers(0, 2**31),
        kind=st.sampled_from(["full", "rank_deficient", "constant_rows"]))
 def test_svd_thin_matches_numpy_svd(m, n, seed, kind):
-    # svd_thin runs on scipy's LAPACK, which may link another BLAS build
-    # than numpy's; both must give the same decomposition up to rounding
+    # svd_thin calls np.linalg.svd with full_matrices=False, so numpy's
+    # gesdd, and compute_uv=False runs gesdd in another mode; both must
+    # give the same singular values up to rounding
     rng = np.random.default_rng(seed)
     if kind == "full":
         A = rng.standard_normal((m, n))
@@ -207,6 +210,22 @@ def test_quantile_matches_previous_kernel(p, previous):
     # values from the Acklam approximation plus one Newton step that
     # ndtri replaced; stated tolerance 4e-14 absolute
     assert abs(normal_quantile(p) - previous) <= 4e-14
+
+
+# Largest gap, in units in the last place of the larger magnitude, between
+# normal_quantile and scipy's ndtri over the grid below: 6 on x86-64
+QUANTILE_NDTRI_ULPS = 8
+
+
+def test_quantile_matches_ndtri_in_ulps():
+    # the grid reaches the 1e-300 tail and 1 - 1e-16, and covers the
+    # central and both tail branches of each algorithm
+    p = np.concatenate([np.logspace(-300, -1, 3000), np.linspace(1e-3, 1 - 1e-3, 3001),
+                        1.0 - np.logspace(-16, -1, 1500),
+                        [5e-324, 2.2250738585072014e-308, 0.02425, 0.5, 0.97575]])
+    z, want = normal_quantile(p), special.ndtri(p)
+    ulps = np.abs(z - want) / np.spacing(np.maximum(np.abs(z), np.abs(want)))
+    assert ulps.max() <= QUANTILE_NDTRI_ULPS, (p[ulps.argmax()], ulps.max())
 
 
 def test_quantile_symmetry():

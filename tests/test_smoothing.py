@@ -5,7 +5,9 @@ of block partitions, which is the honest way to validate an isotonic
 fit on short inputs. The smoother is checked against per-curve
 references: LU-solved GCV scores, a Cholesky solve of the normal
 equations at small lambdas, and at large ones, where the Cholesky
-factor of G + lambda P loses the digits of G, an exact solve.
+factor of G + lambda P loses the digits of G, an exact solve; and
+against itself run on scipy's generalized eigensolver, the one it used
+before (scipy is a test dependency only).
 """
 
 import decimal
@@ -15,8 +17,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-import scipy.linalg
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from mortforecast import smoothing
 from mortforecast.numerics import SettingsError, bspline_design
@@ -312,9 +313,10 @@ def test_smooth_surface_matches_per_curve_reference(n_ages, n_years, first_age, 
 _FIXED_LAM_ATOL = 1e-12
 
 # Absolute agreement, from _EXACT_FROM_LAMBDA on, with the exact solve.
-# The eigendecomposition's fits stayed within 2.7e-11 of it from 1e6 to
-# 1e300 on the surfaces below; the Cholesky solve this replaced was up
-# to 4.3e-10 off at 1e6 and 7.0e-6 at 1e10 there.
+# The eigendecomposition's fits stayed within 8.3e-12 of it from 1e6 to
+# 1e300 on the surfaces below (2.7e-11 when it ran on scipy's eigh); the
+# Cholesky solve of G + lambda P before it was up to 4.3e-10 off at 1e6
+# and 7.0e-6 at 1e10 there.
 _EXACT_ATOL = 1e-10
 
 
@@ -353,6 +355,34 @@ def test_fixed_lambda_matches_separate_solve(seed, gender, ages, years, num_basi
         _monotone_tails(expected, xs, monotone_from)
     assert np.all(out.lambdas == lam)
     assert np.max(np.abs(got - expected)) <= atol
+
+
+# Agreement with the smoother run on scipy.linalg.eigh(G, G + P), LAPACK's
+# sygvd, in place of _generalized_eigh, sygvd's own Cholesky reduction on
+# numpy's LAPACK: every GCV lambda is the same, and smoothed log rates and
+# sigma2 agree to a share of each array's largest |value|. At GCV and small
+# lambdas the share was at most 4.0e-14 on the surfaces below. From
+# lambda 1e6 up, where the fit rests on the two null-space vectors, the
+# two routes differ by up to 2.7e-12 (fits) and 9.6e-12 (sigma2): the
+# exact-solve test above puts this route within 8.3e-12 of the exact fit
+# and scipy's within 2.7e-11.
+_SCIPY_EIGH_RTOL = {"auto": 1e-12, 0.003: 1e-12, 1e6: 2e-11}
+
+
+@pytest.mark.parametrize("seed", [7, 301, 20110803])
+@pytest.mark.parametrize("ages", [(0, 100), (0, 110)])
+@pytest.mark.parametrize("gender", ["female", "male", "total"])
+def test_smoother_matches_scipy_generalized_eigh(monkeypatch, seed, ages, gender):
+    surface = hmdgen_surface(seed, gender, ages, (1922, 2006))
+    for lam, rtol in _SCIPY_EIGH_RTOL.items():
+        config = SmoothConfig(lam=lam, monotone_from=65 if lam == "auto" else None)
+        out = smooth_surface(surface.log_rates, surface.ages, surface.years, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(smoothing, "_generalized_eigh", eigh)
+            ref = smooth_surface(surface.log_rates, surface.ages, surface.years, config)
+        assert np.array_equal(out.lambdas, ref.lambdas)
+        for got, want in ((out.log_rates, ref.log_rates), (out.sigma2, ref.sigma2)):
+            assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
 def test_smooth_surface_tied_gcv_keeps_first_grid_point(monkeypatch):
@@ -568,11 +598,11 @@ def test_pava_runs_on_the_reachable_part_of_a_falling_tail(tail, reach, monkeypa
 
 
 def test_gcv_surface_factors_once_per_surface(monkeypatch):
-    # one eigendecomposition scores every grid lambda for every year and
-    # gives every year's fit at its chosen lambda, with no Cholesky
-    # factorization, and PAVA runs on falling tails past their
-    # unreachable rising prefix; a fixed lambda takes the same one
-    # eigendecomposition
+    # one Cholesky factor of G + P and one eigendecomposition score every
+    # grid lambda for every year and give every year's fit at its chosen
+    # lambda, with no solve per lambda or per year, and PAVA runs on
+    # falling tails past their unreachable rising prefix; a fixed lambda
+    # takes the same one factor and one eigendecomposition
     rng = np.random.default_rng(0)
     ages, years = np.arange(100), np.arange(1970, 2000)
     shape = -9.0 + 0.085 * np.minimum(ages, 60) + 0.004 * np.maximum(ages - 60, 0)
@@ -580,21 +610,20 @@ def test_gcv_surface_factors_once_per_surface(monkeypatch):
     raw = smooth_surface(log_m, ages, years, SmoothConfig(monotone_from=None)).log_rates
     tail_len = int(np.sum(ages >= 60))
     n_falling = int((np.diff(raw[ages >= 60], axis=0) < 0).any(axis=0).sum())
-    calls = {name: [] for name in ("eigh", "_pava", "cholesky", "cho_factor")}
-    for module, name in ((smoothing, "eigh"), (smoothing, "_pava"), (scipy.linalg, "cholesky"),
-                         (scipy.linalg, "cho_factor"), (np.linalg, "cholesky")):
+    linalg = ("cholesky", "eigh", "inv", "solve", "lstsq", "eig", "svd")
+    calls = {name: [] for name in ("_pava", *linalg)}
+    for module, name in ((smoothing, "_pava"), *((np.linalg, name) for name in linalg)):
         func, record = getattr(module, name), calls[name]
         monkeypatch.setattr(module, name,
                             lambda *a, _f=func, _r=record, **k: _r.append(a) or _f(*a, **k))
+    factorizations = {"cholesky": 1, "inv": 1, "eigh": 1}
     out = smooth_surface(log_m, ages, years, SmoothConfig(monotone_from=60))
-    assert len(calls["eigh"]) == 1
     assert len(np.unique(out.lambdas)) > 1
+    assert {name: len(calls[name]) for name in linalg if calls[name]} == factorizations
     assert 0 < len(calls["_pava"]) == n_falling < len(years)
     assert sum(len(y) for y, in calls["_pava"]) < tail_len * n_falling
     for record in calls.values():
         record.clear()
     fixed = smooth_surface(log_m, ages, years, SmoothConfig(lam=0.003, monotone_from=None))
     assert np.all(fixed.lambdas == 0.003)
-    assert len(calls["eigh"]) == 1
-    assert not calls["cholesky"] and not calls["cho_factor"]
-    assert not {"cho_factor", "cho_solve", "cholesky_factor"} & set(vars(smoothing))
+    assert {name: len(calls[name]) for name in linalg if calls[name]} == factorizations
