@@ -58,6 +58,7 @@ from .ingest import (
     MortalitySurface,
     build_surface,
     parse_hmd_rates,
+    valid_window,
 )
 from .lifetable import E0RangeError, rates_to_lifetable
 from .numerics import SettingsError
@@ -99,14 +100,13 @@ def _names(text: str) -> tuple:
 
 
 _window = _flag_type("A:B (inclusive), integers with A <= B",
-                     lambda text: tuple(map(int, text.split(":"))),
-                     lambda w: len(w) == 2 and w[0] <= w[1])
+                     lambda text: tuple(map(int, text.split(":"))), valid_window)
 _models = _flag_type("a comma list of distinct names from " + ",".join(MODELS), _names,
                      valid_models)
 _formats = _flag_type("a comma subset of csv,json,svg",
                       lambda text: frozenset(_names(text)),
                       lambda names: names and names <= {"csv", "json", "svg"})
-_ts_spec = _flag_type("rwd or ar:p,d[,drift] with p >= 0 and d 0 or 1", TsSpec.parse)
+_ts_spec = _flag_type(TsSpec.RULE, TsSpec.parse)
 _level = _flag_type("a number in ({:g}, {:g})".format(*LEVEL_RANGE), float, valid_level)
 _lam = _flag_type("'auto' or a finite number >= 0",
                   lambda text: "auto" if text.strip().lower() == "auto" else float(text),
@@ -215,10 +215,6 @@ def load_surface(args: argparse.Namespace) -> MortalitySurface:
         return build_surface(table, args.gender, *args.ages, year_min, year_max)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
-
-
-def _ts_model(ts: TsSpec) -> str:
-    return "a random walk with drift" if ts == TsSpec() else f"AR({ts.p}) on d={ts.d} differences"
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +611,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SingularLagError as exc:
-        print(f"error: --ts: {_ts_model(args.ts)} cannot be fitted to {exc}", file=sys.stderr)
+        print(f"error: --ts: {args.ts.description} cannot be fitted to {exc}", file=sys.stderr)
         return 2
     except E0RangeError as exc:  # "<model>: from <year> ..."
         if "horizon" in groups:

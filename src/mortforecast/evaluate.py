@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fdm import FittedModel, ForecastSurface, bootstrap_intervals, fit_fdm, forecast_fdm
-from .ingest import MortalitySurface, slice_window
+from .ingest import MortalitySurface, check_window, slice_window
 from .leecarter import fit_lc, fit_lcs
 from .lifetable import (E0Path, E0RangeError, _lifetables, check_starts_at_birth, e0_path,
                         starts_at_birth)
@@ -311,29 +311,28 @@ def run_backtest(
     nonzero. Life tables cover only the test years; ``forecast_model``
     raises their ``E0RangeError``, which ``cli.main`` maps to exit 2.
 
-    The window rules raise ``SettingsError`` before anything is fitted:
-    test after train, at least ``_MIN_TRAIN_YEARS`` and ``_MIN_TEST_YEARS``
-    years, both inside the surface's years, and ages from 0.
+    The window rules raise ``SettingsError`` before anything is fitted: A <= B
+    in each A:B, test after train, at least ``_MIN_TRAIN_YEARS`` and
+    ``_MIN_TEST_YEARS`` years, both inside the surface's years, and ages from 0.
     """
     train_start, train_end = int(train[0]), int(train[1])
     test_start, test_end = int(test[0]), int(test[1])
-    if train_start > train_end or test_start > test_end:
-        raise SettingsError("window bounds must satisfy start <= end")
+    # checked before the overlap rule, so a reversed window is named as such;
+    # slice_window below checks the order again
+    check_window(f"train window {train_start}:{train_end}", train_start, train_end)
+    check_window(f"test window {test_start}:{test_end}", test_start, test_end)
     if test_start <= train_end:
         raise SettingsError(f"test window {test_start}:{test_end} must start after the "
                             f"train window ends ({train_end})")
-    lo, hi = int(surface.years[0]), int(surface.years[-1])
+    sliced = []
     for label, start, end, least in (("train", train_start, train_end, _MIN_TRAIN_YEARS),
                                      ("test", test_start, test_end, _MIN_TEST_YEARS)):
         if end - start + 1 < least:
             raise SettingsError(f"{label} window {start}:{end} spans {end - start + 1} "
                                 f"year(s); a backtest needs at least {least}")
-        if start < lo or end > hi:
-            raise SettingsError(f"{label} window {start}:{end} outside the surface's "
-                                f"years {lo}:{hi}")
+        sliced.append(slice_window(surface, start, end, f"{label} window"))
     check_starts_at_birth(surface.ages)
-    train_surface = slice_window(surface, train_start, train_end)
-    test_surface = slice_window(surface, test_start, test_end)
+    train_surface, test_surface = sliced
     observed_log = test_surface.log_rates
     horizon = test_end - train_end
 

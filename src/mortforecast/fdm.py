@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ingest import year_columns
 from .numerics import SettingsError, normal_quantile, svd_thin
 from .smoothing import SmoothedSurface
 from .tsforecast import TsSpec, fit_ts, forecast_ts, simulate_path
@@ -78,16 +79,12 @@ class ForecastSurface:
 
     def slice_years(self, first: int, last: int) -> "ForecastSurface":
         """The forecast for calendar years first..last (inclusive) only."""
-        j0 = int(first) - int(self.years[0])
-        j1 = int(last) - int(self.years[0]) + 1
-        if not 0 <= j0 < j1 <= len(self.years):
-            raise ValueError(f"years {first}:{last} outside the forecast years "
-                             f"{self.years[0]}:{self.years[-1]}")
-        return ForecastSurface(ages=self.ages, years=self.years[j0:j1],
-                               point=self.point[:, j0:j1],
-                               variance=self.variance[:, j0:j1],
-                               lower=self.lower[:, j0:j1],
-                               upper=self.upper[:, j0:j1], level=self.level)
+        j = year_columns(self.years, first, last, f"window {first}:{last}")
+        return ForecastSurface(ages=self.ages, years=self.years[j],
+                               point=self.point[:, j],
+                               variance=self.variance[:, j],
+                               lower=self.lower[:, j],
+                               upper=self.upper[:, j], level=self.level)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,39 @@ __all__ = [
 GENDERS = ("female", "male", "total")
 
 
+def check_gender(gender: str) -> None:
+    if gender not in GENDERS:
+        raise ValueError(f"gender must be one of {GENDERS}, got {gender!r}")
+
+
+def check_steps_of_one(name: str, values: np.ndarray) -> None:
+    """``ValueError`` naming the first gap unless ``values`` step by one."""
+    gaps = np.flatnonzero(np.diff(values) != 1)
+    if gaps.size:
+        i = int(gaps[0])
+        raise ValueError(f"{name} must step by one year, got {values[i]} then {values[i + 1]}")
+
+
+def valid_window(window) -> bool:
+    """Whether ``window`` is A, B with A <= B, as --ages, --years, --train and --test must be."""
+    return len(window) == 2 and window[0] <= window[1]
+
+
+def check_window(what: str, first: int, last: int) -> None:
+    if not valid_window((first, last)):
+        raise SettingsError(f"{what} ends before it starts")
+
+
+def year_columns(years: np.ndarray, first: int, last: int, what: str) -> slice:
+    """Columns first..last of the consecutive ``years``, or ``SettingsError`` naming ``what``;
+    a bound that is not a whole number matches no year, so it lies outside them."""
+    check_window(what, first, last)
+    lo, hi = int(years[0]), int(years[-1])
+    if first < lo or last > hi or first != int(first) or last != int(last):
+        raise SettingsError(f"{what} outside the surface's years {lo}:{hi}")
+    return slice(int(first) - lo, int(last) - lo + 1)
+
+
 class HmdParseError(ValueError):
     """Malformed or incomplete mortality data."""
 
@@ -85,13 +118,11 @@ class MortalitySurface:
         ages = np.asarray(self.ages, dtype=int)
         years = np.asarray(self.years, dtype=int)
         rates = np.asfortranarray(np.asarray(self.rates, dtype=float))
-        if self.gender not in GENDERS:
-            raise ValueError(f"gender must be one of {GENDERS}, got {self.gender!r}")
+        check_gender(self.gender)
         for name, idx in (("ages", ages), ("years", years)):
             if idx.ndim != 1 or len(idx) == 0:
                 raise ValueError(f"{name} must be a non-empty 1-d sequence")
-            if len(idx) > 1 and not np.all(np.diff(idx) == 1):
-                raise ValueError(f"{name} must increase in steps of one")
+            check_steps_of_one(name, idx)
         if rates.shape != (len(ages), len(years)):
             raise ValueError(
                 f"rates shape {rates.shape} does not match "
@@ -116,11 +147,7 @@ class MortalitySurface:
         return np.log(self.rates)
 
     def year_column(self, year: int) -> np.ndarray:
-        j = int(np.searchsorted(self.years, year))
-        if j >= self.n_years or self.years[j] != year:
-            raise SettingsError(f"year {year} outside the surface's years "
-                                f"{self.years[0]}:{self.years[-1]}")
-        return self.rates[:, j]
+        return self.rates[:, year_columns(self.years, year, year, f"year {year}").start]
 
 
 def _column(tokens: list, dtype) -> tuple:
@@ -234,10 +261,9 @@ def build_surface(
     nonpositive rates are repaired to half the smallest positive rate at
     that age.
     """
-    if gender not in GENDERS:
-        raise ValueError(f"gender must be one of {GENDERS}, got {gender!r}")
-    if age_min > age_max or year_min > year_max:
-        raise ValueError("window bounds must satisfy min <= max")
+    check_gender(gender)
+    check_window(f"age window {age_min}:{age_max}", age_min, age_max)
+    check_window(f"year window {year_min}:{year_max}", year_min, year_max)
     ages = np.arange(age_min, age_max + 1)
     years = np.arange(year_min, year_max + 1)
     i, j = table.age - age_min, table.year - year_min
@@ -257,20 +283,13 @@ def build_surface(
     )
 
 
-def slice_window(surface: MortalitySurface, year_min: int, year_max: int) -> MortalitySurface:
+def slice_window(surface: MortalitySurface, year_min: int, year_max: int,
+                 what: str = "window") -> MortalitySurface:
     """Restrict a surface to the closed year window, keeping all ages."""
-    if year_min > year_max:
-        raise ValueError("window bounds must satisfy min <= max")
-    lo, hi = int(surface.years[0]), int(surface.years[-1])
-    if year_min < lo or year_max > hi:
-        raise ValueError(
-            f"window {year_min}..{year_max} outside surface years {lo}..{hi}"
-        )
-    j0 = year_min - lo
-    j1 = year_max - lo + 1
+    j = year_columns(surface.years, year_min, year_max, f"{what} {year_min}:{year_max}")
     return MortalitySurface(
         ages=surface.ages,
-        years=surface.years[j0:j1],
-        rates=surface.rates[:, j0:j1],
+        years=surface.years[j],
+        rates=surface.rates[:, j],
         gender=surface.gender,
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdm import ForecastSurface
+from .ingest import check_steps_of_one
 from .numerics import SettingsError
 
 __all__ = ["LifeTable", "E0Path", "E0RangeError", "rates_to_lifetable", "e0_path"]
@@ -88,10 +89,7 @@ def rates_to_lifetable(mx, ages=None) -> LifeTable:
     if ages.shape != mx.shape:
         raise ValueError("ages and mx must have the same length")
     check_starts_at_birth(ages)
-    gaps = np.flatnonzero(np.diff(ages) != 1)
-    if gaps.size:
-        i = int(gaps[0])
-        raise ValueError(f"ages must step by one year, got {ages[i]} then {ages[i + 1]}")
+    check_steps_of_one("ages", ages)
     qx, lx, Lx, e0 = _lifetables(mx[None, :])
     return LifeTable(ages=ages, qx=qx[0], lx=lx[0], Lx=Lx[0], e0=float(e0[0]))
 

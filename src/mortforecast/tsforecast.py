@@ -30,6 +30,9 @@ class TsSpec:
     """AR order p on d-th differences, with or without drift. The
     default, p=0, d=1 with drift, is the random walk with drift."""
 
+    # the specs parse accepts, as --ts states them; __post_init__ holds p and d to it
+    RULE = "rwd or ar:p,d[,drift] with p >= 0 and d 0 or 1"
+
     p: int = 0
     d: int = 1
     include_drift: bool = True
@@ -39,6 +42,11 @@ class TsSpec:
             raise ValueError("p must be nonnegative")
         if self.d not in (0, 1):
             raise ValueError("d must be 0 or 1")
+
+    @property
+    def description(self) -> str:
+        return ("a random walk with drift" if self == TsSpec()
+                else f"AR({self.p}) on d={self.d} differences")
 
     @property
     def min_observations(self) -> int:
@@ -131,7 +139,7 @@ def fit_ts(series, spec: TsSpec) -> TsFit:
     if n < spec.min_observations:
         raise SettingsError(
             f"need at least {spec.min_observations} observations (p+d+2) for "
-            f"AR({spec.p}) on d={spec.d} differences, got {n}"
+            f"{spec.description}, got {n}"
         )
     z = np.diff(arr, n=spec.d) if spec.d else arr.copy()
     if spec.include_drift:

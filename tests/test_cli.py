@@ -486,7 +486,7 @@ def test_ages_not_from_0_exit_2(hmd_file, tmp_path, capsys, monkeypatch, argv, m
     (["compare", "--models", "lc", "--years", "1950:1951"],
      "lc needs at least 3 ages and 3 years, got 41 x 2"),
     (["forecast", "--models", "fdm", "-K", "1", "--years", "2004:2005"],
-     "fdm: need at least 3 observations (p+d+2) for AR(0) on d=1 differences, got 2"),
+     "fdm: need at least 3 observations (p+d+2) for a random walk with drift, got 2"),
     (["forecast", "--models", "lc", "--years", "2003:2005", "--ts", "ar:1,1"],
      "lc: need at least 4 observations (p+d+2) for AR(1) on d=1 differences, got 3"),
     (["backtest", "--models", "lc,fdm", "--train", "1950:1976", "--test", "1977:2005",

@@ -261,7 +261,7 @@ def test_backtest_e0_summaries_consistent():
 
 @pytest.mark.parametrize("train,test,first_age,message", [
     ((2000, 2010), (2005, 2015), 0, "must start after the train window ends"),
-    ((2010, 2000), (2011, 2015), 0, "start <= end"),
+    ((2010, 2000), (2011, 2015), 0, "^train window 2010:2000 ends before it starts$"),
     ((2000, 2001), (2002, 2015), 0, "train window 2000:2001 spans 2 year"),
     ((1998, 2008), (2009, 2015), 0, "train window 1998:2008 outside the surface's years "
                                     "2000:2019"),

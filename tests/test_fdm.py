@@ -206,8 +206,11 @@ def test_slice_years_keeps_the_chosen_years():
     np.testing.assert_array_equal(part.ages, fc.ages)
     assert part.level == 80.0
     np.testing.assert_array_equal(fc.slice_years(1990, 1994).point, fc.point)
-    for first, last in ((1989, 1991), (1993, 1995), (1993, 1992)):
-        with pytest.raises(ValueError, match="outside the forecast years"):
+    for first, last, message in (
+            (1989, 1991, "window 1989:1991 outside the surface's years 1990:1994"),
+            (1993, 1995, "window 1993:1995 outside the surface's years 1990:1994"),
+            (1993, 1992, "window 1993:1992 ends before it starts")):
+        with pytest.raises(SettingsError, match=f"^{message}$"):
             fc.slice_years(first, last)
 
 

@@ -15,6 +15,7 @@ from mortforecast.ingest import (
     parse_hmd_rates,
     slice_window,
 )
+from mortforecast.numerics import SettingsError
 
 SAMPLE = """Italy, Death rates (period 1x1)
 
@@ -110,9 +111,14 @@ def test_build_surface_no_positive_rate_at_age():
 
 
 def test_build_surface_bad_gender():
+    # one rule and one message for build_surface and MortalitySurface
     records = parse_hmd_rates(SAMPLE)
-    with pytest.raises(ValueError, match="gender"):
+    message = "^gender must be one of \\('female', 'male', 'total'\\), got 'm'$"
+    with pytest.raises(ValueError, match=message):
         build_surface(records, "m", 0, 1, 1950, 1951)
+    with pytest.raises(ValueError, match=message):
+        MortalitySurface(ages=np.arange(2), years=np.arange(1950, 1952),
+                         rates=np.full((2, 2), 0.1), gender="m")
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +132,13 @@ def test_surface_rejects_nonpositive_rates():
 
 
 def test_surface_rejects_gap_in_years():
-    with pytest.raises(ValueError, match="steps of one"):
+    # the rule lifetable.rates_to_lifetable applies to its ages too
+    with pytest.raises(ValueError, match="^years must step by one year, got 1950 then 1952$"):
         MortalitySurface(ages=np.arange(2), years=np.array([1950, 1952]),
                          rates=np.full((2, 2), 0.1))
+    with pytest.raises(ValueError, match="^ages must step by one year, got 1 then 1$"):
+        MortalitySurface(ages=np.array([0, 1, 1]), years=np.arange(1950, 1952),
+                         rates=np.full((3, 2), 0.1))
 
 
 def test_surface_rejects_shape_mismatch():
@@ -144,6 +154,10 @@ def test_surface_log_rates_and_year_column():
     np.testing.assert_allclose(surface.year_column(1951), [0.5, 0.5])
     with pytest.raises(ValueError, match="1960"):
         surface.year_column(1960)
+    # a year that is a whole number in float form is that year; any other matches none
+    np.testing.assert_allclose(surface.year_column(1951.0), [0.5, 0.5])
+    with pytest.raises(SettingsError, match=r"^year 1951\.5 outside the surface's years 1950:1952$"):
+        surface.year_column(1951.5)
 
 
 def test_slice_window():
@@ -152,7 +166,8 @@ def test_slice_window():
     sliced = slice_window(surface, 1952, 1955)
     assert list(sliced.years) == [1952, 1953, 1954, 1955]
     np.testing.assert_array_equal(sliced.rates, surface.rates[:, 2:6])
-    with pytest.raises(ValueError, match="outside"):
+    message = "^window 1940:1955 outside the surface's years 1950:1959$"
+    with pytest.raises(SettingsError, match=message):
         slice_window(surface, 1940, 1955)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,6 +249,12 @@ def test_ar_explosive_flagged():
 def test_ar_needs_enough_points():
     with pytest.raises(SettingsError, match="observations"):
         fit_ts(np.arange(3.0), TsSpec(p=1, d=1))
+    # the message names the model as the CLI's --ts errors do
+    for spec, described in ((TsSpec(), "a random walk with drift"),
+                            (TsSpec(include_drift=False), "AR(0) on d=1 differences")):
+        message = f"need at least 3 observations (p+d+2) for {described}, got 2"
+        with pytest.raises(SettingsError, match=f"^{re.escape(message)}$"):
+            fit_ts(np.arange(2.0), spec)
 
 
 def test_ar_singular_regression():
