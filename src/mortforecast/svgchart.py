@@ -60,8 +60,9 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def _data_range(values: list[float]) -> tuple[float, float]:
-    lo, hi = min(values), max(values)
+def _data_range(arrays: list[np.ndarray]) -> tuple[float, float]:
+    lo = min(float(a.min()) for a in arrays)
+    hi = max(float(a.max()) for a in arrays)
     if lo == hi:
         lo -= 0.5
         hi += 0.5
@@ -88,16 +89,18 @@ def render_line_chart(
             raise ValueError(f"series {label!r}: non-finite values")
         cleaned.append((str(label), xs, ys))
 
-    xlo, xhi = _data_range([float(v) for _, xs, _ in cleaned for v in xs])
-    ylo, yhi = _data_range([float(v) for _, _, ys in cleaned for v in ys])
+    xlo, xhi = _data_range([xs for _, xs, _ in cleaned])
+    ylo, yhi = _data_range([ys for _, _, ys in cleaned])
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def sx(v: float) -> float:
+    # a value's pixel coordinate, or an array's elementwise: the same IEEE
+    # operations in the same order, so ticks and polylines round alike
+    def sx(v):
         return _MARGIN_LEFT + (v - xlo) / (xhi - xlo) * plot_w
 
-    def sy(v: float) -> float:
+    def sy(v):
         return _MARGIN_TOP + plot_h - (v - ylo) / (yhi - ylo) * plot_h
 
     parts = [
@@ -156,10 +159,7 @@ def render_line_chart(
 
     for idx, (label, xs, ys) in enumerate(cleaned):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(
-            f"{_fmt_coord(sx(float(x)))},{_fmt_coord(sy(float(y)))}"
-            for x, y in zip(xs, ys)
-        )
+        points = " ".join(map("{:.2f},{:.2f}".format, sx(xs).tolist(), sy(ys).tolist()))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

@@ -31,7 +31,7 @@ class TsSpec:
     default, p=0, d=1 with drift, is the random walk with drift."""
 
     # the specs parse accepts, as --ts states them; __post_init__ holds p and d to it
-    RULE = "rwd or ar:p,d[,drift] with p >= 0 and d 0 or 1"
+    RULE = "rwd, ar:p,d[,drift] or arima:p,d[,drift] with p >= 0 and d 0 or 1"
 
     p: int = 0
     d: int = 1

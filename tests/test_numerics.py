@@ -1,10 +1,12 @@
 """Numerical kernels checked against independent routes: the SVD against
 a Gram-matrix eigendecomposition and numpy's own SVD, the B-spline
 design against a scalar Cox-de Boor recursion written here, and the
-normal quantile against bisection on the CDF and against scipy's ndtri,
-the kernel it replaced (scipy is a test dependency only)."""
+normal quantile against bisection on the CDF, against scipy's ndtri,
+the kernel it replaced (scipy is a test dependency only), and bit for bit
+against ``statistics.NormalDist().inv_cdf``, whose private C kernel it calls."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -252,6 +254,23 @@ def test_quantile_array_matches_scalar_calls():
     expected = [normal_quantile(float(p)) for p in ps.ravel()]
     assert z.ravel().tolist() == expected
     assert isinstance(normal_quantile(0.3), float)
+
+
+# Shapiro-Wilk weight grids: n = 3 is the closed form, 4 the n <= 5 branch,
+# 11 and 12 the general one at odd and even n, 2,220 is 111 ages over 20
+# years and 5,000 the subsample every larger residual set is tested on
+@pytest.mark.parametrize("n", [3, 4, 11, 12, 2220, 5000])
+def test_quantile_is_normaldist_inv_cdf_bit_for_bit(n):
+    # normal_quantile calls the private statistics._normal_dist_inv_cdf, with
+    # no fallback: a Python that renames or changes it fails here
+    p = np.concatenate([(np.arange(1, n + 1) - 0.375) / (n + 0.25),
+                        [1e-300, 1e-17, 0.5, 1 - 1e-16]])
+    want = np.array([NormalDist().inv_cdf(v) for v in p.tolist()])
+    bits = want.view(np.int64)
+    np.testing.assert_array_equal(normal_quantile(p).view(np.int64), bits)
+    scalars = [normal_quantile(v) for v in p.tolist()]
+    assert all(type(z) is float for z in scalars)
+    np.testing.assert_array_equal(np.array(scalars).view(np.int64), bits)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, np.nan])

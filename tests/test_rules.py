@@ -59,7 +59,8 @@ FIRST_YEAR = 1950
 FORECAST = ["forecast", "--models", "lc", "--horizon", "1"]
 BACKTEST = ["backtest", "--models", "lc"]
 WINDOW = "expects A:B (inclusive), integers with A <= B"
-TS = f"mortforecast forecast: error: argument --ts: expects {TsSpec.RULE}"
+TS = ("error: argument --ts: expects rwd, ar:p,d[,drift] or arima:p,d[,drift] with p >= 0 "
+      "and d 0 or 1")
 WINDOW_FLAGS = ("--ages", "--years", "--train", "--test")
 
 # id -> (argv before --data, the CLI's error line or None if it exits 0,
@@ -164,15 +165,23 @@ RULES = {
         [*BACKTEST, "--years", "1951:2005", "--train", "1951:1980", "--test", "1981:2005"], None,
         lambda: backtest((1951, 1980), (1981, 2005), first_year=1951), None),
     "ts_p_below_0": (
-        [*FORECAST, "--ts", "ar:-1,1"], f"{TS}, got 'ar:-1,1'",
+        [*FORECAST, "--ts", "ar:-1,1"], f"mortforecast forecast: {TS}, got 'ar:-1,1'",
         lambda: TsSpec(p=-1), (ValueError, "p must be nonnegative")),
     "ts_p_0": (
         [*FORECAST, "--ts", "ar:0,1"], None, lambda: TsSpec.parse("ar:0,1"), None),
     "ts_d_2": (
-        [*FORECAST, "--ts", "ar:1,2"], f"{TS}, got 'ar:1,2'",
+        [*FORECAST, "--ts", "ar:1,2"], f"mortforecast forecast: {TS}, got 'ar:1,2'",
         lambda: TsSpec.parse("ar:1,2"), (ValueError, "d must be 0 or 1")),
     "ts_d_1": (
         [*FORECAST, "--ts", "ar:1,1"], None, lambda: TsSpec.parse("ar:1,1"), None),
+    # the arima: spelling the rule text names, and the backtest's own --ts
+    "ts_arima_d_2": (
+        [*BACKTEST, "--train", "1950:1980", "--test", "1981:2005", "--ts", "arima:0,2,drift"],
+        f"mortforecast backtest: {TS}, got 'arima:0,2,drift'",
+        lambda: TsSpec.parse("arima:0,2,drift"), (ValueError, "d must be 0 or 1")),
+    "ts_arima_d_1": (
+        [*BACKTEST, "--train", "1950:1980", "--test", "1981:2005", "--ts", "arima:0,1,drift"],
+        None, lambda: TsSpec.parse("arima:0,1,drift"), None),
 }
 
 

@@ -1,5 +1,6 @@
 """Deterministic SVG chart rendering."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -75,3 +76,37 @@ def test_validation_errors():
     with pytest.raises(ValueError, match="equal-length"):
         render_line_chart([("s", [], [])], "x", "y")
 
+
+# Edge inputs of render_line_chart and the sha256 of the SVG each renders:
+# integer x, a flat series, one point, ranges holding both zeros, a wrapped
+# palette and labels to escape. Every chart artifact is made the same way,
+# so a rendering change that moves a byte here moves them too
+GOLDEN_CHARTS = {
+    "integer_x": ([("e0", [1922, 1923, 1925, 1930], [60.25, 61.5, 61.0, 64.125])],
+                  "year", "e0", "integers"),
+    "flat": ([("c", np.arange(4), np.full(4, 7.0))], "x", "y", None),
+    "one_point": ([("p", [3.0], [2.5])], "x", "y", "one point"),
+    "signed_zero": ([("a", [0.0, -0.0, 1.0], [-0.0, 0.0, 2.0]),
+                     ("b", [-0.0, 0.5], [0.0, -0.0])], "x", "y", None),
+    "signed_zero_flat": ([("z", [-0.0, 0.0], [0.0, -0.0])], "x", "y", None),
+    "seven_series": ([(f"s{k}", np.arange(5), np.arange(5) * (k + 1) % 7 / 4.0)
+                      for k in range(7)], "x", "y", "palette wraps"),
+    "escaping": ([("a<b&c>d", [0, 1], [0.1, -0.2]), ("\"q\" 'r'", [0.5, 2], [0.0, 1e-3])],
+                 "x<y", "y&z", "<title> & \"more\""),
+}
+GOLDEN_SHA256 = {
+    "integer_x": "5c72dc30936eb8cd76a9fc4260c3cefc3a0da60e697f83678f035be58dc449d7",
+    "flat": "64395eccd358faf9570e461a9704ddf53d523ba864b381b9636d5f3d29a50ed8",
+    "one_point": "e5c7c962ee00dd8df76a04a8148dd57d3d2442abe0ca56912de93e4f1c8ddb5a",
+    "signed_zero": "3d5c38bc6176393ce1281bc5c5f3c332cdd122bc0933db6417651656235c67fe",
+    "signed_zero_flat": "0f0db9540996de5aa02a531abde5db695dfac7d4ad3c7259c406a60e46f8b413",
+    "seven_series": "d1e5e776d132bfb259b72a98f9bdd3dc31423920c969cd8dfa489748bf240bce",
+    "escaping": "12cfff7d1fc20b74bf6f10447363c5d8a721ecaea7e3e42af49c4dbf0cab5b30",
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_CHARTS)
+def test_chart_bytes_match_golden(case):
+    series, xlabel, ylabel, title = GOLDEN_CHARTS[case]
+    svg = render_line_chart(series, xlabel, ylabel, title=title)
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == GOLDEN_SHA256[case]
