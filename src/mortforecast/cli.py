@@ -3,10 +3,11 @@
 Artifacts (CSV, JSON, SVG) land under --output with stable names, and a
 given config + data + seed always produces byte-identical files. Exit
 status 0 means success, 1 a computation failure, 2 a usage or I/O
-problem. Exit 2 also covers settings the data cannot support, each
-rejected as a ``SettingsError`` by the module whose rule they break, a
---ts AR model whose lag regression the data leave singular, and forecast
-rates past float range (``evaluate.forecast_model``'s ``E0RangeError``). Every
+problem (``UsageError``, ``OSError``) or settings the data cannot
+support. Those settings raise one exception family, ``SettingsError``,
+from the module whose rule they break: a --ts AR model whose lag
+regression the data leave singular, and forecast rates past float range
+(its subclass ``E0RangeError``, which gets a hint), included. Every
 artifact is computed before any is written, so a failed run creates and
 changes nothing. Files in --output that are not this run's artifacts are
 left alone, each artifact is replaced whole, and a failed write exits 2.
@@ -54,7 +55,6 @@ from .evaluate import (
 from .fdm import LEVEL_RANGE, MIN_REPLICATES, valid_level
 from .ingest import (
     GENDERS,
-    HmdParseError,
     MortalitySurface,
     build_surface,
     parse_hmd_rates,
@@ -64,7 +64,7 @@ from .lifetable import E0RangeError, rates_to_lifetable
 from .numerics import SettingsError
 from .smoothing import SmoothConfig, valid_lam
 from .svgchart import render_line_chart
-from .tsforecast import MIN_HORIZON, SingularLagError, TsSpec
+from .tsforecast import MIN_HORIZON, TsSpec
 
 __all__ = ["main", "DATA_ENV"]
 
@@ -206,14 +206,11 @@ def load_surface(args: argparse.Namespace) -> MortalitySurface:
     try:
         with open(path, encoding="utf-8") as fh:
             table = parse_hmd_rates(fh)
+        year_min, year_max = args.years or (int(table.year.min()), int(table.year.max()))
+        return build_surface(table, args.gender, *args.ages, year_min, year_max)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    except HmdParseError as exc:
-        raise UsageError(f"{path}: {exc}") from None
-    year_min, year_max = args.years or (int(table.year.min()), int(table.year.max()))
-    try:
-        return build_surface(table, args.gender, *args.ages, year_min, year_max)
-    except ValueError as exc:
+    except ValueError as exc:  # HmdParseError, or a window the table cannot cover
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -244,6 +241,23 @@ def _long_csv(ages, years, **columns) -> str:
     return _rows(",".join(["age", "year", *columns]), age_text * len(year_text),
                  [year for year in year_text for _ in age_text],
                  *(_text(c.ravel(order="F")) for c in columns.values()))
+
+
+def _table_files(tables: list) -> dict:
+    """The one table writer. Each table is (CSV name, index name, index,
+    columns, chart): one column per (CSV header, chart label, values), and
+    a chart (file name, y label, title) of every column against the index,
+    unless it is None."""
+    files = {}
+    for csv, index_name, index, columns, chart in tables:
+        files[csv] = _csv(",".join([index_name, *(c[0] for c in columns)]),
+                          index, *(c[2] for c in columns))
+        if chart is not None:
+            svg, ylabel, title = chart
+            files[svg] = render_line_chart(
+                [(label, index, values) for _, label, values in columns],
+                index_name, ylabel, title=title)
+    return files
 
 
 def _summary_json(args: argparse.Namespace, summary: dict) -> str:
@@ -280,10 +294,6 @@ def _commit(output: str, files: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # per-model artifacts
-#
-# A model's parameters are written as (CSV name, index name, index,
-# columns, chart): one column per (CSV header, chart label, values), and a
-# chart (file name, y label, title) unless it is None.
 
 
 def _lc_params(name: str, m) -> list:
@@ -335,19 +345,6 @@ _ARTIFACTS = {
 _ERROR_FIG = {"lc": "fig9", "lcs": "fig10", "fdm": "fig11"}
 
 
-def _param_files(params: list) -> dict:
-    files = {}
-    for csv, index_name, index, columns, chart in params:
-        files[csv] = _csv(",".join([index_name, *(c[0] for c in columns)]),
-                          index, *(c[2] for c in columns))
-        if chart is not None:
-            svg, ylabel, title = chart
-            files[svg] = render_line_chart(
-                [(label, index, values) for _, label, values in columns],
-                index_name, ylabel, title=title)
-    return files
-
-
 # ---------------------------------------------------------------------------
 # commands: each returns the summary.json fields and an ordered map from
 # artifact name to its text, and writes nothing
@@ -365,7 +362,7 @@ def cmd_fit(args: argparse.Namespace, surface: MortalitySurface,
     for name, model in fitted.items():
         params, fields, _, _ = _ARTIFACTS[name]
         summary["models"][name] = {**fields(model), **residual_diagnostics(model.residuals)}
-        files.update(_param_files(params(name, model)))
+        files.update(_table_files(params(name, model)))
     return summary, files
 
 
@@ -394,11 +391,10 @@ def cmd_forecast(args: argparse.Namespace, surface: MortalitySurface,
         if path is not None:
             parts = ("point", "lower", "upper")
             entry["e0"] = {part: getattr(path, part).tolist() for part in parts}
-            files[f"e0_{name}.csv"] = _csv("year,point,lower,upper", path.years,
-                                           *(getattr(path, part) for part in parts))
-            files[f"fig_e0_{name}.svg"] = render_line_chart(
-                [(part, path.years, getattr(path, part)) for part in parts],
-                "year", "life expectancy at birth", title=f"{name}: projected e0")
+            files.update(_table_files([(
+                f"e0_{name}.csv", "year", path.years,
+                [(part, part, getattr(path, part)) for part in parts],
+                (f"fig_e0_{name}.svg", "life expectancy at birth", f"{name}: projected e0"))]))
         if args.bootstrap and name in BOOTSTRAPPED_MODELS:
             entry["bootstrap"] = {"B": args.bootstrap, "seed": args.seed}
         summary["models"][name] = entry
@@ -433,25 +429,18 @@ def cmd_backtest(args: argparse.Namespace, surface: MortalitySurface,
              for j in (0, mid, -1)],
             "age", "log-rate error", title=f"{name}: forecast errors")
 
-    for fig, stat, ylabel, title in (
-            ("fig12", "mean", "mean error", "mean forecast error by age"),
-            ("fig13", "sd", "error sd", "standard deviation of forecast error by age")):
-        columns = [getattr(report.models[m], f"{stat}_error_by_age") for m in args.models]
-        files[f"{fig}_{stat}_error_by_age.csv"] = _csv(
-            "age," + ",".join(args.models), report.ages, *columns)
-        files[f"{fig}.svg"] = render_line_chart(
-            [(m, report.ages, c) for m, c in zip(args.models, columns)],
-            "age", ylabel, title=title)
-
-    fan_series = [("observed", years, report.e0_observed)]
-    for name in args.models:
-        fan_series += [(f"{name} {part}", years, getattr(report.models[name].e0_interval, part))
-                       for part in ("point", "lower", "upper")]
-    fan_cols = ",".join(f"{m}_point,{m}_lower,{m}_upper" for m in args.models)
-    files["fig14_e0_fan.csv"] = _csv(f"year,observed,{fan_cols}",
-                                     years, *(values for _, _, values in fan_series))
-    files["fig14.svg"] = render_line_chart(fan_series, "year", "life expectancy at birth",
-                                           title="e0: observed vs projected")
+    tables = [(f"{fig}_{stat}_error_by_age.csv", "age", report.ages,
+               [(m, m, getattr(report.models[m], f"{stat}_error_by_age"))
+                for m in args.models], (f"{fig}.svg", ylabel, title))
+              for fig, stat, ylabel, title in (
+                  ("fig12", "mean", "mean error", "mean forecast error by age"),
+                  ("fig13", "sd", "error sd", "standard deviation of forecast error by age"))]
+    fan = [("observed", "observed", report.e0_observed)]
+    fan += [(f"{m}_{part}", f"{m} {part}", getattr(report.models[m].e0_interval, part))
+            for m in args.models for part in ("point", "lower", "upper")]
+    tables.append(("fig14_e0_fan.csv", "year", years, fan,
+                   ("fig14.svg", "life expectancy at birth", "e0: observed vs projected")))
+    files.update(_table_files(tables))
     return summary, files
 
 
@@ -494,10 +483,10 @@ def cmd_compare(args: argparse.Namespace, surface: MortalitySurface,
         }
         entry.update(residual_diagnostics(surface.log_rates - fitted_log))
         summary["models"][name] = entry
-        for by, table in (("age", rep.by_age), ("year", rep.by_year)):
-            files[f"metrics_{name}_by_{by}.csv"] = _csv(
-                f"{by},me,mse,mpe,mape", table.index, table.me, table.mse, table.mpe,
-                table.mape)
+        files.update(_table_files([
+            (f"metrics_{name}_by_{by}.csv", by, table.index,
+             [(m, None, getattr(table, m)) for m in metrics], None)
+            for by, table in (("age", rep.by_age), ("year", rep.by_year))]))
 
     for table in ("table1.csv", "table2.csv"):
         rows = [(name, f"across_{by}", *avg)
@@ -607,12 +596,6 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         _commit(args.output, {name: text for name, text in files.items()
                               if name.rsplit(".", 1)[-1] in args.formats})
         return 0
-    except (UsageError, SettingsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SingularLagError as exc:
-        print(f"error: --ts: {args.ts.description} cannot be fitted to {exc}", file=sys.stderr)
-        return 2
     except E0RangeError as exc:  # "<model>: from <year> ..."
         if "horizon" in groups:
             hint = f"--horizon {args.horizon} is too long for {exc}; use a shorter --horizon"
@@ -621,6 +604,9 @@ def _run(argv: Optional[Sequence[str]]) -> int:
             hint = (f"--test {a}:{b} is too far past --train {c}:{d} for {exc}; "
                     "use a --test window nearer the train window")
         print(f"error: {hint}", file=sys.stderr)
+        return 2
+    except (UsageError, SettingsError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: not enough memory ({exc}); lower --bootstrap or --horizon",

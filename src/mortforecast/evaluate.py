@@ -16,13 +16,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fdm import FittedModel, ForecastSurface, bootstrap_intervals, fit_fdm, forecast_fdm
-from .ingest import MortalitySurface, check_window, slice_window
+from .ingest import MortalitySurface, slice_window
 from .leecarter import fit_lc, fit_lcs
-from .lifetable import (E0Path, E0RangeError, _lifetables, check_starts_at_birth, e0_path,
-                        starts_at_birth)
+from .lifetable import E0Path, _lifetables, check_starts_at_birth, e0_path, starts_at_birth
 from .numerics import SettingsError, normal_quantile
 from .smoothing import SmoothConfig, smooth_surface
-from .tsforecast import SingularLagError, TsSpec
+from .tsforecast import TsSpec
 
 __all__ = [
     "MODELS",
@@ -275,9 +274,9 @@ def forecast_model(
     """Forecast one fitted model over ``years`` (first, last), or every
     horizon if None, with its e0 path, None unless the ages start at 0.
     Nonzero ``bootstrap`` simulates the intervals of BOOTSTRAPPED_MODELS.
-    A singular or short AR fit (``SingularLagError``, ``SettingsError``)
-    and rates past float range (``E0RangeError``, mapped by ``cli.main``)
-    raise naming the model."""
+    Every ``SettingsError`` the forecast raises, a singular or short AR
+    fit or rates past float range (its ``E0RangeError``), is raised again
+    with the model's name first; ``cli.main`` maps each to exit 2."""
     try:
         forecast = (bootstrap_intervals(model, ts_spec, horizon, level, B=bootstrap, seed=seed)
                     if bootstrap and model.name in BOOTSTRAPPED_MODELS
@@ -285,7 +284,7 @@ def forecast_model(
         if years is not None:
             forecast = forecast.slice_years(*years)
         return forecast, e0_path(forecast) if starts_at_birth(forecast.ages) else None
-    except (SingularLagError, SettingsError, E0RangeError) as exc:
+    except SettingsError as exc:
         raise type(exc)(f"{model.name}: {exc}") from None
 
 
@@ -309,30 +308,27 @@ def run_backtest(
     point mortality forecasts; the interval path is carried separately
     for fan charts, from ``bootstrap`` simulated futures when that is
     nonzero. Life tables cover only the test years; ``forecast_model``
-    raises their ``E0RangeError``, which ``cli.main`` maps to exit 2.
+    raises their ``E0RangeError``, a ``SettingsError`` like every rule
+    here, which ``cli.main`` maps to exit 2.
 
-    The window rules raise ``SettingsError`` before anything is fitted: A <= B
-    in each A:B, test after train, at least ``_MIN_TRAIN_YEARS`` and
-    ``_MIN_TEST_YEARS`` years, both inside the surface's years, and ages from 0.
+    The window rules raise ``SettingsError`` before anything is fitted,
+    the first broken one in this order: each window A <= B and inside the
+    surface's years (train, then test), test after train, at least
+    ``_MIN_TRAIN_YEARS`` and ``_MIN_TEST_YEARS`` years, and ages from 0.
     """
     train_start, train_end = int(train[0]), int(train[1])
     test_start, test_end = int(test[0]), int(test[1])
-    # checked before the overlap rule, so a reversed window is named as such;
-    # slice_window below checks the order again
-    check_window(f"train window {train_start}:{train_end}", train_start, train_end)
-    check_window(f"test window {test_start}:{test_end}", test_start, test_end)
+    train_surface = slice_window(surface, train_start, train_end, "train window")
+    test_surface = slice_window(surface, test_start, test_end, "test window")
     if test_start <= train_end:
         raise SettingsError(f"test window {test_start}:{test_end} must start after the "
                             f"train window ends ({train_end})")
-    sliced = []
     for label, start, end, least in (("train", train_start, train_end, _MIN_TRAIN_YEARS),
                                      ("test", test_start, test_end, _MIN_TEST_YEARS)):
         if end - start + 1 < least:
             raise SettingsError(f"{label} window {start}:{end} spans {end - start + 1} "
                                 f"year(s); a backtest needs at least {least}")
-        sliced.append(slice_window(surface, start, end, f"{label} window"))
     check_starts_at_birth(surface.ages)
-    train_surface, test_surface = sliced
     observed_log = test_surface.log_rates
     horizon = test_end - train_end
 

@@ -20,7 +20,7 @@ from .numerics import SettingsError
 __all__ = ["LifeTable", "E0Path", "E0RangeError", "rates_to_lifetable", "e0_path"]
 
 
-class E0RangeError(ValueError):
+class E0RangeError(SettingsError):
     """A forecast whose death rates underflow to 0 or overflow, so e0 has
     no life table."""
 

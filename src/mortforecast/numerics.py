@@ -25,8 +25,11 @@ __all__ = [
 class SettingsError(ValueError):
     """Settings the data cannot support: a model, smoother, time-series
     model or backtest window too large or too long for the surface it is
-    given, a year outside it, or ages not from 0 where e0 is asked for.
-    Each message names the quantity, its limit and the value found."""
+    given, a year outside it, ages not from 0 where e0 is asked for, an AR
+    lag regression the data leave singular, or forecast death rates past
+    float range (its subclass ``lifetable.E0RangeError``). Each message
+    names the quantity, its limit and the value found. The library raises
+    no other exception for these, and the CLI maps this one to exit 2."""
 
 
 @dataclass(frozen=True)

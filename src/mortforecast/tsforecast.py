@@ -18,7 +18,6 @@ from .numerics import SettingsError
 __all__ = [
     "TsSpec",
     "TsFit",
-    "SingularLagError",
     "fit_ts",
     "forecast_ts",
     "simulate_path",
@@ -100,11 +99,6 @@ class TsFit:
     stationary: bool
 
 
-class SingularLagError(ValueError):
-    """An AR lag regression with no usable variation: the series, or its
-    differences, are constant, so its AR coefficients are undefined."""
-
-
 def _check_series(series) -> np.ndarray:
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 1:
@@ -161,7 +155,8 @@ def fit_ts(series, spec: TsSpec) -> TsFit:
         rows = len(y)
         coeffs, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
         if rank < p:
-            raise SingularLagError("singular lag regression; series has no usable variation")
+            raise SettingsError(f"{spec.description} cannot be fitted: singular lag "
+                                "regression; series has no usable variation")
         residuals = y - X @ coeffs
 
     dof = rows - p - (1 if spec.include_drift else 0)

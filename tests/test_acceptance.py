@@ -4,7 +4,9 @@ Each test prints a single [PASS]/[FAIL]/[SKIP] line straight to the
 real stdout so the verdicts survive pytest's capture and show up in
 piped logs. Criteria 1-6 score the package against published Italian
 mortality results and skip (with download instructions) when the data
-file is absent; criteria 7-13 are self-contained and must always pass.
+file is absent, and their library calls also run on generated surfaces,
+checked only for what holds on any surface; criteria 7-13 are
+self-contained and must always pass.
 """
 
 import contextlib
@@ -26,7 +28,8 @@ from mortforecast.lifetable import rates_to_lifetable
 from mortforecast.smoothing import SmoothConfig, smooth_surface
 from mortforecast.tsforecast import TsSpec, fit_ts, forecast_ts
 
-from conftest import ITALY_SKIP, italy_path, italy_surface, make_surface, rank1_surface, smooth
+from conftest import (ITALY_SKIP, hmdgen_surface, italy_path, italy_surface, make_surface,
+                      rank1_surface, smooth)
 from test_lifetable import _e0_by_integration
 from test_smoothing import _brute_force_isotonic, _monotone_curve, _smooth_one
 
@@ -190,6 +193,49 @@ def test_criterion_06_residual_diagnostics():
                 assert p >= 0.99, f"{gender}: zero-mean test p={p:.4f}"
             _, p_norm = normality_test(standardize_residuals(lc.residuals))
             assert p_norm < 0.01, f"{gender}: LC normality p={p_norm:.4g}"
+
+
+@pytest.mark.parametrize("gender", ["male", "female"])
+@pytest.mark.parametrize("seed", [7, 301])
+def test_criteria_01_to_06_calls_on_generated_surfaces(seed, gender):
+    # the library calls of criteria 1-6 on a generated surface in their
+    # windows, asserting only what holds on any surface, no Italy number
+    surface = hmdgen_surface(seed, gender, (0, 100), (1950, 2006))
+    smoothed = smooth(surface, SmoothConfig())
+    lc, lcs, fdm = fit_lc(surface), fit_lcs(smoothed), fit_fdm(smoothed, K=4)
+    for model in (lc, lcs, fdm):
+        shares = model.explained_shares
+        assert np.all(np.isfinite(model.fitted_log_rates()))
+        assert np.all((shares > 0) & (shares <= 1)) and np.all(np.diff(shares) <= 0)
+        assert shares.sum() <= 1 + 4 * np.finfo(float).eps
+    for model in (lc, fdm):
+        report = error_metrics(surface, model.fitted_log_rates())
+        rows = [report.avg_across_ages, report.avg_across_years]
+        for table, index in ((report.by_age, surface.ages), (report.by_year, surface.years)):
+            assert np.array_equal(table.index, index)
+            assert {np.shape(c) for c in (table.me, table.mse, table.mpe, table.mape)} == \
+                {index.shape}
+            rows += zip(table.me, table.mse, table.mpe, table.mape)
+        for me, mse, mpe, mape in rows:
+            assert np.all(np.isfinite([me, mse, mpe, mape]))
+            assert mse >= 0 and mape >= abs(mpe)
+
+    report = run_backtest(hmdgen_surface(seed, gender, (0, 100), (1950, 2005)),
+                          ("lc", "lcs", "fdm"), train=(1950, 1975), test=(1976, 2005))
+    assert np.all(np.isfinite(report.e0_observed))
+    for entry in report.models.values():
+        assert np.all(np.isfinite(entry.errors))
+        assert all(np.all(np.isfinite(getattr(entry.e0_interval, part)))
+                   for part in ("point", "lower", "upper"))
+        assert np.isfinite(entry.e0_error_mean) and entry.e0_error_variance >= 0
+
+    early = hmdgen_surface(seed, gender, (0, 100), (1950, 1975))
+    fdm_early = fit_fdm(smooth(early, SmoothConfig()), K=4)
+    for resid in (fit_lc(early).residuals, early.log_rates - fdm_early.fitted_log_rates()):
+        std = standardize_residuals(resid)
+        w, p = normality_test(std)
+        assert 0 < w <= 1 and 0 <= p <= 1
+        assert 0 <= scipy.stats.ttest_1samp(std, 0.0).pvalue <= 1
 
 
 # ---------------------------------------------------------------------------

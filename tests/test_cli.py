@@ -1044,7 +1044,7 @@ def test_edge_surface_flat_series_ar_ts_exit_2(tmp_path, capsys, command, ts, de
     code = run_cli([*command, "--data", data, "--ages", "0:11", "--models", model,
                     "--ts", ts, "--output", out])
     assert code == 2
-    assert capsys.readouterr().err == (f"error: --ts: {described} cannot be fitted to {model}: "
+    assert capsys.readouterr().err == (f"error: {model}: {described} cannot be fitted: "
                                        "singular lag regression; series has no usable "
                                        "variation\n")
     assert not out.exists()

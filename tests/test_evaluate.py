@@ -381,8 +381,10 @@ def test_forecast_model_names_the_model_in_e0_range_error(name):
     # the drift carries the lower bounds below exp's range within
     # 100000 years, as in the CLI's --horizon exit 2
     model = fit_models(hmdgen_surface(7, "total", (0, 10), (1922, 2006)), (name,))[name]
-    with pytest.raises(E0RangeError, match=rf"^{name}: from \d+ its forecast death rates "):
+    with pytest.raises(SettingsError,
+                       match=rf"^{name}: from \d+ its forecast death rates ") as raised:
         forecast_model(model, TsSpec(), 100000)
+    assert raised.type is E0RangeError
 
 
 def test_backtest_builds_life_tables_for_the_test_years_only(monkeypatch):

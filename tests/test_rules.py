@@ -164,6 +164,23 @@ RULES = {
     "train_first_year": (
         [*BACKTEST, "--years", "1951:2005", "--train", "1951:1980", "--test", "1981:2005"], None,
         lambda: backtest((1951, 1980), (1981, 2005), first_year=1951), None),
+    # two faults at once: each window's order and place in the surface's
+    # years (train, then test) come before the overlap and length rules
+    "train_short_and_before_years": (
+        [*BACKTEST, "--years", "1951:2005", "--train", "1950:1951", "--test", "1952:2005"],
+        "error: train window 1950:1951 outside the surface's years 1951:2005",
+        lambda: backtest((1950, 1951), (1952, 2005), first_year=1951),
+        (SettingsError, "train window 1950:1951 outside the surface's years 1951:2005")),
+    "overlap_and_train_before_years": (
+        [*BACKTEST, "--years", "1951:2005", "--train", "1950:1980", "--test", "1975:2005"],
+        "error: train window 1950:1980 outside the surface's years 1951:2005",
+        lambda: backtest((1950, 1980), (1975, 2005), first_year=1951),
+        (SettingsError, "train window 1950:1980 outside the surface's years 1951:2005")),
+    "overlap_and_test_after_years": (
+        [*BACKTEST, "--train", "1950:1980", "--test", "1975:2006"],
+        "error: test window 1975:2006 outside the surface's years 1950:2005",
+        lambda: backtest((1950, 1980), (1975, 2006)),
+        (SettingsError, "test window 1975:2006 outside the surface's years 1950:2005")),
     "ts_p_below_0": (
         [*FORECAST, "--ts", "ar:-1,1"], f"mortforecast forecast: {TS}, got 'ar:-1,1'",
         lambda: TsSpec(p=-1), (ValueError, "p must be nonnegative")),

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mortforecast.evaluate import forecast_model
+from mortforecast.fdm import FittedModel
 from mortforecast.numerics import SettingsError
 from mortforecast.tsforecast import TsFit, TsSpec, fit_ts, forecast_ts, simulate_path
 
@@ -260,6 +262,28 @@ def test_ar_needs_enough_points():
 def test_ar_singular_regression():
     with pytest.raises(ValueError, match="singular"):
         fit_ts(np.zeros(10), TsSpec(p=1, d=0, include_drift=False))
+
+
+@pytest.mark.parametrize("spec,described", [
+    (TsSpec(p=1), "AR(1) on d=1 differences"),
+    (TsSpec(p=1, d=0), "AR(1) on d=0 differences"),
+    (TsSpec(p=2, include_drift=True), "AR(2) on d=1 differences"),
+])
+def test_singular_lag_regression_is_a_settings_error_naming_the_spec(spec, described):
+    # a constant series leaves every lag column zero; the library entry
+    # raises the message the CLI prints, and forecast_model puts the
+    # model's name first, as for every SettingsError
+    message = (f"{described} cannot be fitted: singular lag regression; series has no "
+               "usable variation")
+    with pytest.raises(SettingsError, match=f"^{re.escape(message)}$"):
+        fit_ts(np.full(10, 3.0), spec)
+    flat = FittedModel(name="lc", ages=np.arange(3), years=np.arange(2000, 2010),
+                       center=np.full(3, -4.0), basis=np.full((3, 1), 1.0 / 3.0),
+                       coefficients=np.zeros((10, 1)), residuals=np.zeros((3, 10)),
+                       v=np.zeros(3), sigma2=np.zeros(3), explained_shares=np.ones(1),
+                       explained_rss=1.0)
+    with pytest.raises(SettingsError, match=f"^{re.escape('lc: ' + message)}$"):
+        forecast_model(flat, spec, 5)
 
 
 # ---------------------------------------------------------------------------
