@@ -316,10 +316,11 @@ def run_backtest(
     surface's years (train, then test), test after train, at least
     ``_MIN_TRAIN_YEARS`` and ``_MIN_TEST_YEARS`` years, and ages from 0.
     """
+    # uncast, so a bound that is not a whole year lies outside the surface's years
+    train_surface = slice_window(surface, train[0], train[1], "train window")
+    test_surface = slice_window(surface, test[0], test[1], "test window")
     train_start, train_end = int(train[0]), int(train[1])
     test_start, test_end = int(test[0]), int(test[1])
-    train_surface = slice_window(surface, train_start, train_end, "train window")
-    test_surface = slice_window(surface, test_start, test_end, "test window")
     if test_start <= train_end:
         raise SettingsError(f"test window {test_start}:{test_end} must start after the "
                             f"train window ends ({train_end})")

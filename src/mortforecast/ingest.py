@@ -135,14 +135,6 @@ class MortalitySurface:
         object.__setattr__(self, "rates", rates)
 
     @property
-    def n_ages(self) -> int:
-        return len(self.ages)
-
-    @property
-    def n_years(self) -> int:
-        return len(self.years)
-
-    @property
     def log_rates(self) -> np.ndarray:
         return np.log(self.rates)
 

@@ -56,27 +56,21 @@ class TsSpec:
 
     @classmethod
     def parse(cls, text: str) -> "TsSpec":
-        """Parse 'rwd' (short for 'ar:0,1,drift') or 'ar:p,d[,drift]'
-        (also accepts 'arima:' prefix)."""
+        """Parse 'rwd' (short for 'ar:0,1,drift') or 'ar:p[,d][,drift]',
+        also spelt 'arima:'; d defaults to 1."""
         text = text.strip().lower()
         if text == "rwd":
             return cls()
-        for prefix in ("ar:", "arima:"):
-            if text.startswith(prefix):
-                parts = [t.strip() for t in text[len(prefix):].split(",")]
-                drift = False
-                if parts and parts[-1] == "drift":
-                    drift = True
-                    parts = parts[:-1]
-                if len(parts) not in (1, 2):
-                    raise ValueError(f"cannot parse time-series spec {text!r}")
-                try:
-                    p = int(parts[0])
-                    d = int(parts[1]) if len(parts) == 2 else 1
-                except ValueError:
-                    raise ValueError(f"cannot parse time-series spec {text!r}") from None
-                return cls(p=p, d=d, include_drift=drift)
-        raise ValueError(f"cannot parse time-series spec {text!r}")
+        name, _, body = text.partition(":")
+        parts = [t.strip() for t in body.split(",")]
+        drift = parts[-1] == "drift"
+        numbers = parts[:len(parts) - drift] if name in ("ar", "arima") else []
+        try:
+            # p and d, with d = 1 when only p is given; any other count fails to unpack
+            p, d = map(int, numbers + ["1"] * (len(numbers) == 1))
+        except ValueError:
+            raise ValueError(f"cannot parse time-series spec {text!r}") from None
+        return cls(p=p, d=d, include_drift=drift)
 
 
 @dataclass(frozen=True)
@@ -124,9 +118,11 @@ def fit_ts(series, spec: TsSpec) -> TsFit:
     The mean of the differenced series is removed first when the spec
     includes drift. The fitted polynomial's roots are checked; a root on
     or inside the unit circle clears the ``stationary`` flag rather than
-    raising, since an explosive κ fit is a diagnosis, not a crash. The
-    default spec is the random walk with drift: the drift is the mean
-    first difference and the innovation variance has denominator n−2.
+    raising, since an explosive κ fit is a diagnosis, not a crash. p = 0
+    is the same regression with no lag columns, so the default spec is
+    the random walk with drift: the drift is the mean first difference,
+    the residuals are the differences about it, and the innovation
+    variance has denominator n−2.
     """
     arr = _check_series(series)
     n = len(arr)
@@ -135,49 +131,37 @@ def fit_ts(series, spec: TsSpec) -> TsFit:
             f"need at least {spec.min_observations} observations (p+d+2) for "
             f"{spec.description}, got {n}"
         )
-    z = np.diff(arr, n=spec.d) if spec.d else arr.copy()
-    if spec.include_drift:
-        drift = float(z.mean())
-        zc = z - drift
-    else:
-        drift = 0.0
-        zc = z
+    z = np.diff(arr, n=spec.d)
+    drift = float(z.mean()) if spec.include_drift else 0.0
+    zc = z - drift
 
+    # column `lag` holds zc_{t-1-lag}, rows indexed by t = p..len(zc)-1; no
+    # columns when p = 0, so the residuals are the demeaned differences
     p = spec.p
-    if p == 0:
-        coeffs = np.empty(0)
-        residuals = zc.copy()
-        rows = len(zc)
-    else:
-        X = np.column_stack([zc[p - lag - 1:len(zc) - lag - 1] for lag in range(p)])
-        # column `lag` holds zc_{t-1-lag}, rows indexed by t = p..len(zc)-1
-        y = zc[p:]
-        rows = len(y)
-        coeffs, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-        if rank < p:
-            raise SettingsError(f"{spec.description} cannot be fitted: singular lag "
-                                "regression; series has no usable variation")
-        residuals = y - X @ coeffs
-
-    dof = rows - p - (1 if spec.include_drift else 0)
+    y = zc[p:]
+    X = np.empty((len(y), p))
+    for lag in range(p):
+        X[:, lag] = zc[p - lag - 1:len(zc) - lag - 1]
+    coeffs, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    if rank < p:
+        raise SettingsError(f"{spec.description} cannot be fitted: singular lag "
+                            "regression; series has no usable variation")
+    residuals = y - X @ coeffs
+    dof = len(y) - p - (1 if spec.include_drift else 0)
     sigma2 = float(np.sum(residuals**2) / max(dof, 1))
 
-    if p == 0:
-        stationary = True
-    else:
-        # roots of 1 - phi_1 z - ... - phi_p z^p, highest degree first
-        poly = np.concatenate([-coeffs[::-1], [1.0]])
-        roots = np.roots(poly)
-        stationary = bool(len(roots) == 0 or np.min(np.abs(roots)) > 1.0 + 1e-8)
+    # roots of 1 - phi_1 z - ... - phi_p z^p, highest degree first; none when p = 0
+    roots = np.roots(np.concatenate([-coeffs[::-1], [1.0]]))
+    stationary = bool(len(roots) == 0 or np.min(np.abs(roots)) > 1.0 + 1e-8)
 
     return TsFit(
         spec=spec,
         drift=drift,
-        ar_coeffs=np.asarray(coeffs, dtype=float),
+        ar_coeffs=coeffs,
         innovation_variance=sigma2,
         residuals=residuals,
         last_level=float(arr[-1]),
-        diff_tail=zc[len(zc) - p:].copy() if p else np.empty(0),
+        diff_tail=zc[len(zc) - p:].copy(),
         n_diff=len(z),
         stationary=stationary,
     )
@@ -233,14 +217,9 @@ def forecast_ts(fit: TsFit, h: int) -> tuple[np.ndarray, np.ndarray]:
     sigma2 = fit.innovation_variance
     psi = _psi_weights(fit.ar_coeffs, h)
     weights = np.cumsum(psi) if fit.spec.d == 1 else psi
-    variance = sigma2 * np.cumsum(weights**2)
-    if fit.spec.include_drift:
-        ks = np.arange(1, h + 1, dtype=float)
-        if fit.spec.d == 1:
-            variance = variance + ks**2 * sigma2 / fit.n_diff
-        else:
-            variance = variance + sigma2 / fit.n_diff
-    return point, variance
+    ks = np.arange(1, h + 1, dtype=float) ** fit.spec.d  # k drifts on d=1, one on d=0
+    drift_variance = ks**2 * sigma2 / fit.n_diff if fit.spec.include_drift else 0.0
+    return point, sigma2 * np.cumsum(weights**2) + drift_variance
 
 
 def simulate_path(fit: TsFit, h: int, innovations: np.ndarray) -> np.ndarray:

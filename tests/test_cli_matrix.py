@@ -4,10 +4,11 @@ committed numbers.
 The matrix runs every command on two generated surfaces (hmdgen seeds 7
 and 301) over small year windows: lc, lcs and fdm, fdm with and without
 ``--bootstrap 200 --seed 3``, GCV and ``--lam 0.003``, ``--monotone-from
-none``, and ages 0:100 and 0:110 beside the small 0:10 window that keeps
-the file small. ``fit_lc_110`` fits 111 ages over 46 years, so its
-normality test reads the 5,000-point subsample, as every large window
-does.
+none``, ``--ts ar:1,0,drift`` and ``arima:1,1`` beside the default random
+walk with drift, and ages 0:100 and 0:110 beside the small 0:10 window
+that keeps the file small. ``fit_lc_110`` fits 111 ages over 46 years,
+so its normality test reads the 5,000-point subsample, as every large
+window does.
 
 ``fingerprint_cli_matrix.csv`` holds one row per field of an artifact:
 a CSV column, a number or list of numbers in ``summary.json`` (strings
@@ -58,6 +59,10 @@ MATRIX = {
     "backtest_lam": [*BACKTEST, "--models", "lc,lcs", "--lam", "0.003"],
     "backtest_fdm_boot": [*BACKTEST, "--models", "lc,fdm", "--lam", "0.003", *BOOT],
     "lifetable_100": ["lifetable", "--ages", "0:100", "--years", "1999:2006", "--year", "2003"],
+    "forecast_ar1_drift": ["forecast", "--models", "lc,fdm", "--horizon", "2", "--ts",
+                           "ar:1,0,drift", *SMALL],
+    "backtest_arima_1_1": [*BACKTEST, "--models", "lc,fdm", "--lam", "0.003", "--ts",
+                           "arima:1,1"],
 }
 
 

@@ -202,6 +202,13 @@ RULES = {
 }
 
 
+def _assert_raises(call, raised):
+    kind, message = raised
+    with pytest.raises(kind, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is kind
+
+
 @pytest.mark.parametrize("argv,error,call,raised", RULES.values(), ids=RULES)
 def test_rule(hmd_file, tmp_path, capsys, argv, error, call, raised):
     # a row's window sits on the side of valid_window that its error names
@@ -221,7 +228,23 @@ def test_rule(hmd_file, tmp_path, capsys, argv, error, call, raised):
         assert code == 2
         assert err.endswith("\n") and err.splitlines()[-1] == error
         assert not out.exists()
-        kind, message = raised
-        with pytest.raises(kind, match=f"^{re.escape(message)}$") as info:
-            call()
-        assert type(info.value) is kind
+        _assert_raises(call, raised)
+
+
+# Rules only a library caller can break: --train and --test take whole
+# years, so no argv reaches them. A bound that is not a whole year matches
+# no year of the surface, as ingest.year_columns says, so run_backtest
+# must not cast it to one before slicing.
+LIBRARY_RULES = {
+    "train_fractional_start": (
+        lambda: backtest((1950.5, 1980), (1981, 2005)),
+        (SettingsError, "train window 1950.5:1980 outside the surface's years 1950:2005")),
+    "test_fractional_end": (
+        lambda: backtest((1950, 1980), (1981, 2004.7)),
+        (SettingsError, "test window 1981:2004.7 outside the surface's years 1950:2005")),
+}
+
+
+@pytest.mark.parametrize("call,raised", LIBRARY_RULES.values(), ids=LIBRARY_RULES)
+def test_library_rule(call, raised):
+    _assert_raises(call, raised)

@@ -325,7 +325,7 @@ def _exact_surface_fit(seed, gender, ages, years, num_basis, lam):
     """Three years of one generated surface, the first, middle and last,
     and their exact fits at ``lam``: the column indices and the fits."""
     surface = hmdgen_surface(seed, gender, ages, years)
-    cols = np.array([0, surface.n_years // 2, surface.n_years - 1])
+    cols = np.array([0, len(surface.years) // 2, len(surface.years) - 1])
     xs = surface.ages.astype(float)
     B = _reference_design(xs, SmoothConfig(num_basis=num_basis))
     return cols, _exact_fit(B, surface.log_rates[:, cols], lam)

@@ -106,32 +106,38 @@ def test_rwd_scale_equivariance(gamma, seed):
 # AR on differences
 
 
-# The random walk with drift as its own family, as it was before it
-# became AR(0) on first differences with drift: the oracle the default
-# spec must reproduce bit for bit.
+# AR(0) in closed form: a random walk (d=1) or white noise (d=0), about
+# the mean with drift or about zero without. fit_ts runs p = 0 through
+# AR(p)'s lag regression with no lag columns, and must reproduce all four
+# bit for bit.
 
 
-def _reference_fit_rwd(series) -> TsFit:
+def _reference_fit_p0(series, spec) -> TsFit:
     arr = np.asarray(series, dtype=float)
     n = len(arr)
-    diffs = np.diff(arr)
-    drift = float(diffs.mean())
-    residuals = diffs - drift
-    sigma2 = float(np.sum(residuals**2) / (n - 2))
-    return TsFit(spec=TsSpec(), drift=drift, ar_coeffs=np.empty(0),
+    z = np.diff(arr) if spec.d else arr
+    drift = float(z.mean()) if spec.include_drift else 0.0
+    residuals = z - drift
+    # n - 2 for the random walk with drift: the level and the drift
+    sigma2 = float(np.sum(residuals**2) / (n - spec.d - spec.include_drift))
+    return TsFit(spec=spec, drift=drift, ar_coeffs=np.empty(0),
                  innovation_variance=sigma2, residuals=residuals,
-                 last_level=float(arr[-1]), diff_tail=np.empty(0), n_diff=n - 1,
+                 last_level=float(arr[-1]), diff_tail=np.empty(0), n_diff=len(z),
                  stationary=True)
 
 
-def _reference_forecast_rwd(fit: TsFit, h: int):
+def _reference_forecast_p0(fit: TsFit, h: int):
     ks = np.arange(1, h + 1, dtype=float)
-    point = fit.last_level + ks * fit.drift
-    variance = ks * fit.innovation_variance + ks**2 * fit.innovation_variance / fit.n_diff
-    return point, variance
+    s2, drift = fit.innovation_variance, fit.spec.include_drift
+    if fit.spec.d == 0:
+        return np.full(h, fit.drift), np.full(h, s2) + (s2 / fit.n_diff if drift else 0.0)
+    return (fit.last_level + ks * fit.drift,
+            ks * s2 + (ks**2 * s2 / fit.n_diff if drift else 0.0))
 
 
-def _reference_simulate_rwd(fit: TsFit, innovations):
+def _reference_simulate_p0(fit: TsFit, innovations):
+    if fit.spec.d == 0:
+        return fit.drift + innovations
     ks = np.arange(1, innovations.shape[0] + 1, dtype=float)[:, None]
     return fit.last_level + ks * fit.drift + np.cumsum(innovations, axis=0)
 
@@ -145,17 +151,16 @@ def _reference_simulate_rwd(fit: TsFit, innovations):
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_ar_p0_d1_equals_rwd(series, h, B, seed):
-    ar = fit_ts(series, TsSpec())
-    rwd = _reference_fit_rwd(series)
-    assert ar.drift == rwd.drift
-    assert ar.innovation_variance == rwd.innovation_variance
-    assert np.array_equal(ar.residuals, rwd.residuals)
-    assert ar.n_diff == rwd.n_diff
-    for got, want in zip(forecast_ts(ar, h), _reference_forecast_rwd(rwd, h)):
-        assert np.array_equal(got, want)
     innovations = np.random.default_rng(seed).standard_normal((h, B))
-    assert np.array_equal(simulate_path(ar, h, innovations),
-                          _reference_simulate_rwd(rwd, innovations))
+    for spec in (TsSpec(), TsSpec(0, 0, True), TsSpec(0, 0, False), TsSpec(0, 1, False)):
+        ar = fit_ts(series, spec)
+        want = _reference_fit_p0(series, spec)
+        for field, value in want.__dict__.items():
+            assert np.array_equal(getattr(ar, field), value), (spec, field)
+        for got, expect in zip(forecast_ts(ar, h), _reference_forecast_p0(want, h)):
+            assert np.array_equal(got, expect), spec
+        assert np.array_equal(simulate_path(ar, h, innovations),
+                              _reference_simulate_p0(want, innovations)), spec
 
 
 def _reference_psi(coeffs, h):
@@ -380,9 +385,16 @@ def test_spec_parse():
                                                   include_drift=True)
     assert TsSpec.parse("arima:3") == TsSpec(p=3, d=1,
                                              include_drift=False)
-    for bad in ("", "walk", "ar:", "ar:x,1", "ar:1,2"):
-        with pytest.raises(ValueError):
+    # case and blanks around the name, the numbers and the drift flag are free
+    assert TsSpec.parse("  AR: 2 , 0 , DRIFT ") == TsSpec(p=2, d=0, include_drift=True)
+    assert TsSpec.parse("arima:1,0,drift") == TsSpec(p=1, d=0, include_drift=True)
+    for bad in ("", "walk", "ar:", "ar:x,1", "ar", "ar:1,", "ar:,1", "ar:1,1,1", "arma:1",
+                "ar:drift"):
+        message = f"cannot parse time-series spec {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TsSpec.parse(bad)
+    with pytest.raises(ValueError, match="^d must be 0 or 1$"):
+        TsSpec.parse("ar:1,2")
 
 
 def test_spec_validation():
