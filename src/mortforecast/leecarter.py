@@ -28,10 +28,10 @@ def fit_lc(surface: MortalitySurface) -> FittedModel:
     gives beta and kappa after normalizing so beta sums to one, with the
     FDM's sign, so beta sums positive before normalization (kappa then
     falls when mortality improves); a leading age pattern summing to
-    within 1e-10 of zero cannot be normalized and raises. kappa is
-    recentered to sum zero with the shift absorbed into alpha. The model
-    holds alpha as its center, beta as its one basis column and kappa as
-    its one coefficient series.
+    within 1e-10 of zero cannot be normalized and raises ``SettingsError``.
+    kappa is recentered to sum zero with the shift absorbed into alpha. The
+    model holds alpha as its center, beta as its one basis column and kappa
+    as its one coefficient series.
     """
     return _fit_log_rates(surface.ages, surface.years, surface.log_rates, "lc")
 
@@ -55,7 +55,7 @@ def _fit_log_rates(ages: np.ndarray, years: np.ndarray, Y: np.ndarray,
         u1, v1 = U[:, 0], V[:, 0]
         column_sum = float(u1.sum())
         if column_sum < 1e-10:
-            raise ValueError(
+            raise SettingsError(
                 "degenerate fit: the leading age pattern sums to zero, so the "
                 "normalization beta = u1 / sum(u1) is undefined"
             )

@@ -109,53 +109,24 @@ def render_line_chart(
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
-        )
+        parts.append(_text(f"{_WIDTH / 2:.0f}", 24, title, 15))
 
     axis_y = _MARGIN_TOP + plot_h
-    parts.append(
-        f'<line x1="{_MARGIN_LEFT}" y1="{axis_y}" x2="{_MARGIN_LEFT + plot_w}" '
-        f'y2="{axis_y}" stroke="#000000" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" x2="{_MARGIN_LEFT}" '
-        f'y2="{axis_y}" stroke="#000000" stroke-width="1"/>'
-    )
+    parts.append(_line(_MARGIN_LEFT, axis_y, _MARGIN_LEFT + plot_w, axis_y))
+    parts.append(_line(_MARGIN_LEFT, _MARGIN_TOP, _MARGIN_LEFT, axis_y))
 
     for t in _ticks(xlo, xhi):
-        px = sx(t)
-        parts.append(
-            f'<line x1="{_fmt_coord(px)}" y1="{axis_y}" x2="{_fmt_coord(px)}" '
-            f'y2="{axis_y + 5}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt_coord(px)}" y="{axis_y + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_fmt_num(t)}</text>'
-        )
+        px = _fmt_coord(sx(t))
+        parts.append(_line(px, axis_y, px, axis_y + 5))
+        parts.append(_text(px, axis_y + 20, _fmt_num(t), 12))
     for t in _ticks(ylo, yhi):
         py = sy(t)
-        parts.append(
-            f'<line x1="{_MARGIN_LEFT - 5}" y1="{_fmt_coord(py)}" x2="{_MARGIN_LEFT}" '
-            f'y2="{_fmt_coord(py)}" stroke="#000000" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_LEFT - 9}" y="{_fmt_coord(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{_fmt_num(t)}</text>'
-        )
+        parts.append(_line(_MARGIN_LEFT - 5, _fmt_coord(py), _MARGIN_LEFT, _fmt_coord(py)))
+        parts.append(_text(_MARGIN_LEFT - 9, _fmt_coord(py + 4), _fmt_num(t), 12, "end"))
 
-    parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{_HEIGHT - 12}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-        f'{_escape(xlabel)}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.0f})">'
-        f'{_escape(ylabel)}</text>'
-    )
+    mid_y = f"{_MARGIN_TOP + plot_h / 2:.0f}"
+    parts.append(_text(f"{_MARGIN_LEFT + plot_w / 2:.0f}", _HEIGHT - 12, xlabel, 13))
+    parts.append(_text(16, mid_y, ylabel, 13, extra=f' transform="rotate(-90 16 {mid_y})"'))
 
     for idx, (label, xs, ys) in enumerate(cleaned):
         color = PALETTE[idx % len(PALETTE)]
@@ -169,18 +140,21 @@ def render_line_chart(
     for idx, (label, _, _) in enumerate(cleaned):
         color = PALETTE[idx % len(PALETTE)]
         ly = _MARGIN_TOP + 8 + 16 * idx
-        parts.append(
-            f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 22}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 28}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{_escape(label)}</text>'
-        )
+        parts.append(_line(legend_x, ly, legend_x + 22, ly, color, 2))
+        parts.append(_text(legend_x + 28, ly + 4, label, 12, anchor=None))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _escape(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
+def _line(x1, y1, x2, y2, stroke="#000000", width=1) -> str:
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+            f'stroke-width="{width}"/>')
+
+
+def _text(x, y, body: str, size: int, anchor="middle", extra="") -> str:
+    """A sans-serif ``<text>``; ``extra`` holds attributes after the size."""
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    anchored = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchored} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')

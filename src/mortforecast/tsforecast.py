@@ -3,13 +3,13 @@
 One model: AR(p) on d-th differences, with or without drift, fit by
 conditional least squares. The default, AR(0) on first differences with
 drift, is the random walk with drift used for mortality indexes.
-Forecast variances include the drift-estimation term, so intervals widen
-a little faster than the pure innovation variance would suggest.
+Points, bootstrap paths and forecast variances all come off one AR
+recursion, and the variances add the drift's estimation error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class TsSpec:
         parts = [t.strip() for t in body.split(",")]
         drift = parts[-1] == "drift"
         numbers = parts[:len(parts) - drift] if name in ("ar", "arima") else []
+        if not all(t.isascii() and t.isdigit() for t in numbers):
+            numbers = []  # p and d are ASCII digits; int() would take '+1', '1_0' or '٣'
         try:
             # p and d, with d = 1 when only p is given; any other count fails to unpack
             p, d = map(int, numbers + ["1"] * (len(numbers) == 1))
@@ -167,18 +169,6 @@ def fit_ts(series, spec: TsSpec) -> TsFit:
     )
 
 
-def _psi_weights(coeffs: np.ndarray, h: int) -> np.ndarray:
-    """Moving-average weights of the AR part: psi_0 = 1,
-    psi_j = sum_i phi_i psi_{j-i}."""
-    psi = np.zeros(h)
-    psi[0] = 1.0
-    p = len(coeffs)
-    for j in range(1, h):
-        upto = min(j, p)
-        psi[j] = float(np.dot(coeffs[:upto], psi[j - 1::-1][:upto]))
-    return psi
-
-
 def _ar_centered_path(fit: TsFit, h: int, innovations: np.ndarray) -> np.ndarray:
     """The AR recursion on the demeaned differenced scale, started from
     ``diff_tail``; innovations of shape (h,) or (h, B) give one or B paths."""
@@ -206,20 +196,22 @@ def _level_paths(fit: TsFit, centered: np.ndarray) -> np.ndarray:
 
 
 def forecast_ts(fit: TsFit, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Recursive point forecasts with psi-weight variance accumulation.
+    """Point forecasts and their variances, all off the path recursion.
 
-    On d=1 the differenced-scale weights are cumulated before squaring
-    (the level is a running sum of forecast differences). The drift term
-    adds k²·σ²/n_diff when d=1 and σ²/n_diff when d=0.
+    The point is the zero-innovation path. The variance is σ² times the
+    running sum of the squared response of a unit fit (no drift, level or
+    tail) to one unit innovation, plus σ²/n_diff times the squared level
+    response to a unit drift (k² on d=1, one on d=0) when there is drift.
     """
     h = _check_horizon(h)
     point = _level_paths(fit, _ar_centered_path(fit, h, np.zeros(h)))
+    unit = replace(fit, drift=0.0, last_level=0.0, diff_tail=np.zeros_like(fit.diff_tail))
+    impulse = np.eye(1, h)[0]  # one unit innovation, at horizon 1
+    response = _level_paths(unit, _ar_centered_path(unit, h, impulse))
     sigma2 = fit.innovation_variance
-    psi = _psi_weights(fit.ar_coeffs, h)
-    weights = np.cumsum(psi) if fit.spec.d == 1 else psi
-    ks = np.arange(1, h + 1, dtype=float) ** fit.spec.d  # k drifts on d=1, one on d=0
-    drift_variance = ks**2 * sigma2 / fit.n_diff if fit.spec.include_drift else 0.0
-    return point, sigma2 * np.cumsum(weights**2) + drift_variance
+    drift_response = _level_paths(replace(unit, drift=1.0), np.zeros(h))
+    drift_variance = drift_response**2 * sigma2 / fit.n_diff if fit.spec.include_drift else 0.0
+    return point, sigma2 * np.cumsum(response**2) + drift_variance
 
 
 def simulate_path(fit: TsFit, h: int, innovations: np.ndarray) -> np.ndarray:

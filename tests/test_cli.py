@@ -376,6 +376,27 @@ def test_lifetable_year_outside_data_exit_2(hmd_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "forecast"])
+def test_zero_sum_lee_carter_age_pattern_exit_2(tmp_path, capsys, command):
+    # m0 = 2^-(1+t), m1 = 1/4 and m2 = 2^-(6-t), exact in six decimals: the
+    # centered log rates are (-1, 0, 1) times a line in t, so the leading
+    # age pattern sums to zero and beta = u1 / sum(u1) is undefined
+    lines = ["Zero-sum, Death rates (period 1x1)", "", "  Year  Age  Female  Male  Total"]
+    for t in range(6):
+        for age, m in enumerate((2.0 ** -(1 + t), 0.25, 2.0 ** -(6 - t))):
+            lines.append(f"  {2000 + t}  {age}  {m:.6f}  {m:.6f}  {m:.6f}")
+    data = tmp_path / "Mx_1x1.txt"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = run_cli([command, "--data", data, "--models", "lc", "--ages", "0:2",
+                    "--output", out])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: degenerate fit: the leading age pattern sums to zero, so the "
+        "normalization beta = u1 / sum(u1) is undefined\n")
+    assert not out.exists()
+
+
 def count_calls(monkeypatch, func):
     """Count the calls made to ``func`` through any module of the package."""
     calls = []

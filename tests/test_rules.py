@@ -184,6 +184,19 @@ RULES = {
     "ts_p_below_0": (
         [*FORECAST, "--ts", "ar:-1,1"], f"mortforecast forecast: {TS}, got 'ar:-1,1'",
         lambda: TsSpec(p=-1), (ValueError, "p must be nonnegative")),
+    # p and d are ASCII digits: int() alone would read AR(10), AR(1) and AR(3)
+    "ts_p_underscore": (
+        [*FORECAST, "--ts", "ar:1_0,1"], f"mortforecast forecast: {TS}, got 'ar:1_0,1'",
+        lambda: TsSpec.parse("ar:1_0,1"),
+        (ValueError, "cannot parse time-series spec 'ar:1_0,1'")),
+    "ts_p_signed": (
+        [*FORECAST, "--ts", "ar:+1,0"], f"mortforecast forecast: {TS}, got 'ar:+1,0'",
+        lambda: TsSpec.parse("ar:+1,0"),
+        (ValueError, "cannot parse time-series spec 'ar:+1,0'")),
+    "ts_p_non_ascii_digit": (
+        [*FORECAST, "--ts", "ar:\u0663"], f"mortforecast forecast: {TS}, got 'ar:\u0663'",
+        lambda: TsSpec.parse("ar:\u0663"),
+        (ValueError, "cannot parse time-series spec 'ar:\u0663'")),
     "ts_p_0": (
         [*FORECAST, "--ts", "ar:0,1"], None, lambda: TsSpec.parse("ar:0,1"), None),
     "ts_d_2": (

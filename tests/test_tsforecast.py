@@ -175,28 +175,40 @@ def _reference_psi(coeffs, h):
 @settings(deadline=None, max_examples=80)
 @given(
     p=st.integers(min_value=1, max_value=3),
+    d=st.sampled_from([0, 1]),
+    include_drift=st.booleans(),
     n=st.integers(min_value=12, max_value=40),
     h=st.integers(min_value=1, max_value=30),
     scale=st.floats(min_value=0.01, max_value=5.0),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_ar_d1_drift_point_within_tolerance_of_summed_drift(p, n, h, scale, seed):
-    # ar:p,1,drift adds k drifts to the running sum of the centered
-    # differences; it used to sum drift + centered step by step. The two
+def test_ar_point_and_variance_within_tolerance_of_psi_weights(p, d, include_drift, n, h,
+                                                               scale, seed):
+    # on d = 1 with drift the point adds k drifts to the running sum of the
+    # centered differences; it used to sum drift + centered step by step. The two
     # differ by rounding only: at most 1e-12 absolute on a stationary fit
     # to a series of this scale, at most 1e-13 of the largest point on an
-    # explosive one. The variance did not change.
+    # explosive one. The variance is read off the path recursion's response
+    # to one unit innovation, where it used to come from psi weights summed
+    # by np.dot: the same products, summed in the same order at p = 1, so
+    # equal bit for bit there, and within the fingerprints' 1e-12 at p >= 2
     rng = np.random.default_rng(seed)
     series = scale * np.cumsum(0.2 + rng.standard_normal(n))
-    fit = fit_ts(series, TsSpec(p=p, d=1, include_drift=True))
+    fit = fit_ts(series, TsSpec(p=p, d=d, include_drift=include_drift))
     point, variance = forecast_ts(fit, h)
     summed = _reference_path(fit, h, np.zeros(h))
     tolerance = 1e-12 if fit.stationary else 1e-13 * np.max(np.abs(summed))
     np.testing.assert_allclose(point, summed, rtol=0, atol=tolerance)
-    ks = np.arange(1, h + 1, dtype=float)
+    psi = _reference_psi(fit.ar_coeffs, h)
+    weights = np.cumsum(psi) if d == 1 else psi
+    ks = np.arange(1, h + 1, dtype=float) ** d
     sigma2 = fit.innovation_variance
-    assert np.array_equal(variance, sigma2 * np.cumsum(np.cumsum(_reference_psi(
-        fit.ar_coeffs, h))**2) + ks**2 * sigma2 / fit.n_diff)
+    drift_variance = ks**2 * sigma2 / fit.n_diff if include_drift else 0.0
+    expected = sigma2 * np.cumsum(weights**2) + drift_variance
+    if p == 1:
+        assert np.array_equal(variance, expected)
+    else:
+        np.testing.assert_allclose(variance, expected, rtol=1e-12, atol=0)
 
 
 def test_ar1_recovery():
